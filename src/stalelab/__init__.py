@@ -17,7 +17,6 @@ from .objective import (
     RosenbrockObjective,
     Shard,
     finite_diff_check,
-    loss_and_grad,
     make_objective,
     sample_batch,
 )
@@ -33,8 +32,6 @@ from .optim import (
     mla_step,
     nesterov_step,
     outer_step,
-    poly_decay_step,
-    sdm_step,
 )
 from .simulator import (
     DelaySchedule,

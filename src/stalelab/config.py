@@ -16,7 +16,8 @@ import math
 from dataclasses import dataclass
 from typing import Any
 
-from .optim import ADAM_FAMILY, METHODS, InnerConfig, OuterConfig
+from .objective import mlp_dim
+from .optim import DEFAULT_ALPHA, DEFAULT_TAU_CUT, METHOD_TABLE, METHODS, InnerConfig, OuterConfig
 from .seeding import derive_seed
 
 CONFIG_VERSION = 1
@@ -103,24 +104,13 @@ class _Checker:
         return val
 
 
-def _objective_dim(spec: dict) -> int | None:
-    kind = spec.get("kind")
-    if kind in ("quadratic", "rosenbrock_sum"):
-        d = spec.get("dimension")
-        return d if isinstance(d, int) else None
-    if kind == "mlp_regression":
-        sizes = spec.get("layer_sizes")
-        if isinstance(sizes, list) and len(sizes) >= 2 and all(isinstance(s, int) and s >= 1 for s in sizes):
-            return sum(sizes[i + 1] * sizes[i] + sizes[i + 1] for i in range(len(sizes) - 1))
-    return None
-
-
-def _resolve_objective(raw: dict, chk: _Checker) -> dict:
+def _resolve_objective(raw: dict, chk: _Checker) -> tuple[dict, int | None]:
+    """The resolved objective and its parameter dimension (None when invalid)."""
     kind = chk.choice(raw, "kind", "objective", {"quadratic", "rosenbrock_sum", "mlp_regression"})
     if kind is None:
         if "kind" not in raw:
             chk.error("objective.kind", "missing required key")
-        return dict(raw)
+        return dict(raw), None
     out: dict = {"kind": kind}
     if kind == "quadratic":
         chk.require_keys(raw, "objective", {"kind", "dimension", "spectrum_lo", "spectrum_hi", "rotation_seed"},
@@ -150,7 +140,8 @@ def _resolve_objective(raw: dict, chk: _Checker) -> dict:
         out["teacher_seed"] = chk.num(raw, "teacher_seed", "objective", integer=True, default=0)
         out["teacher_scale"] = chk.num(raw, "teacher_scale", "objective", lo=0, lo_open=True, default=1.0)
         out["init_scale"] = chk.num(raw, "init_scale", "objective", lo=0, lo_open=True, default=1.0)
-    return out
+        return out, mlp_dim(out["layer_sizes"]) if "layer_sizes" in out else None
+    return out, out["dimension"]
 
 
 def _resolve_delay(raw: dict, chk: _Checker) -> dict:
@@ -176,22 +167,13 @@ def _resolve_delay(raw: dict, chk: _Checker) -> dict:
     return out
 
 
-# alpha/tau_cut pins per method: None means the field is free.
-_GATE_PINS = {
-    "adam": (0.0, None),
-    "adam_decay": (None, math.inf),
-    "sdm": (None, math.inf),
-}
-_UNGATED = tuple(m for m in METHODS if m not in ADAM_FAMILY and m != "sdm")
-
-
 def _resolve_outer(raw: dict, method: str, chk: _Checker) -> dict:
     chk.require_keys(raw, "outer", set(),
                      {"eta", "beta1", "beta2", "epsilon", "mu", "alpha", "tau_cut",
                       "gate_placement", "buffer_period"})
-    adam_family = method in ADAM_FAMILY
+    row = METHOD_TABLE[method]
     out = {
-        "eta": chk.num(raw, "eta", "outer", lo=0, lo_open=True, default=1e-3 if adam_family else 0.7),
+        "eta": chk.num(raw, "eta", "outer", lo=0, lo_open=True, default=row.eta),
         "beta1": chk.num(raw, "beta1", "outer", lo=0, hi=1, hi_open=True, default=0.9),
         "beta2": chk.num(raw, "beta2", "outer", lo=0, hi=1, hi_open=True, default=0.95),
         "epsilon": chk.num(raw, "epsilon", "outer", lo=0, lo_open=True, default=1e-8),
@@ -200,39 +182,21 @@ def _resolve_outer(raw: dict, method: str, chk: _Checker) -> dict:
         "buffer_period": chk.num(raw, "buffer_period", "outer", integer=True, lo=1, default=4),
     }
 
-    alpha = chk.num(raw, "alpha", "outer", lo=0, default=None)
-    tau_cut = None
-    if "tau_cut" in raw:
-        val = raw["tau_cut"]
-        if val is None:
-            tau_cut = math.inf
-        else:
-            tau_cut = chk.num(raw, "tau_cut", "outer", lo=0, lo_open=True)
-
-    if method in _UNGATED:
-        if alpha is not None and alpha != 0.0:
-            chk.error("outer.alpha", f"method {method!r} takes no gate; alpha must be omitted or 0")
-        if "tau_cut" in raw and tau_cut != math.inf:
-            chk.error("outer.tau_cut", f"method {method!r} takes no gate; tau_cut must be omitted or null")
-        alpha, tau_cut = 0.0, math.inf
-    else:
-        pin = _GATE_PINS.get(method)
-        if pin is not None:
-            pin_alpha, pin_cut = pin
-            if pin_alpha is not None:
-                if alpha is not None and alpha != pin_alpha:
-                    chk.error("outer.alpha", f"method {method!r} pins alpha to {pin_alpha}")
-                alpha = pin_alpha
-            if pin_cut is not None:
-                if "tau_cut" in raw and tau_cut != pin_cut:
-                    chk.error("outer.tau_cut", f"method {method!r} pins tau_cut to null (no cutoff)")
-                tau_cut = pin_cut
-        if alpha is None:
-            alpha = 0.2
-        if "tau_cut" not in raw and tau_cut is None:
-            tau_cut = math.inf if method in ("adam_decay", "sdm") else 32.0
-    out["alpha"] = alpha
-    out["tau_cut"] = None if (tau_cut is None or math.isinf(tau_cut)) else tau_cut
+    alpha = chk.num(raw, "alpha", "outer", lo=0)
+    tau_cut = (math.inf if "tau_cut" in raw and raw["tau_cut"] is None
+               else chk.num(raw, "tau_cut", "outer", lo=0, lo_open=True))
+    for key, value, default in (("alpha", alpha, DEFAULT_ALPHA), ("tau_cut", tau_cut, DEFAULT_TAU_CUT)):
+        pin = getattr(row, key)
+        if pin is None:
+            out[key] = default if value is None else value
+            continue
+        if value is not None and value != pin:
+            shown = "null (no cutoff)" if math.isinf(pin) else pin
+            chk.error(f"outer.{key}", f"method {method!r} pins {key} to {shown}"
+                      + ("" if row.gated else "; it takes no gate"))
+        out[key] = pin
+    if math.isinf(out["tau_cut"]):
+        out["tau_cut"] = None
     return out
 
 
@@ -267,7 +231,9 @@ def resolve_config(raw: dict) -> dict:
         chk.error("version", f"unsupported config version {version}; this build reads {CONFIG_VERSION}")
 
     method = chk.choice(raw, "method", "", set(METHODS))
-    objective = _resolve_objective(raw.get("objective", {}), chk) if isinstance(raw.get("objective"), dict) else None
+    objective, dim = None, None
+    if isinstance(raw.get("objective"), dict):
+        objective, dim = _resolve_objective(raw["objective"], chk)
     if objective is None and "objective" in raw:
         chk.error("objective", "expected a JSON object")
     delay = _resolve_delay(raw.get("delay", {}), chk) if isinstance(raw.get("delay"), dict) else None
@@ -294,7 +260,6 @@ def resolve_config(raw: dict) -> dict:
     frag_budget = chk.num(frag_raw, "budget", "fragments", integer=True, lo=1, default=frag_count)
     if frag_count is not None and frag_budget is not None and frag_budget > frag_count:
         chk.error("fragments.budget", f"must be <= fragments.count ({frag_count}), got {frag_budget}")
-    dim = _objective_dim(objective or {})
     if dim is not None and frag_count is not None and frag_count > dim:
         chk.error("fragments.count", f"must be <= parameter dimension ({dim}), got {frag_count}")
 
@@ -342,17 +307,10 @@ class RunConfig:
     @classmethod
     def from_dict(cls, raw: dict) -> "RunConfig":
         resolved = resolve_config(raw)
-        o = resolved["outer"]
-        tau_cut = math.inf if o["tau_cut"] is None else float(o["tau_cut"])
-        outer = OuterConfig.for_method(
-            resolved["method"],
-            eta=o["eta"], beta1=o["beta1"], beta2=o["beta2"], epsilon=o["epsilon"], mu=o["mu"],
-            alpha=o["alpha"], tau_cut=tau_cut,
-            gate_placement=o["gate_placement"], buffer_period=o["buffer_period"],
-        )
-        i = resolved["inner"]
-        inner = InnerConfig(lr=i["lr"], beta1=i["beta1"], beta2=i["beta2"],
-                            epsilon=i["epsilon"], weight_decay=i["weight_decay"])
+        o = resolved["outer"]  # its keys are for_method's keyword arguments, as inner's are InnerConfig's
+        tau_cut = math.inf if o["tau_cut"] is None else o["tau_cut"]
+        outer = OuterConfig.for_method(resolved["method"], **{**o, "tau_cut": tau_cut})
+        inner = InnerConfig(**resolved["inner"])
         return cls(
             resolved=resolved,
             objective=resolved["objective"],
@@ -436,10 +394,6 @@ def expand_sweep(spec: dict) -> list[tuple[dict, RunConfig]]:
             for name, value in assignment.items():
                 if name == "seed":
                     seed_val = value
-                elif name == "method":
-                    raw["method"] = value
-                elif name == "delay":
-                    raw["delay"] = value
                 else:
                     _set_path(raw, name, value)
             if seed_val is not None:

@@ -2,9 +2,10 @@
 
 A result file is named `<config_hash[:16]>_s<seed>.json` and contains the
 full resolved config, so it is self-describing and byte-identical across
-reruns of the same build. Sweeps are resumable: cells whose result file
-already exists are skipped, and the summary is always recomputed from the
-files on disk, never from in-process state.
+reruns of the same build; it is renamed into place once written in full.
+Sweeps are resumable: a cell is skipped when its file parses and holds the
+cell's config hash and seed, else re-run. The summary is always recomputed
+from the files on disk, never from in-process state.
 """
 
 from __future__ import annotations
@@ -48,7 +49,9 @@ def save_result(result: RunResult, out_dir: str | Path) -> Path:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     path = out / result_filename(result.config_hash, result.seed)
-    path.write_text(serialize_result(result), encoding="utf-8")
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    tmp.write_text(serialize_result(result), encoding="utf-8")
+    os.replace(tmp, path)
     return path
 
 
@@ -144,6 +147,19 @@ def _run_cell(resolved: dict, out_dir: str) -> str | None:
         return f"{type(exc).__name__}: {exc}"
 
 
+def _load_result(path: Path, cfg: RunConfig) -> tuple[dict | None, str]:
+    """A cell's parsed result file, or None and why it cannot stand for the cell."""
+    try:
+        res = json.loads(path.read_text(encoding="utf-8"))
+    except FileNotFoundError:
+        return None, ""
+    except (OSError, ValueError) as exc:  # ValueError covers bad JSON and bad UTF-8
+        return None, f"unreadable ({type(exc).__name__}: {exc})"
+    if not isinstance(res, dict) or (res.get("config_hash"), res.get("seed")) != (cfg.hash, cfg.master_seed):
+        return None, "it does not hold this cell's config hash and seed"
+    return res, ""
+
+
 def resolve_jobs(cli_jobs: int | None, spec_jobs: int | None) -> int:
     """--jobs wins, then the STALE_LAB_JOBS env default, then the sweep file.
 
@@ -173,8 +189,8 @@ def run_sweep(
     """Run every cell of a sweep (skipping finished ones), then summarize.
 
     Returns (summary rows, per-cell error messages). The summary is built
-    from the result files alone; cells whose file is absent after the run
-    pass are marked missing.
+    from the result files alone; cells whose file is absent or unusable
+    after the run pass are marked missing.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -182,10 +198,15 @@ def run_sweep(
     jobs = resolve_jobs(jobs, spec.get("jobs"))
 
     todo = []
+    done: dict[Path, dict] = {}
     for desc, cfg in cells:
         path = out / result_filename(cfg.hash, cfg.master_seed)
-        if path.exists():
+        res, reason = _load_result(path, cfg)
+        if res is not None:
+            done[path] = res
             continue
+        if reason:
+            log(f"sweep: re-running {path.name}: {reason}")
         todo.append((desc, cfg))
     log(f"sweep: {len(cells)} cells, {len(cells) - len(todo)} already done, "
         f"{len(todo)} to run, jobs={jobs}")
@@ -211,8 +232,9 @@ def run_sweep(
     missing: dict[str, int] = {}
     for desc, cfg in cells:
         path = out / result_filename(cfg.hash, cfg.master_seed)
-        if path.exists():
-            results.append(json.loads(path.read_text(encoding="utf-8")))
+        res = done.get(path) or _load_result(path, cfg)[0]
+        if res is not None:
+            results.append(res)
         else:
             missing[cfg.hash] = missing.get(cfg.hash, 0) + 1
     rows = summarize_results(results)

@@ -36,7 +36,7 @@ __all__ = [
     "MlpRegressionObjective",
     "make_objective",
     "sample_batch",
-    "loss_and_grad",
+    "mlp_dim",
     "finite_diff_check",
     "init_reference_loss",
 ]
@@ -162,10 +162,7 @@ class MlpRegressionObjective(Objective):
         self.layer_sizes = list(layer_sizes)
         self.teacher_scale = float(teacher_scale)
         self.init_scale = float(init_scale)
-        self.dim = sum(
-            layer_sizes[i + 1] * layer_sizes[i] + layer_sizes[i + 1]
-            for i in range(len(layer_sizes) - 1)
-        )
+        self.dim = mlp_dim(layer_sizes)
         rng = np.random.default_rng(derive_seed(teacher_seed, "mlp-teacher"))
         self.teacher_params = self._draw_params(rng, self.teacher_scale)
 
@@ -235,6 +232,11 @@ class MlpRegressionObjective(Objective):
         return loss, grad
 
 
+def mlp_dim(layer_sizes: list[int]) -> int:
+    """Parameter count of an MLP: a weight matrix and a bias per layer."""
+    return sum(fan_out * fan_in + fan_out for fan_in, fan_out in zip(layer_sizes[:-1], layer_sizes[1:]))
+
+
 def make_objective(spec: dict) -> Objective:
     """Build an objective from its config mapping (see `config` module)."""
     kind = spec["kind"]
@@ -267,10 +269,6 @@ def sample_batch(obj: Objective, shard: Shard, round_idx: int, inner_step: int):
     """Deterministic batch for (shard, round, inner step)."""
     rng = np.random.default_rng((shard.seed, round_idx, inner_step))
     return obj.draw_batch(rng, shard.batch_size)
-
-
-def loss_and_grad(obj: Objective, params: np.ndarray, batch) -> tuple[float, np.ndarray]:
-    return obj.loss_and_grad(params, batch)
 
 
 def finite_diff_check(

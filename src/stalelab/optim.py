@@ -1,11 +1,12 @@
 """Outer optimizers behind one step interface, plus the workers' inner AdamW.
 
 Every outer method consumes one pseudo-gradient at a time together with its
-integer-or-real age tau and returns (new_params, new_state, StepInfo). The
-Adam family (gated or not) shares a single kernel; the Nesterov family
-shares the velocity update. States are plain dataclasses holding numpy
-arrays; steps are functional (inputs are never mutated), which is what
-makes the drop-entirely path literally a no-op.
+integer-or-real age tau and returns (new_params, new_state, StepInfo). A
+method is one row of METHOD_TABLE: the base kernel that takes the step, the
+staleness weight on the gradient, the age it is weighted by, and an optional
+pre-mix of the delta. States are plain dataclasses holding numpy arrays;
+steps are functional (inputs are never mutated), which is what makes the
+drop-entirely path literally a no-op.
 """
 
 from __future__ import annotations
@@ -17,14 +18,11 @@ import numpy as np
 
 from .gate import StalenessGate, staleness_weight
 
-ADAM_FAMILY = ("cgad", "pa_cgad", "adam", "adam_decay")
-NESTEROV_FAMILY = ("nesterov", "sdm", "poly_decay", "delayed_nesterov", "eager", "mla")
-METHODS = ADAM_FAMILY + NESTEROV_FAMILY
-
 __all__ = [
-    "ADAM_FAMILY",
-    "NESTEROV_FAMILY",
+    "METHOD_TABLE",
     "METHODS",
+    "MethodRow",
+    "method_row",
     "AdamMoments",
     "NesterovVelocity",
     "DelayBuffer",
@@ -33,8 +31,6 @@ __all__ = [
     "StepInfo",
     "cgad_step",
     "nesterov_step",
-    "sdm_step",
-    "poly_decay_step",
     "delayed_nesterov_step",
     "eager_step",
     "mla_step",
@@ -101,10 +97,56 @@ class DelayedNesterovState:
 # Published defaults: the gated-Adam family ships with
 # (alpha, tau_cut, eta, beta1, beta2, eps) = (0.2, 32, 1e-3, 0.9, 0.95, 1e-8)
 # and the Nesterov recipe with eta=0.7, mu=0.9.
-_ADAM_DEFAULTS = dict(eta=1e-3, beta1=0.9, beta2=0.95, epsilon=1e-8)
-_NESTEROV_DEFAULTS = dict(eta=0.7, mu=0.9)
 DEFAULT_ALPHA = 0.2
 DEFAULT_TAU_CUT = 32.0
+
+
+@dataclass(frozen=True)
+class MethodRow:
+    """One outer method: how it steps, and its config defaults and pins.
+
+    base: the kernel (adam = cgad_step, nesterov, delayed_nesterov, mla).
+    weight: the staleness weight on the gradient: cos_exp (the full gate),
+    exp (no cutoff), poly ((1+tau)^(-1/2)) or one. age: tau, or fragment
+    for max(tau, rounds since the fragment last synced). premix: none, or
+    eager (mix the delta with last round's mean first). eta: the default
+    step size. alpha, tau_cut: the key's pinned value, or None if free.
+    """
+
+    base: str
+    weight: str
+    age: str
+    premix: str
+    eta: float
+    alpha: float | None
+    tau_cut: float | None
+
+    @property
+    def gated(self) -> bool:
+        return self.weight in ("cos_exp", "exp")
+
+
+METHOD_TABLE = {
+    #                   MethodRow(base, weight, age, premix, eta, alpha pin, tau_cut pin)
+    "cgad":             MethodRow("adam", "cos_exp", "tau", "none", 1e-3, None, None),
+    "pa_cgad":          MethodRow("adam", "cos_exp", "fragment", "none", 1e-3, None, None),
+    "adam":             MethodRow("adam", "one", "tau", "none", 1e-3, 0.0, DEFAULT_TAU_CUT),
+    "adam_decay":       MethodRow("adam", "exp", "tau", "none", 1e-3, None, math.inf),
+    "nesterov":         MethodRow("nesterov", "one", "tau", "none", 0.7, 0.0, math.inf),
+    "sdm":              MethodRow("nesterov", "exp", "tau", "none", 0.7, None, math.inf),
+    "poly_decay":       MethodRow("nesterov", "poly", "tau", "none", 0.7, 0.0, math.inf),
+    "delayed_nesterov": MethodRow("delayed_nesterov", "one", "tau", "none", 0.7, 0.0, math.inf),
+    "eager":            MethodRow("nesterov", "one", "tau", "eager", 0.7, 0.0, math.inf),
+    "mla":              MethodRow("mla", "one", "tau", "none", 0.7, 0.0, math.inf),
+}
+METHODS = tuple(METHOD_TABLE)
+
+
+def method_row(method: str) -> MethodRow:
+    try:
+        return METHOD_TABLE[method]
+    except KeyError:
+        raise ValueError(f"unknown method {method!r}; expected one of {METHODS}") from None
 
 
 @dataclass
@@ -120,8 +162,7 @@ class OuterConfig:
     buffer_period: int = 4
 
     def __post_init__(self):
-        if self.method not in METHODS:
-            raise ValueError(f"unknown method {self.method!r}; expected one of {METHODS}")
+        method_row(self.method)
         if not (self.eta > 0.0):
             raise ValueError(f"eta must be > 0, got {self.eta}")
         if not (0.0 <= self.beta1 < 1.0):
@@ -141,26 +182,14 @@ class OuterConfig:
     def for_method(cls, method: str, **overrides) -> "OuterConfig":
         """Config pre-filled with the method's published defaults.
 
-        `adam` pins the gate to the always-one gate; `adam_decay` and `sdm`
-        keep the exponential but drop the cutoff.
+        The gate follows the row's weight: cos_exp keeps (alpha, tau_cut),
+        exp drops the cutoff, and every other weight gets the always-one gate.
         """
-        kw: dict = {}
+        row = method_row(method)
         alpha = overrides.pop("alpha", DEFAULT_ALPHA)
         tau_cut = overrides.pop("tau_cut", DEFAULT_TAU_CUT)
-        if method in ADAM_FAMILY:
-            kw.update(_ADAM_DEFAULTS)
-            if method == "adam":
-                kw["gate"] = StalenessGate(0.0, math.inf)
-            elif method == "adam_decay":
-                kw["gate"] = StalenessGate(alpha, math.inf)
-            else:
-                kw["gate"] = StalenessGate(alpha, tau_cut)
-        else:
-            kw.update(_NESTEROV_DEFAULTS)
-            if method == "sdm":
-                kw["gate"] = StalenessGate(alpha, math.inf)
-        kw.update(overrides)
-        return cls(method=method, **kw)
+        gate = StalenessGate(alpha if row.gated else 0.0, tau_cut if row.weight == "cos_exp" else math.inf)
+        return cls(method=method, **{"eta": row.eta, "gate": gate, **overrides})
 
 
 @dataclass
@@ -262,26 +291,6 @@ def nesterov_step(
     return new_params, NesterovVelocity(v=v), info
 
 
-def sdm_step(params, grad, tau, state, cfg):
-    """Exponential-only damping exp(-alpha*tau) on the Nesterov update."""
-    if tau < 0.0:
-        raise ValueError(f"tau must be >= 0, got {tau}")
-    scale = math.exp(-cfg.gate.alpha * tau)
-    new_params, new_state, info = nesterov_step(params, scale * grad, state, cfg)
-    info.sigma = scale
-    return new_params, new_state, info
-
-
-def poly_decay_step(params, grad, tau, state, cfg):
-    """Polynomial discount (1+tau)^(-1/2) on the Nesterov update."""
-    if tau < 0.0:
-        raise ValueError(f"tau must be >= 0, got {tau}")
-    scale = (1.0 + tau) ** -0.5
-    new_params, new_state, info = nesterov_step(params, scale * grad, state, cfg)
-    info.sigma = scale
-    return new_params, new_state, info
-
-
 def delayed_nesterov_step(
     params: np.ndarray,
     grad: np.ndarray,
@@ -368,32 +377,43 @@ def inner_adamw_step(
     return new_params, AdamMoments(m=m, v=v, t=t)
 
 
+_STATE_TYPES = {"adam": AdamMoments, "nesterov": NesterovVelocity, "mla": NesterovVelocity,
+                "delayed_nesterov": DelayedNesterovState}
+
+
 def init_outer_state(method: str, dim: int):
-    if method in ADAM_FAMILY:
-        return AdamMoments.zeros(dim)
-    if method == "delayed_nesterov":
-        return DelayedNesterovState.zeros(dim)
-    if method in NESTEROV_FAMILY:
-        return NesterovVelocity.zeros(dim)
-    raise ValueError(f"unknown method {method!r}")
+    return _STATE_TYPES[method_row(method).base].zeros(dim)
+
+
+# Weights a momentum base applies to the gradient before its kernel; the
+# adam base reads its weight from cfg.gate inside cgad_step instead.
+_MOMENTUM_WEIGHTS = {
+    "exp": lambda tau, cfg: math.exp(-cfg.gate.alpha * tau),
+    "poly": lambda tau, cfg: (1.0 + tau) ** -0.5,
+}
 
 
 def outer_step(params, grad, tau, state, cfg: OuterConfig):
-    """Uniform dispatch: one outer update for any method.
+    """Uniform dispatch: one outer update for any method, read off its row.
 
-    For the eager method the caller mixes the delta first (eager_step)
-    and passes the result here; the step itself is plain Nesterov.
+    Only the adam base drops an update at weight 0; a momentum base still
+    applies its momentum step. For the eager pre-mix the caller mixes the
+    delta first (eager_step) and passes the result here.
     """
-    if cfg.method in ADAM_FAMILY:
+    row = METHOD_TABLE[cfg.method]
+    if row.base == "adam":
         return cgad_step(params, grad, tau, state, cfg)
-    if cfg.method == "sdm":
-        return sdm_step(params, grad, tau, state, cfg)
-    if cfg.method == "poly_decay":
-        return poly_decay_step(params, grad, tau, state, cfg)
-    if cfg.method == "delayed_nesterov":
-        return delayed_nesterov_step(params, grad, state, cfg)
-    if cfg.method == "mla":
-        return mla_step(params, grad, tau, state, cfg)
-    if cfg.method in ("nesterov", "eager"):
-        return nesterov_step(params, grad, state, cfg)
-    raise ValueError(f"unknown method {cfg.method!r}")
+    sigma = 1.0
+    if row.weight != "one":
+        if tau < 0.0:
+            raise ValueError(f"tau must be >= 0, got {tau}")
+        sigma = _MOMENTUM_WEIGHTS[row.weight](tau, cfg)
+        grad = sigma * grad
+    if row.base == "mla":
+        new_params, new_state, info = mla_step(params, grad, tau, state, cfg)
+    elif row.base == "delayed_nesterov":
+        new_params, new_state, info = delayed_nesterov_step(params, grad, state, cfg)
+    else:
+        new_params, new_state, info = nesterov_step(params, grad, state, cfg)
+    info.sigma = sigma
+    return new_params, new_state, info

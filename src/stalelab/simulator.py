@@ -37,12 +37,12 @@ from .objective import (
     sample_batch,
 )
 from .optim import (
-    ADAM_FAMILY,
     AdamMoments,
     InnerConfig,
     eager_step,
     init_outer_state,
     inner_adamw_step,
+    method_row,
     outer_step,
 )
 from .seeding import derive_seed
@@ -132,12 +132,8 @@ class FragmentPartition:
         return len(self.boundaries)
 
 
-def select_fragments(partition: FragmentPartition, budget: int, round_idx: int) -> list[int]:
-    """Oldest-first fragment selection, ties broken by fragment id.
-
-    round_idx is accepted for interface symmetry; the oldest-first policy
-    needs only the ages.
-    """
+def select_fragments(partition: FragmentPartition, budget: int) -> list[int]:
+    """Oldest-first fragment selection, ties broken by fragment id."""
     count = len(partition)
     if not (1 <= budget <= count):
         raise ValueError(f"budget must be in [1, {count}], got {budget}")
@@ -302,6 +298,7 @@ class Simulation:
 
     def __init__(self, config: RunConfig):
         self.config = config
+        self.row = method_row(config.method)
         self.obj = make_objective(config.objective)
         dim = self.obj.dim
         master = config.master_seed
@@ -375,13 +372,15 @@ class Simulation:
                 )
             )
 
-        selected = select_fragments(self.partition, cfg.fragment_budget, r)
+        selected = select_fragments(self.partition, cfg.fragment_budget)
         due = sorted(
             (e for e in self.pending if e.available_round == r),
             key=lambda e: (e.worker, e.produced_round),
         )
         self.pending = [e for e in self.pending if e.available_round != r]
 
+        eager = self.row.premix == "eager"
+        fragment_age = self.row.age == "fragment"
         round_deltas: list[np.ndarray] = []
         for entry in due:
             self.consumed_entries += 1
@@ -390,7 +389,7 @@ class Simulation:
             pop_grad = self.obj.population_grad(self.global_params)
             grad_norm_sq = None if pop_grad is None else float(pop_grad @ pop_grad)
 
-            if cfg.method == "eager":
+            if eager:
                 own = grad
                 if entry.worker in self._prev_own and self._prev_avg is not None:
                     grad = eager_step(own, self._prev_own[entry.worker], self._prev_avg, cfg.workers)
@@ -402,7 +401,7 @@ class Simulation:
                 start, end = self.partition.boundaries[f]
                 age = (
                     effective_age(entry.tau, float(self.partition.ages[f]))
-                    if cfg.method == "pa_cgad"
+                    if fragment_age
                     else float(entry.tau)
                 )
                 new_slice, new_state, info = outer_step(
@@ -433,7 +432,7 @@ class Simulation:
             else:
                 self.dropped_updates += 1
 
-        if cfg.method == "eager" and round_deltas:
+        if eager and round_deltas:
             self._prev_avg = np.mean(round_deltas, axis=0)
 
         for f in range(len(self.partition)):
@@ -465,17 +464,11 @@ class Simulation:
         if not self.diverged and final is not None and final > DIVERGENCE_FACTOR * self.reference_loss:
             self.diverged = True
 
+        from . import theory  # deferred: theory imports this module's Trace
+
         records = self.trace.records
-        sigma_bar = float(np.mean([rec.sigma for rec in records])) if records else None
-        rhos = [rec.rho for rec in records if rec.applied and rec.rho is not None]
-        rho_max = max(rhos) if rhos else None
-        rho_le_one = sum(1 for x in rhos if x <= 1.0) / len(rhos) if rhos else None
-
-        theory = None
-        if self.config.method in ADAM_FAMILY and records:
-            from .theory import audit_run  # deferred: theory imports this module's Trace
-
-            theory = audit_run(self.trace)
+        sigma_bar, rho_max, rho_le_one = theory.trace_stats(records)
+        audit = theory.audit_run(self.trace) if self.row.base == "adam" and records else None
 
         return RunResult(
             config=self.config.resolved,
@@ -492,7 +485,7 @@ class Simulation:
             sigma_bar=sigma_bar,
             rho_max=rho_max,
             rho_le_one_frac=rho_le_one,
-            theory=theory,
+            theory=audit,
             wall_time_s=wall,
             trace=self.trace,
         )

@@ -25,11 +25,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gate import StalenessGate, gate_curve
-from .simulator import Trace
+from .simulator import ApplyRecord, Trace
 
 STEP_BOUND_REL_TOL = 1e-12
 
-__all__ = ["TheoryInputs", "max_tau_sigma", "bound_terms", "audit_run", "STEP_BOUND_REL_TOL"]
+__all__ = ["TheoryInputs", "max_tau_sigma", "bound_terms", "trace_stats", "audit_run", "STEP_BOUND_REL_TOL"]
 
 
 @dataclass(frozen=True)
@@ -88,6 +88,21 @@ def bound_terms(inputs: TheoryInputs, alpha: float) -> tuple[float, float, float
     return opt, noise, staleness
 
 
+def trace_stats(records: list[ApplyRecord]) -> tuple[float | None, float | None, float | None]:
+    """(sigma_bar, rho_max, rho_le_one_frac) of a trace; None where there are no records.
+
+    The rho fields cover applied records with an Adam ratio, so they are
+    None for the Nesterov-base methods.
+    """
+    if not records:
+        return None, None, None
+    sigma_bar = float(np.mean([rec.sigma for rec in records]))
+    rhos = [rec.rho for rec in records if rec.applied and rec.rho is not None]
+    if not rhos:
+        return sigma_bar, None, None
+    return sigma_bar, max(rhos), sum(1 for x in rhos if x <= 1.0) / len(rhos)
+
+
 def audit_run(trace: Trace) -> dict:
     """Audit a gated-Adam trace: norm identity, rho statistics, bound check.
 
@@ -112,15 +127,14 @@ def audit_run(trace: Trace) -> dict:
         if rec.step_inf_norm > bound * (1.0 + STEP_BOUND_REL_TOL):
             violations += 1
 
-    rhos = [rec.rho for rec in applied]
-    sigma_bar = float(np.mean([rec.sigma for rec in records]))
+    sigma_bar, rho_max, rho_le_one = trace_stats(records)
     report: dict = {
         "steps": len(records),
         "applied_steps": len(applied),
         "step_bound_violations": violations,
         "step_bound_rel_tol": STEP_BOUND_REL_TOL,
-        "rho_max": max(rhos) if rhos else None,
-        "rho_le_one_frac": (sum(1 for x in rhos if x <= 1.0) / len(rhos)) if rhos else None,
+        "rho_max": rho_max,
+        "rho_le_one_frac": rho_le_one,
         "sigma_bar": sigma_bar,
         "weighted_grad_norm_avg": None,
         "bound": None,

@@ -69,6 +69,9 @@ class TestValidation:
             resolve_config(quad_raw(method="adam", outer={"alpha": 0.3}))
         with pytest.raises(ConfigError, match="pins"):
             resolve_config(quad_raw(method="adam_decay", outer={"tau_cut": 32}))
+        for tau_cut in (5, None):
+            with pytest.raises(ConfigError, match="pins"):
+                resolve_config(quad_raw(method="adam", outer={"tau_cut": tau_cut}))
         with pytest.raises(ConfigError, match="no gate"):
             resolve_config(quad_raw(method="nesterov", outer={"alpha": 0.5}))
 
@@ -82,6 +85,10 @@ class TestValidation:
             resolve_config(quad_raw(fragments={"count": 2, "budget": 3}))
         with pytest.raises(ConfigError, match="fragments.count"):
             resolve_config(quad_raw(fragments={"count": 100, "budget": 1}))
+        mlp = {"kind": "mlp_regression", "layer_sizes": [2, 3, 1]}  # 3*2+3 + 1*3+1 = 13 params
+        resolve_config(quad_raw(objective=mlp, fragments={"count": 13, "budget": 1}))
+        with pytest.raises(ConfigError, match="fragments.count"):
+            resolve_config(quad_raw(objective=mlp, fragments={"count": 14, "budget": 1}))
 
     def test_delay_specs(self):
         with pytest.raises(ConfigError, match="delay.tau"):
@@ -259,6 +266,20 @@ class TestSweeps:
         assert victim.exists()
         for name, blob in keep.items():
             assert (tmp_path / name).read_bytes() == blob
+
+    @pytest.mark.parametrize("damage", ["truncated", "foreign"])
+    def test_run_sweep_reruns_an_unusable_file(self, tmp_path, damage):
+        run_sweep(sweep_spec(), tmp_path, jobs=1, log=lambda *_: None)
+        victim, other = sorted(tmp_path.glob("*_s*.json"))[:2]
+        intact = victim.read_bytes()
+        victim.write_bytes(intact[:len(intact) // 2] if damage == "truncated" else other.read_bytes())
+        log = []
+        rows, errors = run_sweep(sweep_spec(), tmp_path, jobs=1, log=log.append)
+        assert errors == []
+        assert log[0].startswith(f"sweep: re-running {victim.name}: ")
+        assert "11 already done, 1 to run" in log[1]
+        assert victim.read_bytes() == intact
+        assert all(row.n == 3 and row.missing == 0 for row in rows)
 
     def test_run_sweep_parallel_matches_serial(self, tmp_path):
         serial_dir = tmp_path / "serial"

@@ -8,7 +8,6 @@ from stalelab.objective import (
     Shard,
     finite_diff_check,
     init_reference_loss,
-    loss_and_grad,
     make_objective,
     sample_batch,
 )
@@ -230,11 +229,3 @@ class TestMakeObjective:
     def test_unknown_kind(self):
         with pytest.raises(ValueError, match="kind"):
             make_objective({"kind": "transformer"})
-
-    def test_module_level_loss_and_grad(self, quad):
-        rng = np.random.default_rng(12)
-        theta = rng.standard_normal(quad.dim)
-        loss_a, grad_a = loss_and_grad(quad, theta, None)
-        loss_b, grad_b = quad.loss_and_grad(theta, None)
-        assert loss_a == loss_b
-        np.testing.assert_array_equal(grad_a, grad_b)

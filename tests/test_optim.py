@@ -5,6 +5,7 @@ import pytest
 
 from stalelab.gate import StalenessGate
 from stalelab.optim import (
+    METHOD_TABLE,
     AdamMoments,
     DelayedNesterovState,
     InnerConfig,
@@ -18,8 +19,6 @@ from stalelab.optim import (
     mla_step,
     nesterov_step,
     outer_step,
-    poly_decay_step,
-    sdm_step,
 )
 
 INF = math.inf
@@ -194,7 +193,7 @@ class TestNesterovFamily:
         cfg = OuterConfig.for_method("sdm")
         rng = np.random.default_rng(8)
         g = rng.standard_normal(4)
-        p1, _, info = sdm_step(np.zeros(4), g, 5.0, NesterovVelocity.zeros(4), cfg)
+        p1, _, info = outer_step(np.zeros(4), g, 5.0, NesterovVelocity.zeros(4), cfg)
         p2, _, _ = nesterov_step(np.zeros(4), math.exp(-1.0) * g, NesterovVelocity.zeros(4), cfg)
         assert np.array_equal(p1, p2)
         assert info.sigma == math.exp(-1.0)
@@ -202,7 +201,7 @@ class TestNesterovFamily:
     def test_sdm_tau_zero_is_nesterov(self):
         cfg = OuterConfig.for_method("sdm")
         g = np.array([1.0, -2.0])
-        p1, _, _ = sdm_step(np.zeros(2), g, 0.0, NesterovVelocity.zeros(2), cfg)
+        p1, _, _ = outer_step(np.zeros(2), g, 0.0, NesterovVelocity.zeros(2), cfg)
         p2, _, _ = nesterov_step(np.zeros(2), g, NesterovVelocity.zeros(2), cfg)
         assert np.array_equal(p1, p2)
 
@@ -210,7 +209,7 @@ class TestNesterovFamily:
         cfg = OuterConfig.for_method("sdm", alpha=0.0)
         g = np.array([1.0, -2.0])
         for tau in (0.0, 7.0, 100.0):
-            p1, _, _ = sdm_step(np.zeros(2), g, tau, NesterovVelocity.zeros(2), cfg)
+            p1, _, _ = outer_step(np.zeros(2), g, tau, NesterovVelocity.zeros(2), cfg)
             p2, _, _ = nesterov_step(np.zeros(2), g, NesterovVelocity.zeros(2), cfg)
             assert np.array_equal(p1, p2)
 
@@ -218,7 +217,7 @@ class TestNesterovFamily:
     def test_poly_decay_scales(self, tau, scale):
         cfg = OuterConfig.for_method("poly_decay")
         g = np.array([2.0, -4.0])
-        p1, _, info = poly_decay_step(np.zeros(2), g, tau, NesterovVelocity.zeros(2), cfg)
+        p1, _, info = outer_step(np.zeros(2), g, tau, NesterovVelocity.zeros(2), cfg)
         p2, _, _ = nesterov_step(np.zeros(2), scale * g, NesterovVelocity.zeros(2), cfg)
         assert np.array_equal(p1, p2)
         assert info.sigma == scale
@@ -346,6 +345,20 @@ class TestInnerAdamW:
         cfg = InnerConfig(weight_decay=0.1)
         p, _ = inner_adamw_step(np.full(1, 4.0), np.zeros(1), AdamMoments.zeros(1), cfg)
         assert p[0] == pytest.approx(4.0 * (1 - cfg.lr * 0.1), abs=1e-15)
+
+
+class TestMethodTable:
+    def test_rows_take_known_values(self):
+        for row in METHOD_TABLE.values():
+            assert row.base in ("adam", "nesterov", "delayed_nesterov", "mla")
+            assert row.weight in ("cos_exp", "exp", "poly", "one")
+            assert row.age in ("tau", "fragment") and row.premix in ("none", "eager")
+
+    def test_gate_follows_the_weight(self):
+        gates = {m: OuterConfig.for_method(m, alpha=0.3, tau_cut=9.0).gate for m in METHOD_TABLE}
+        assert gates["cgad"] == StalenessGate(0.3, 9.0)
+        assert gates["adam_decay"] == gates["sdm"] == StalenessGate(0.3, INF)
+        assert gates["adam"] == gates["poly_decay"] == gates["nesterov"] == StalenessGate(0.0, INF)
 
 
 class TestOuterDispatch:

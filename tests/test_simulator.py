@@ -89,13 +89,13 @@ class TestFragments:
 
     def test_full_budget_selects_everything(self):
         part = FragmentPartition.even_split(16, 4)
-        assert select_fragments(part, 4, 0) == [0, 1, 2, 3]
+        assert select_fragments(part, 4) == [0, 1, 2, 3]
 
     def test_budget_one_round_robins(self):
         part = FragmentPartition.even_split(16, 4)
         order = []
-        for r in range(8):
-            sel = select_fragments(part, 1, r)
+        for _ in range(8):
+            sel = select_fragments(part, 1)
             order.append(sel[0])
             for f in range(4):
                 part.ages[f] = 0 if f in sel else part.ages[f] + 1
@@ -107,7 +107,7 @@ class TestFragments:
         part = FragmentPartition.even_split(140, 14)
         ages_at_selection = []
         for r in range(100):
-            sel = select_fragments(part, 3, r)
+            sel = select_fragments(part, 3)
             if r >= 14:
                 ages_at_selection.extend(int(part.ages[f]) for f in sel)
             for f in range(14):
@@ -118,9 +118,9 @@ class TestFragments:
     def test_budget_validated(self):
         part = FragmentPartition.even_split(16, 4)
         with pytest.raises(ValueError):
-            select_fragments(part, 0, 0)
+            select_fragments(part, 0)
         with pytest.raises(ValueError):
-            select_fragments(part, 5, 0)
+            select_fragments(part, 5)
 
 
 class TestQuantization:
@@ -254,7 +254,7 @@ class TestFragmentBookkeeping:
         sim = Simulation(cfg)
         for r in range(10):
             before = sim.partition.ages.copy()
-            selected = select_fragments(sim.partition, 2, r)
+            selected = select_fragments(sim.partition, 2)
             sim.run_round()
             for f in range(4):
                 if f in selected:

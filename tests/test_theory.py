@@ -6,7 +6,7 @@ import pytest
 from stalelab.config import RunConfig
 from stalelab.gate import StalenessGate
 from stalelab.simulator import ApplyRecord, Trace, run_experiment
-from stalelab.theory import TheoryInputs, audit_run, bound_terms, max_tau_sigma
+from stalelab.theory import TheoryInputs, audit_run, bound_terms, max_tau_sigma, trace_stats
 
 INF = math.inf
 
@@ -135,6 +135,16 @@ class TestAuditRun:
         trace.records[0].rho = None
         with pytest.raises(ValueError, match="ratio"):
             audit_run(trace)
+
+    def test_trace_stats_match_the_audit(self):
+        report = audit_run(self.synthetic_trace())
+        assert trace_stats(self.synthetic_trace().records) == (
+            report["sigma_bar"], report["rho_max"], report["rho_le_one_frac"])
+
+    def test_trace_stats_without_adam_ratios_or_records(self):
+        records = [make_record(0.5, None, 0.1), make_record(0.25, None, 0.1, applied=False)]
+        assert trace_stats(records) == (0.375, None, None)
+        assert trace_stats([]) == (None, None, None)
 
     def test_empty_trace_rejected(self):
         with pytest.raises(ValueError):
