@@ -1,7 +1,9 @@
 """Golden digests: every method x delay kind x queue layout, byte for byte.
 
-Each cell is one short quadratic run; its pin is the sha256 of the
-serialized result file, which carries the resolved config and its hash.
+Each matrix cell is one short quadratic run; the extra cells add the mlp
+and Rosenbrock objectives and a fixed delay past `tau_cut`, so that a
+dropped update is pinned too. A pin is the sha256 of the serialized
+result file, which carries the resolved config and its hash.
 A refactor that moves any pin changed results or a default resolution.
 Re-pin only for a deliberate behaviour change, and say so in CHANGES.md.
 """
@@ -18,12 +20,30 @@ METHODS = ("cgad", "pa_cgad", "adam", "adam_decay", "nesterov", "sdm",
            "poly_decay", "delayed_nesterov", "eager", "mla")
 DELAYS = {
     "fixed3": {"kind": "fixed", "tau": 3},
+    "fixed33": {"kind": "fixed", "tau": 33},  # past tau_cut 32: every update is dropped
     "uniform0-6": {"kind": "uniform_int", "lo": 0, "hi": 6},
     "exp0.3": {"kind": "exponential", "rate": 0.3, "tau_max": 8},
 }
 LAYOUTS = {
     "whole": {},
     "frag4b2q": {"fragments": {"count": 4, "budget": 2}, "quantize_queue": True},
+}
+
+MLP = {"kind": "mlp_regression", "layer_sizes": [4, 8, 8, 1], "teacher_seed": 3,
+       "teacher_scale": 0.5, "init_scale": 0.5}
+ROSENBROCK = {"kind": "rosenbrock_sum", "dimension": 6, "noise_scale": 0.05, "init_scale": 0.3}
+# name -> (method, delay, layout, overrides of the matrix cell's config)
+EXTRA = {
+    "mlp/cgad": ("cgad", "uniform0-6", "whole", {"objective": MLP, "workers": 3, "inner_steps": 3,
+                                                  "rounds": 12}),
+    "mlp/nesterov": ("nesterov", "uniform0-6", "whole", {"objective": MLP, "workers": 3,
+                                                          "inner_steps": 3, "rounds": 12}),
+    "rosenbrock/cgad": ("cgad", "exp0.3", "whole", {"objective": ROSENBROCK, "workers": 3,
+                                                     "inner_steps": 2}),
+    "cgad/fixed33/whole": ("cgad", "fixed33", "whole", {"rounds": 36}),
+    "cgad/fixed33/frag4b2q": ("cgad", "fixed33", "frag4b2q", {"rounds": 36}),
+    "pa_cgad/fixed33/whole": ("pa_cgad", "fixed33", "whole", {"rounds": 36}),
+    "pa_cgad/fixed33/frag4b2q": ("pa_cgad", "fixed33", "frag4b2q", {"rounds": 36}),
 }
 
 PINS = {
@@ -87,10 +107,17 @@ PINS = {
     "mla/uniform0-6/frag4b2q": "73c026d9890d67533d982860927e0554a253661ac9adf00c008519c24208f5b5",
     "mla/exp0.3/whole": "c536ff72d8a4e2c5709b9280adc24f55973660cf0172017e5916a93fcf1a535b",
     "mla/exp0.3/frag4b2q": "6f74202df8e9e4c8170554f621b83b73e935eca859681f8e47104513d487896e",
+    "mlp/cgad": "c92c2723734de387095049a23db2557b44338bb965e3dc6ea3e7990b15426f8c",
+    "mlp/nesterov": "662136e344e85d1fbfdbf6567e02a99576eeae3ede8e862cd2b42f3e1388a6fd",
+    "rosenbrock/cgad": "b108c36e1e1eb715ffcbb8625b067fc2d1933576cc15fbacac3547b9cecfc2d6",
+    "cgad/fixed33/whole": "c1439dac88785105a6566bb327a7785caf192bc2c12af1223d5b7d3930715375",
+    "cgad/fixed33/frag4b2q": "05db0aa0882a29501da0fddff59e3778b9af35f4740fc42eb2e05ce029ee8f3f",
+    "pa_cgad/fixed33/whole": "7fc87bf9ed1da4302dcdd29dd5e045a8a0539cf67fe04aae606e9742771aa7bf",
+    "pa_cgad/fixed33/frag4b2q": "d83d906a1082dc03ae6b89f5c0387e720f4d412a115109f8afa391e5253838ce",
 }
 
 
-def cell_config(method: str, delay: str, layout: str) -> RunConfig:
+def cell_config(method: str, delay: str, layout: str, **overrides) -> RunConfig:
     raw = {
         "version": 1,
         "objective": {"kind": "quadratic", "dimension": 16, "spectrum_lo": 0.5,
@@ -104,22 +131,29 @@ def cell_config(method: str, delay: str, layout: str) -> RunConfig:
         "delay": DELAYS[delay],
         "master_seed": 7,
         **LAYOUTS[layout],
+        **overrides,
     }
     return RunConfig.from_dict(raw)
 
 
-def cell_digest(method: str, delay: str, layout: str) -> str:
-    result = run_experiment(cell_config(method, delay, layout))
+def cell_digest(method: str, delay: str, layout: str, **overrides) -> str:
+    result = run_experiment(cell_config(method, delay, layout, **overrides))
     return hashlib.sha256(serialize_result(result).encode("utf-8")).hexdigest()
 
 
-CELLS = [(m, d, lay) for m in METHODS for d in DELAYS for lay in LAYOUTS]
+CELLS = [(m, d, lay) for m in METHODS for d in DELAYS if d != "fixed33" for lay in LAYOUTS]
 
 
 def test_every_cell_is_pinned():
-    assert sorted(PINS) == sorted("/".join(cell) for cell in CELLS)
+    assert sorted(PINS) == sorted(["/".join(cell) for cell in CELLS] + list(EXTRA))
 
 
 @pytest.mark.parametrize("method,delay,layout", CELLS, ids=["/".join(c) for c in CELLS])
 def test_result_digest_is_pinned(method, delay, layout):
     assert cell_digest(method, delay, layout) == PINS[f"{method}/{delay}/{layout}"]
+
+
+@pytest.mark.parametrize("name", sorted(EXTRA))
+def test_extra_cell_digest_is_pinned(name):
+    method, delay, layout, overrides = EXTRA[name]
+    assert cell_digest(method, delay, layout, **overrides) == PINS[name]
