@@ -39,7 +39,6 @@ from .simulator import (
     QueueEntry,
     RunResult,
     Simulation,
-    WorkerState,
     dequantize_payload,
     quantize_payload,
     run_experiment,

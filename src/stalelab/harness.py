@@ -4,8 +4,9 @@ A result file is named `<config_hash[:16]>_s<seed>.json` and contains the
 full resolved config, so it is self-describing and byte-identical across
 reruns of the same build; it is renamed into place once written in full.
 Sweeps are resumable: a cell is skipped when its file parses and holds the
-cell's config hash and seed, else re-run. The summary is always recomputed
-from the files on disk, never from in-process state.
+cell's config hash and seed, else re-run. A pool child that dies fails its
+cells instead of the sweep, so a rerun resumes them. The summary is always
+recomputed from the files on disk, never from in-process state.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import csv
 import json
 import os
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -222,7 +224,10 @@ def run_sweep(
             with ProcessPoolExecutor(max_workers=jobs) as pool:
                 futures = [(desc, pool.submit(_run_cell, cfg.resolved, str(out))) for desc, cfg in todo]
                 for desc, fut in futures:
-                    err = fut.result()
+                    try:
+                        err = fut.result()
+                    except BrokenProcessPool as exc:  # a child died; its cell and the queued ones fail
+                        err = f"{type(exc).__name__}: {exc}"
                     if err:
                         errors.append(f"cell {desc['assignment']}: {err}")
     for msg in errors:

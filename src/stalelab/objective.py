@@ -18,6 +18,13 @@ terms added to the population loss, so the stochastic gradient is the
 exact gradient plus the batch's mean noise vector; passing batch=None
 evaluates the noise-free population objective. Gradients are written by
 hand (no autodiff) and checked against central finite differences.
+
+`loss_and_grad` also takes K parameter vectors stacked as a (K, dim)
+array, with a batch per row stacked the same way (see `sample_batch`),
+and returns K losses and a (K, dim) gradient. Each row is computed with
+the same numpy operations as a 1-D call, so stacking does not move a
+bit: products are `np.matmul` over stacks (never `np.einsum`, which sums
+in another order) and reductions run along the axis a 1-D call reduces.
 """
 
 from __future__ import annotations
@@ -56,7 +63,8 @@ class Shard:
 
 
 class Objective:
-    """Base class; subclasses implement loss/grad on flat parameter vectors."""
+    """Base class; subclasses implement loss/grad on flat parameter vectors,
+    one (dim,) vector or K of them stacked as (K, dim)."""
 
     kind: str
     dim: int
@@ -68,8 +76,18 @@ class Objective:
     def draw_batch(self, rng: np.random.Generator, n: int):
         raise NotImplementedError
 
-    def loss_and_grad(self, params: np.ndarray, batch) -> tuple[float, np.ndarray]:
+    def draw_batches(self, rngs: list[np.random.Generator], n: int):
+        """One batch of n per generator, stacked along a leading axis."""
+        return np.stack([self.draw_batch(rng, n) for rng in rngs])
+
+    def loss_and_grad(self, params: np.ndarray, batch) -> tuple[float | np.ndarray, np.ndarray]:
+        """Loss and gradient: a float and a (dim,) array for one vector,
+        K losses and a (K, dim) array for a stack."""
         raise NotImplementedError
+
+    def loss(self, params: np.ndarray, batch) -> float | np.ndarray:
+        """The loss alone; bit-identical to `loss_and_grad(params, batch)[0]`."""
+        return self.loss_and_grad(params, batch)[0]
 
     def population_grad(self, params: np.ndarray) -> np.ndarray | None:
         """Exact full-objective gradient where available, else None."""
@@ -105,12 +123,12 @@ class QuadraticObjective(Objective):
 
     def loss_and_grad(self, params, batch):
         diff = params - self.minimizer
-        a_diff = self.matrix @ diff
-        loss = 0.5 * float(diff @ a_diff)
+        a_diff = np.matmul(self.matrix, diff[..., None])[..., 0]  # bit-identical to matrix @ diff
+        loss = 0.5 * _dot(diff, a_diff)
         grad = a_diff
         if batch is not None:
-            noise_mean = batch.mean(axis=0)
-            loss += float(noise_mean @ diff)
+            noise_mean = batch.mean(axis=-2)
+            loss = loss + _dot(noise_mean, diff)
             grad = grad + noise_mean
         return loss, grad
 
@@ -137,15 +155,15 @@ class RosenbrockObjective(Objective):
 
     def loss_and_grad(self, params, batch):
         x = params
-        head, tail = x[:-1], x[1:]
+        head, tail = x[..., :-1], x[..., 1:]
         gap = tail - head**2
-        loss = float(np.sum(100.0 * gap**2 + (1.0 - head) ** 2))
+        loss = np.sum(100.0 * gap**2 + (1.0 - head) ** 2, axis=-1)
         grad = np.zeros_like(x)
-        grad[:-1] += -400.0 * head * gap - 2.0 * (1.0 - head)
-        grad[1:] += 200.0 * gap
+        grad[..., :-1] += -400.0 * head * gap - 2.0 * (1.0 - head)
+        grad[..., 1:] += 200.0 * gap
         if batch is not None:
-            noise_mean = batch.mean(axis=0)
-            loss += float(noise_mean @ x)
+            noise_mean = batch.mean(axis=-2)
+            loss = loss + _dot(noise_mean, x)
             grad = grad + noise_mean
         return loss, grad
 
@@ -163,6 +181,12 @@ class MlpRegressionObjective(Objective):
         self.teacher_scale = float(teacher_scale)
         self.init_scale = float(init_scale)
         self.dim = mlp_dim(layer_sizes)
+        self._fans = list(zip(self.layer_sizes[:-1], self.layer_sizes[1:]))
+        self._offsets = []  # (weight start, bias start, bias end) per layer
+        pos = 0
+        for fan_in, fan_out in self._fans:
+            self._offsets.append((pos, pos + fan_out * fan_in, pos + fan_out * fan_in + fan_out))
+            pos = self._offsets[-1][2]
         rng = np.random.default_rng(derive_seed(teacher_seed, "mlp-teacher"))
         self.teacher_params = self._draw_params(rng, self.teacher_scale)
 
@@ -174,13 +198,12 @@ class MlpRegressionObjective(Objective):
         return np.concatenate(chunks)
 
     def unpack(self, params: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+        """(weight, bias) views per layer: (..., fan_out, fan_in) and (..., fan_out)."""
+        lead = params.shape[:-1]
         layers = []
-        pos = 0
-        for fan_in, fan_out in zip(self.layer_sizes[:-1], self.layer_sizes[1:]):
-            w = params[pos : pos + fan_out * fan_in].reshape(fan_out, fan_in)
-            pos += fan_out * fan_in
-            b = params[pos : pos + fan_out]
-            pos += fan_out
+        for (w_start, b_start, b_end), (fan_in, fan_out) in zip(self._offsets, self._fans):
+            w = params[..., w_start:b_start].reshape(*lead, fan_out, fan_in)
+            b = params[..., b_start:b_end]
             layers.append((w, b))
         return layers
 
@@ -188,48 +211,66 @@ class MlpRegressionObjective(Objective):
         rng = np.random.default_rng(seed)
         return self._draw_params(rng, self.init_scale)
 
-    def forward(self, params: np.ndarray, x: np.ndarray) -> np.ndarray:
-        acts = x
-        layers = self.unpack(params)
+    def _activations(self, layers, x: np.ndarray) -> list[np.ndarray]:
+        """Inputs of every layer, then the output: tanh hidden, linear last."""
+        acts = [x]
         for i, (w, b) in enumerate(layers):
-            z = acts @ w.T + b
-            acts = np.tanh(z) if i < len(layers) - 1 else z
+            z = np.matmul(acts[-1], np.swapaxes(w, -1, -2)) + b[..., None, :]
+            acts.append(np.tanh(z) if i < len(layers) - 1 else z)
         return acts
+
+    def forward(self, params: np.ndarray, x: np.ndarray) -> np.ndarray:
+        return self._activations(self.unpack(params), x)[-1]
 
     def draw_batch(self, rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarray]:
         x = rng.standard_normal((n, self.layer_sizes[0]))
         y = self.forward(self.teacher_params, x)
         return x, y
 
+    def draw_batches(self, rngs: list[np.random.Generator], n: int) -> tuple[np.ndarray, np.ndarray]:
+        """Inputs from each generator; one teacher forward labels all their rows."""
+        x = np.stack([rng.standard_normal((n, self.layer_sizes[0])) for rng in rngs])
+        y = self.forward(self.teacher_params, x.reshape(-1, x.shape[-1]))
+        return x, y.reshape(len(rngs), n, -1)
+
+    def _loss(self, err: np.ndarray):
+        return 0.5 * np.sum(err * err, axis=(-2, -1)) / err.shape[-2]
+
+    def loss(self, params, batch):
+        x, y = _mlp_batch(batch)
+        return self._loss(self.forward(params, x) - y)
+
     def loss_and_grad(self, params, batch):
-        if batch is None:
-            raise ValueError("mlp_regression has no closed-form population loss; pass a batch")
-        x, y = batch
-        n = x.shape[0]
+        x, y = _mlp_batch(batch)
+        n = x.shape[-2]
         layers = self.unpack(params)
-        acts = [x]
-        for i, (w, b) in enumerate(layers):
-            z = acts[-1] @ w.T + b
-            acts.append(np.tanh(z) if i < len(layers) - 1 else z)
+        acts = self._activations(layers, x)
         err = acts[-1] - y
-        loss = 0.5 * float(np.sum(err * err)) / n
+        loss = self._loss(err)
 
         grad = np.zeros_like(params)
-        pos_ends = []
-        pos = 0
-        for fan_in, fan_out in zip(self.layer_sizes[:-1], self.layer_sizes[1:]):
-            pos_ends.append((pos, pos + fan_out * fan_in, pos + fan_out * fan_in + fan_out))
-            pos = pos_ends[-1][2]
+        lead = params.shape[:-1]
         dz = err / n
         for i in reversed(range(len(layers))):
             w, _ = layers[i]
-            w_start, b_start, b_end = pos_ends[i]
-            grad[w_start:b_start] = (dz.T @ acts[i]).ravel()
-            grad[b_start:b_end] = dz.sum(axis=0)
+            w_start, b_start, b_end = self._offsets[i]
+            grad[..., w_start:b_start] = np.matmul(np.swapaxes(dz, -1, -2), acts[i]).reshape(*lead, -1)
+            grad[..., b_start:b_end] = dz.sum(axis=-2)
             if i > 0:
-                da = dz @ w
+                da = np.matmul(dz, w)
                 dz = da * (1.0 - acts[i] ** 2)  # tanh'(z) = 1 - tanh(z)^2
         return loss, grad
+
+
+def _mlp_batch(batch) -> tuple[np.ndarray, np.ndarray]:
+    if batch is None:
+        raise ValueError("mlp_regression has no closed-form population loss; pass a batch")
+    return batch
+
+
+def _dot(a: np.ndarray, b: np.ndarray):
+    """Row-wise a . b over the last axis; a 1-D pair gives the same bits as a @ b."""
+    return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
 
 
 def mlp_dim(layer_sizes: list[int]) -> int:
@@ -265,10 +306,17 @@ def make_objective(spec: dict) -> Objective:
     raise ValueError(f"unknown objective kind {kind!r}")
 
 
-def sample_batch(obj: Objective, shard: Shard, round_idx: int, inner_step: int):
-    """Deterministic batch for (shard, round, inner step)."""
-    rng = np.random.default_rng((shard.seed, round_idx, inner_step))
-    return obj.draw_batch(rng, shard.batch_size)
+def sample_batch(obj: Objective, shards: list[Shard], round_idx: int, inner_step: int):
+    """Deterministic batches for (shard, round, inner step), stacked in shard order.
+
+    Each shard keeps its own generator, so row k is the same bytes whatever
+    the other shards are.
+    """
+    sizes = {shard.batch_size for shard in shards}
+    if len(sizes) != 1:
+        raise ValueError(f"shards must share one batch size, got {sorted(sizes)}")
+    rngs = [np.random.default_rng((shard.seed, round_idx, inner_step)) for shard in shards]
+    return obj.draw_batches(rngs, sizes.pop())
 
 
 def finite_diff_check(
@@ -311,5 +359,5 @@ def init_reference_loss(obj: Objective, eval_batch, n_seeds: int = 32) -> float:
     losses = []
     for s in range(n_seeds):
         params = obj.init_params(derive_seed("init-reference", s))
-        losses.append(obj.loss_and_grad(params, eval_batch)[0])
+        losses.append(obj.loss(params, eval_batch))
     return float(np.mean(losses))

@@ -54,8 +54,8 @@ class AdamMoments:
     t: int = 0
 
     @classmethod
-    def zeros(cls, dim: int) -> "AdamMoments":
-        return cls(m=np.zeros(dim), v=np.zeros(dim), t=0)
+    def zeros(cls, shape: int | tuple[int, ...]) -> "AdamMoments":
+        return cls(m=np.zeros(shape), v=np.zeros(shape), t=0)
 
 
 @dataclass

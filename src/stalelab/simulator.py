@@ -5,7 +5,10 @@ One outer round does, in order:
 1. every worker copies the current global params, runs H inner AdamW
    steps on its own shard, and enqueues the parameter delta
    (snapshot - worker_params) with an integer delay drawn from the
-   schedule;
+   schedule. The K workers run as one stacked phase: their params and
+   AdamW moments are (K, dim) arrays, so each inner step is one batch
+   draw, one `loss_and_grad` and one AdamW call for all of them. Rows
+   never mix, and each row is the same bytes as a worker run alone;
 2. every queue entry whose available round equals the current round is
    dequeued in sorted (worker id, produced round) order and applied to
    the global params by the outer optimizer, one outer step per entry,
@@ -52,7 +55,6 @@ __all__ = [
     "FragmentPartition",
     "QueueEntry",
     "QuantizedPayload",
-    "WorkerState",
     "ApplyRecord",
     "Trace",
     "RunResult",
@@ -119,6 +121,14 @@ class FragmentPartition:
 
     boundaries: list[tuple[int, int]]
     ages: np.ndarray
+    starts: np.ndarray = field(init=False, repr=False)
+    sizes: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        if any(end <= start for start, end in self.boundaries):
+            raise ValueError(f"fragments must be non-empty, got {self.boundaries}")
+        self.starts = np.array([start for start, _ in self.boundaries])
+        self.sizes = np.array([end - start for start, end in self.boundaries])
 
     @classmethod
     def even_split(cls, dim: int, count: int) -> "FragmentPartition":
@@ -165,60 +175,42 @@ def quantize_payload(grad: np.ndarray, partition: FragmentPartition) -> Quantize
     """
     if not np.all(np.isfinite(grad)):
         raise ValueError("cannot quantize a non-finite payload")
-    codes = np.zeros(grad.shape, dtype=np.int8)
-    scales = np.zeros(len(partition))
-    for f, (start, end) in enumerate(partition.boundaries):
-        seg = grad[start:end]
-        maxabs = float(np.max(np.abs(seg))) if seg.size else 0.0
-        if maxabs == 0.0:
-            continue
-        scale = maxabs / 127.0
-        q = np.sign(seg) * np.floor(np.abs(seg) / scale + 0.5)  # round half away from zero
-        codes[start:end] = np.clip(q, -127, 127).astype(np.int8)
-        scales[f] = scale
-    return QuantizedPayload(codes=codes, scales=scales)
+    abs_grad = np.abs(grad)
+    scales = np.maximum.reduceat(abs_grad, partition.starts) / 127.0
+    # an all-zero fragment keeps scale 0; dividing its zeros by 1 gives code 0
+    divisor = np.repeat(np.where(scales > 0.0, scales, 1.0), partition.sizes)
+    q = np.sign(grad) * np.floor(abs_grad / divisor + 0.5)  # round half away from zero
+    return QuantizedPayload(codes=np.clip(q, -127, 127).astype(np.int8), scales=scales)
 
 
 def dequantize_payload(payload: QuantizedPayload, partition: FragmentPartition) -> np.ndarray:
-    out = np.zeros(payload.codes.shape)
-    for f, (start, end) in enumerate(partition.boundaries):
-        out[start:end] = payload.codes[start:end].astype(np.float64) * payload.scales[f]
-    return out
-
-
-@dataclass
-class WorkerState:
-    worker_id: int
-    shard: Shard
-    params: np.ndarray | None = None
-    inner_state: AdamMoments | None = None
+    return payload.codes.astype(np.float64) * np.repeat(payload.scales, partition.sizes)
 
 
 def run_inner_phase(
     obj: Objective,
-    worker: WorkerState,
+    shards: list[Shard],
     global_snapshot: np.ndarray,
     inner_steps: int,
     round_idx: int,
     inner_cfg: InnerConfig,
 ) -> np.ndarray:
-    """H inner AdamW steps from a fresh copy of the global params.
+    """H inner AdamW steps per shard's worker, from fresh copies of the global params.
 
-    Returns the pseudo-gradient snapshot - params_after. The inner
-    optimizer state is reset at every phase. Non-finite values simply
-    propagate into the returned delta; the caller flags divergence.
+    Returns the (K, dim) pseudo-gradients snapshot - params_after, row k
+    for shards[k]. The inner optimizer state is reset at every phase.
+    Non-finite values simply propagate into the returned deltas; the
+    caller flags divergence.
     """
     if inner_steps < 1:
         raise ValueError(f"inner_steps must be >= 1, got {inner_steps}")
-    worker.params = global_snapshot.copy()
-    worker.inner_state = AdamMoments.zeros(global_snapshot.size)
+    params = np.tile(global_snapshot, (len(shards), 1))
+    state = AdamMoments.zeros(params.shape)
     for step in range(inner_steps):
-        batch = sample_batch(obj, worker.shard, round_idx, step)
-        _, grad = obj.loss_and_grad(worker.params, batch)
-        worker.params, worker.inner_state = inner_adamw_step(
-            worker.params, grad, worker.inner_state, inner_cfg
-        )
-    return global_snapshot - worker.params
+        batch = sample_batch(obj, shards, round_idx, step)
+        _, grad = obj.loss_and_grad(params, batch)
+        params, state = inner_adamw_step(params, grad, state, inner_cfg)
+    return global_snapshot - params
 
 
 @dataclass
@@ -308,10 +300,7 @@ class Simulation:
             init_outer_state(config.method, end - start)
             for start, end in self.partition.boundaries
         ]
-        self.workers = [
-            WorkerState(w, Shard.for_worker(master, w, config.batch_size))
-            for w in range(config.workers)
-        ]
+        self.workers = [Shard.for_worker(master, w, config.batch_size) for w in range(config.workers)]
         self.delay = DelaySchedule.from_spec(config.delay, derive_seed(master, "delay"))
         eval_rng = np.random.default_rng(derive_seed(master, "eval"))
         self.eval_batch = self.obj.draw_batch(eval_rng, config.eval_batch_size)
@@ -332,7 +321,7 @@ class Simulation:
         )
         if self.obj.kind == "quadratic":
             self.trace.l_smooth = self.obj.smoothness
-            self.trace.f_gap = self.obj.loss_and_grad(self.global_params, None)[0]
+            self.trace.f_gap = float(self.obj.loss(self.global_params, None))
         # eager mixing history: last applied delta per worker, last round's mean delta
         self._prev_own: dict[int, np.ndarray] = {}
         self._prev_avg: np.ndarray | None = None
@@ -342,29 +331,28 @@ class Simulation:
             return dequantize_payload(entry.payload, self.partition)
         return entry.payload
 
-    def run_round(self, workers: list[WorkerState] | None = None) -> bool:
+    def run_round(self, workers: list[Shard] | None = None) -> bool:
         """Execute one outer round; False once the run has diverged.
 
-        `workers` overrides the iteration order only (same worker objects);
-        results must not depend on it.
+        `workers` overrides the stacking order only (same shards); results
+        must not depend on it.
         """
         if self.diverged:
             return False
         cfg = self.config
         r = self.round
 
-        for worker in workers if workers is not None else self.workers:
-            delta = run_inner_phase(
-                self.obj, worker, self.global_params, cfg.inner_steps, r, cfg.inner
-            )
-            if not np.all(np.isfinite(delta)):
-                self.diverged = True
-                return False
-            tau = sample_delay(self.delay, worker.worker_id, r)
+        shards = workers if workers is not None else self.workers
+        deltas = run_inner_phase(self.obj, shards, self.global_params, cfg.inner_steps, r, cfg.inner)
+        if not np.all(np.isfinite(deltas)):
+            self.diverged = True
+            return False
+        for shard, delta in zip(shards, deltas):
+            tau = sample_delay(self.delay, shard.worker_id, r)
             payload = quantize_payload(delta, self.partition) if cfg.quantize_queue else delta
             self.pending.append(
                 QueueEntry(
-                    worker=worker.worker_id,
+                    worker=shard.worker_id,
                     produced_round=r,
                     tau=tau,
                     available_round=r + tau,
@@ -441,7 +429,7 @@ class Simulation:
         if not np.all(np.isfinite(self.global_params)):
             self.diverged = True
             return False
-        eval_loss, _ = self.obj.loss_and_grad(self.global_params, self.eval_batch)
+        eval_loss = self.obj.loss(self.global_params, self.eval_batch)
         if not np.isfinite(eval_loss):
             self.diverged = True
             return False

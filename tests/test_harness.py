@@ -1,5 +1,7 @@
 import json
 import math
+import multiprocessing
+import os
 
 import pytest
 
@@ -309,6 +311,30 @@ class TestSweeps:
         assert len(errors) == 1 and "synthetic cell failure" in errors[0]
         assert sum(row.missing for row in rows) == 1
         assert "missing" in format_summary_table(rows)
+
+    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                        reason="the crash is patched in before the pool forks its children")
+    def test_dead_pool_child_fails_its_cells_and_a_rerun_resumes(self, tmp_path, monkeypatch):
+        import stalelab.harness as harness_mod
+
+        real = harness_mod.run_to_file
+        doomed = next(cfg for _, cfg in expand_sweep(sweep_spec()) if cfg.method == "nesterov")
+
+        def crash_on_doomed(config, out_dir):
+            if (config.hash, config.master_seed) == (doomed.hash, doomed.master_seed):
+                os._exit(3)  # the child dies without raising
+            return real(config, out_dir)
+
+        monkeypatch.setattr(harness_mod, "run_to_file", crash_on_doomed)
+        rows, errors = run_sweep(sweep_spec(), tmp_path, jobs=2, log=lambda *_: None)
+        assert errors and all("BrokenProcessPool" in err for err in errors)
+        assert 1 <= sum(row.missing for row in rows) <= len(errors)
+        assert not (tmp_path / result_filename(doomed.hash, doomed.master_seed)).exists()
+
+        monkeypatch.undo()
+        rows, errors = run_sweep(sweep_spec(), tmp_path, jobs=2, log=lambda *_: None)
+        assert errors == []
+        assert all(row.n == 3 and row.missing == 0 for row in rows)
 
 
 def json_key(desc):

@@ -114,24 +114,23 @@ class TestMlp:
         # plain Adam on fresh batches reaches the realizable floor region
         obj = MlpRegressionObjective(layer_sizes=[4, 8, 1], teacher_seed=3)
         shard = Shard.for_worker(0, 0, batch_size=64)
-        params = obj.init_params(99)
-        state = AdamMoments.zeros(obj.dim)
+        params = obj.init_params(99)[None]  # one worker, stacked
+        state = AdamMoments.zeros(params.shape)
         cfg = InnerConfig(lr=1e-2)
         for step in range(600):
-            batch = sample_batch(obj, shard, 0, step)
+            batch = sample_batch(obj, [shard], 0, step)
             _, grad = obj.loss_and_grad(params, batch)
             params, state = inner_adamw_step(params, grad, state, cfg)
         eval_rng = np.random.default_rng(123)
         eval_batch = obj.draw_batch(eval_rng, 256)
-        loss, _ = obj.loss_and_grad(params, eval_batch)
-        assert loss < 0.1
+        assert obj.loss(params[0], eval_batch) < 0.1
 
 
 class TestSampleBatch:
     def test_deterministic(self, mlp):
         shard = Shard.for_worker(7, 1, batch_size=8)
-        x1, y1 = sample_batch(mlp, shard, 3, 2)
-        x2, y2 = sample_batch(mlp, shard, 3, 2)
+        x1, y1 = sample_batch(mlp, [shard], 3, 2)
+        x2, y2 = sample_batch(mlp, [shard], 3, 2)
         np.testing.assert_array_equal(x1, x2)
         np.testing.assert_array_equal(y1, y2)
 
@@ -139,7 +138,7 @@ class TestSampleBatch:
         a = Shard.for_worker(7, 0, batch_size=4)
         b = Shard.for_worker(7, 1, batch_size=4)
         collisions = sum(
-            np.array_equal(sample_batch(quad, a, r, s), sample_batch(quad, b, r, s))
+            np.array_equal(sample_batch(quad, [a], r, s), sample_batch(quad, [b], r, s))
             for r in range(5000) for s in range(2)
         )
         assert collisions == 0
@@ -147,13 +146,100 @@ class TestSampleBatch:
     def test_master_seed_changes_stream(self, quad):
         a = Shard.for_worker(7, 0, batch_size=4)
         b = Shard.for_worker(8, 0, batch_size=4)
-        assert not np.array_equal(sample_batch(quad, a, 0, 0), sample_batch(quad, b, 0, 0))
+        assert not np.array_equal(sample_batch(quad, [a], 0, 0), sample_batch(quad, [b], 0, 0))
 
     def test_round_and_step_change_stream(self, quad):
         shard = Shard.for_worker(7, 0, batch_size=4)
-        base = sample_batch(quad, shard, 0, 0)
-        assert not np.array_equal(base, sample_batch(quad, shard, 1, 0))
-        assert not np.array_equal(base, sample_batch(quad, shard, 0, 1))
+        base = sample_batch(quad, [shard], 0, 0)
+        assert not np.array_equal(base, sample_batch(quad, [shard], 1, 0))
+        assert not np.array_equal(base, sample_batch(quad, [shard], 0, 1))
+
+    def test_shards_must_share_a_batch_size(self, quad):
+        shards = [Shard.for_worker(7, 0, batch_size=4), Shard.for_worker(7, 1, batch_size=8)]
+        with pytest.raises(ValueError, match="batch size"):
+            sample_batch(quad, shards, 0, 0)
+
+
+KINDS = {
+    "quadratic": {"kind": "quadratic", "dimension": 12, "spectrum_lo": 0.5,
+                  "spectrum_hi": 4.0, "rotation_seed": 5, "noise_scale": 0.05},
+    "rosenbrock_sum": {"kind": "rosenbrock_sum", "dimension": 7, "noise_scale": 0.05},
+    "mlp_regression": {"kind": "mlp_regression", "layer_sizes": [8, 32, 1], "teacher_seed": 17,
+                       "teacher_scale": 0.07, "init_scale": 0.07},
+    "mlp_deep": {"kind": "mlp_regression", "layer_sizes": [4, 8, 8, 3], "teacher_seed": 3},
+}
+
+
+def bits(x):
+    """Raw float64 bits, so comparisons see -0.0 vs 0.0 and every last ulp."""
+    return np.asarray(x, dtype=np.float64).view(np.uint64)
+
+
+def parts(batch) -> tuple:
+    """An mlp batch is an (x, y) pair; the others are one array."""
+    return batch if isinstance(batch, tuple) else (batch,)
+
+
+def row(batch, k):
+    return tuple(part[k] for part in batch) if isinstance(batch, tuple) else batch[k]
+
+
+class TestStacked:
+    """K workers stacked into one call give the bytes of K separate calls."""
+
+    @pytest.mark.parametrize("kind", sorted(KINDS))
+    def test_sample_batch_rows_match_single_shard_draws(self, kind):
+        obj = make_objective(KINDS[kind])
+        shards = [Shard.for_worker(3, w, batch_size=16) for w in range(4)]
+        stacked = sample_batch(obj, shards, 5, 2)
+        for k, shard in enumerate(shards):
+            single = sample_batch(obj, [shard], 5, 2)
+            for got, want in zip(parts(row(stacked, k)), parts(row(single, 0)), strict=True):
+                np.testing.assert_array_equal(bits(got), bits(want))
+
+    @pytest.mark.parametrize("kind", sorted(KINDS))
+    def test_loss_and_grad_rows_match_one_dimensional_calls(self, kind):
+        obj = make_objective(KINDS[kind])
+        shards = [Shard.for_worker(3, w, batch_size=16) for w in range(4)]
+        params = np.stack([obj.init_params(40 + k) for k in range(len(shards))])
+        batch = sample_batch(obj, shards, 1, 0)
+        losses, grads = obj.loss_and_grad(params, batch)
+        assert losses.shape == (4,) and grads.shape == params.shape
+        for k in range(len(shards)):
+            loss, grad = obj.loss_and_grad(params[k], row(batch, k))
+            assert isinstance(loss, float)
+            np.testing.assert_array_equal(bits(losses[k]), bits(loss))
+            np.testing.assert_array_equal(bits(grads[k]), bits(grad))
+
+    @pytest.mark.parametrize("kind", ["quadratic", "rosenbrock_sum"])
+    def test_population_loss_rows_match(self, kind):
+        obj = make_objective(KINDS[kind])
+        params = np.stack([obj.init_params(40 + k) for k in range(3)])
+        losses, grads = obj.loss_and_grad(params, None)
+        for k in range(3):
+            loss, grad = obj.loss_and_grad(params[k], None)
+            np.testing.assert_array_equal(bits(losses[k]), bits(loss))
+            np.testing.assert_array_equal(bits(grads[k]), bits(grad))
+
+    def test_quadratic_matches_plain_matrix_products(self):
+        obj = make_objective(KINDS["quadratic"])
+        params = obj.init_params(4)
+        diff = params - obj.minimizer
+        loss, grad = obj.loss_and_grad(params, None)
+        np.testing.assert_array_equal(bits(grad), bits(obj.matrix @ diff))
+        np.testing.assert_array_equal(bits(loss), bits(0.5 * float(diff @ (obj.matrix @ diff))))
+
+
+class TestLoss:
+    @pytest.mark.parametrize("kind", sorted(KINDS))
+    def test_loss_is_the_loss_of_loss_and_grad(self, kind):
+        obj = make_objective(KINDS[kind])
+        batch = obj.draw_batch(np.random.default_rng(2), 64)
+        for seed in range(3):
+            params = obj.init_params(seed)
+            loss = obj.loss(params, batch)
+            assert isinstance(loss, float)
+            np.testing.assert_array_equal(bits(loss), bits(obj.loss_and_grad(params, batch)[0]))
 
 
 class TestBatchLinearity:

@@ -3,13 +3,12 @@ import pytest
 
 import stalelab.simulator as sim_mod
 from stalelab.config import RunConfig
-from stalelab.objective import Objective, QuadraticObjective, Shard, sample_batch
+from stalelab.objective import Objective, QuadraticObjective, Shard, make_objective, sample_batch
 from stalelab.optim import AdamMoments, InnerConfig, inner_adamw_step
 from stalelab.simulator import (
     DelaySchedule,
     FragmentPartition,
     Simulation,
-    WorkerState,
     dequantize_payload,
     quantize_payload,
     run_experiment,
@@ -155,6 +154,38 @@ class TestQuantization:
         with pytest.raises(ValueError):
             quantize_payload(np.array([1.0, np.nan, 0.0, 0.0]), part)
 
+    def test_matches_per_fragment_loop_bitwise(self):
+        def loop_quantize(grad, part):  # reference: one fragment at a time
+            codes = np.zeros(grad.shape, dtype=np.int8)
+            scales = np.zeros(len(part))
+            for f, (start, end) in enumerate(part.boundaries):
+                seg = grad[start:end]
+                maxabs = float(np.max(np.abs(seg)))
+                if maxabs == 0.0:
+                    continue
+                scales[f] = maxabs / 127.0
+                q = np.sign(seg) * np.floor(np.abs(seg) / scales[f] + 0.5)
+                codes[start:end] = np.clip(q, -127, 127).astype(np.int8)
+            back = np.concatenate([codes[s:e] * scales[f] for f, (s, e) in enumerate(part.boundaries)])
+            return codes, scales, back
+
+        rng = np.random.default_rng(23)
+        for dim, count in [(64, 32), (321, 8), (13, 13), (10, 3)]:
+            part = FragmentPartition.even_split(dim, count)
+            for _ in range(200):
+                grad = rng.standard_normal(dim) * 10.0 ** rng.integers(-6, 6)
+                grad[part.boundaries[0][0]:part.boundaries[0][1]] = 0.0  # one all-zero fragment
+                qp = quantize_payload(grad, part)
+                codes, scales, back = loop_quantize(grad, part)
+                np.testing.assert_array_equal(qp.codes, codes)
+                np.testing.assert_array_equal(qp.scales.view(np.uint64), scales.view(np.uint64))
+                np.testing.assert_array_equal(dequantize_payload(qp, part).view(np.uint64),
+                                              back.view(np.uint64))
+
+    def test_empty_fragment_rejected(self):
+        with pytest.raises(ValueError, match="non-empty"):
+            FragmentPartition(boundaries=[(0, 2), (2, 2), (2, 4)], ages=np.zeros(3, dtype=np.int64))
+
 
 class _ConstantObjective(Objective):
     kind = "constant"
@@ -175,36 +206,48 @@ class _ConstantObjective(Objective):
 class TestInnerPhase:
     def test_constant_objective_gives_zero_delta(self):
         obj = _ConstantObjective(6)
-        worker = WorkerState(0, Shard.for_worker(0, 0, 4))
-        delta = run_inner_phase(obj, worker, np.ones(6), 4, 0, InnerConfig())
-        np.testing.assert_array_equal(delta, np.zeros(6))
+        delta = run_inner_phase(obj, [Shard.for_worker(0, 0, 4)], np.ones(6), 4, 0, InnerConfig())
+        np.testing.assert_array_equal(delta, np.zeros((1, 6)))
 
     def test_single_step_matches_direct_inner_update(self):
         obj = QuadraticObjective(dimension=8, spectrum_lo=0.5, spectrum_hi=3.0, rotation_seed=1)
         shard = Shard.for_worker(5, 0, 4)
-        worker = WorkerState(0, shard)
         snapshot = obj.init_params(7)
-        delta = run_inner_phase(obj, worker, snapshot, 1, 3, InnerConfig())
-        batch = sample_batch(obj, shard, 3, 0)
+        delta = run_inner_phase(obj, [shard], snapshot, 1, 3, InnerConfig())
+        (batch,) = sample_batch(obj, [shard], 3, 0)
         _, grad = obj.loss_and_grad(snapshot, batch)
         stepped, _ = inner_adamw_step(snapshot, grad, AdamMoments.zeros(8), InnerConfig())
-        np.testing.assert_array_equal(delta, snapshot - stepped)
+        np.testing.assert_array_equal(delta, (snapshot - stepped)[None])
 
     def test_delta_shape_matches_params(self):
         obj = QuadraticObjective(dimension=8, spectrum_lo=0.5, spectrum_hi=3.0, rotation_seed=1)
-        worker = WorkerState(0, Shard.for_worker(5, 0, 4))
-        delta = run_inner_phase(obj, worker, obj.init_params(7), 3, 0, InnerConfig())
-        assert delta.shape == (8,)
+        shards = [Shard.for_worker(5, w, 4) for w in range(3)]
+        delta = run_inner_phase(obj, shards, obj.init_params(7), 3, 0, InnerConfig())
+        assert delta.shape == (3, 8)
 
     def test_worker_restarts_from_global_each_phase(self):
         obj = QuadraticObjective(dimension=8, spectrum_lo=0.5, spectrum_hi=3.0, rotation_seed=1)
-        worker = WorkerState(0, Shard.for_worker(5, 0, 4))
+        shards = [Shard.for_worker(5, w, 4) for w in range(2)]
         snapshot = obj.init_params(7)
-        run_inner_phase(obj, worker, snapshot, 2, 0, InnerConfig())
-        first = worker.params.copy()
-        run_inner_phase(obj, worker, snapshot, 2, 0, InnerConfig())
-        np.testing.assert_array_equal(worker.params, first)
-        assert worker.inner_state.t == 2
+        first = run_inner_phase(obj, shards, snapshot, 2, 0, InnerConfig())
+        second = run_inner_phase(obj, shards, snapshot, 2, 0, InnerConfig())
+        np.testing.assert_array_equal(first.view(np.uint64), second.view(np.uint64))
+
+    @pytest.mark.parametrize("spec", [
+        {"kind": "quadratic", "dimension": 12, "spectrum_lo": 0.5, "spectrum_hi": 4.0,
+         "rotation_seed": 5, "noise_scale": 0.05},
+        {"kind": "rosenbrock_sum", "dimension": 6, "noise_scale": 0.05, "init_scale": 0.3},
+        {"kind": "mlp_regression", "layer_sizes": [8, 32, 1], "teacher_seed": 17,
+         "teacher_scale": 0.07, "init_scale": 0.07},
+    ], ids=lambda spec: spec["kind"])
+    def test_stacked_phase_matches_one_worker_phases(self, spec):
+        obj = make_objective(spec)
+        shards = [Shard.for_worker(9, w, 16) for w in range(4)]
+        snapshot = obj.init_params(3)
+        stacked = run_inner_phase(obj, shards, snapshot, 5, 2, InnerConfig())
+        for k, shard in enumerate(shards):
+            alone = run_inner_phase(obj, [shard], snapshot, 5, 2, InnerConfig())
+            np.testing.assert_array_equal(stacked[k].view(np.uint64), alone[0].view(np.uint64))
 
 
 class TestQueueSemantics:
