@@ -16,6 +16,7 @@ from .objective import (
     QuadraticObjective,
     RosenbrockObjective,
     Shard,
+    batch_seeds,
     finite_diff_check,
     make_objective,
     sample_batch,
@@ -39,6 +40,7 @@ from .simulator import (
     QueueEntry,
     RunResult,
     Simulation,
+    delay_seeds,
     dequantize_payload,
     quantize_payload,
     run_experiment,

@@ -4,9 +4,11 @@ A result file is named `<config_hash[:16]>_s<seed>.json` and contains the
 full resolved config, so it is self-describing and byte-identical across
 reruns of the same build; it is renamed into place once written in full.
 Sweeps are resumable: a cell is skipped when its file parses and holds the
-cell's config hash and seed, else re-run. A pool child that dies fails its
-cells instead of the sweep, so a rerun resumes them. The summary is always
-recomputed from the files on disk, never from in-process state.
+cell's config hash and seed, else re-run. A pool child that dies breaks the
+pool and fails every cell still in it; each such cell is retried once, alone
+in a fresh single-worker pool, so only a cell that kills its own retry stays
+an error (and a rerun resumes it). The summary is always recomputed from the
+files on disk, never from in-process state.
 """
 
 from __future__ import annotations
@@ -221,15 +223,26 @@ def run_sweep(
                 if err:
                     errors.append(f"cell {desc['assignment']}: {err}")
         else:
+            broken = []
             with ProcessPoolExecutor(max_workers=jobs) as pool:
-                futures = [(desc, pool.submit(_run_cell, cfg.resolved, str(out))) for desc, cfg in todo]
-                for desc, fut in futures:
+                futures = [(desc, cfg, pool.submit(_run_cell, cfg.resolved, str(out))) for desc, cfg in todo]
+                for desc, cfg, fut in futures:
                     try:
                         err = fut.result()
-                    except BrokenProcessPool as exc:  # a child died; its cell and the queued ones fail
-                        err = f"{type(exc).__name__}: {exc}"
+                    except BrokenProcessPool:  # a child died; its cell and the queued ones fail
+                        broken.append((desc, cfg))
+                        continue
                     if err:
                         errors.append(f"cell {desc['assignment']}: {err}")
+            for desc, cfg in broken:
+                log(f"sweep: retrying cell {desc['assignment']} after a pool child died")
+                with ProcessPoolExecutor(max_workers=1) as pool:
+                    try:
+                        err = pool.submit(_run_cell, cfg.resolved, str(out)).result()
+                    except BrokenProcessPool as exc:  # the cell killed its own pool
+                        err = f"{type(exc).__name__}: {exc}"
+                if err:
+                    errors.append(f"cell {desc['assignment']}: {err}")
     for msg in errors:
         log(f"sweep: FAILED {msg}")
 

@@ -12,12 +12,16 @@ Three tasks cover the convex/nonconvex range at desk scale:
                    linear output; the frozen random teacher makes the task
                    realizable with noise floor 0.
 
-Batches are deterministic functions of (shard seed, round, inner step).
-For the quadratic and rosenbrock tasks a batch is a set of linear noise
-terms added to the population loss, so the stochastic gradient is the
-exact gradient plus the batch's mean noise vector; passing batch=None
-evaluates the noise-free population objective. Gradients are written by
-hand (no autodiff) and checked against central finite differences.
+Batches are deterministic functions of (shard seed, round, inner step):
+`batch_seeds` hashes the keys of many rounds into one seed table, and
+each batch's generator is built from its row, giving the same bytes as
+`np.random.default_rng((shard.seed, round, step))`. For the quadratic
+and rosenbrock tasks a batch is a set of linear noise terms added to the
+population loss, so the stochastic gradient is the exact gradient plus
+the batch's mean noise vector; passing batch=None evaluates the
+noise-free population objective, and `compact_batch` reduces a batch
+that is reused (the eval batch) to that mean row. Gradients are written
+by hand (no autodiff) and checked against central finite differences.
 
 `loss_and_grad` also takes K parameter vectors stacked as a (K, dim)
 array, with a batch per row stacked the same way (see `sample_batch`),
@@ -33,15 +37,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .seeding import derive_seed
+from .seeding import derive_seed, seed_table, seeded_generator
 
 __all__ = [
     "Shard",
     "Objective",
+    "LinearNoiseObjective",
     "QuadraticObjective",
     "RosenbrockObjective",
     "MlpRegressionObjective",
     "make_objective",
+    "batch_seeds",
     "sample_batch",
     "mlp_dim",
     "finite_diff_check",
@@ -80,6 +86,10 @@ class Objective:
         """One batch of n per generator, stacked along a leading axis."""
         return np.stack([self.draw_batch(rng, n) for rng in rngs])
 
+    def compact_batch(self, batch):
+        """A batch that gives the same loss and gradient bits, for reuse."""
+        return batch
+
     def loss_and_grad(self, params: np.ndarray, batch) -> tuple[float | np.ndarray, np.ndarray]:
         """Loss and gradient: a float and a (dim,) array for one vector,
         K losses and a (K, dim) array for a stack."""
@@ -94,7 +104,28 @@ class Objective:
         return None
 
 
-class QuadraticObjective(Objective):
+class LinearNoiseObjective(Objective):
+    """A population loss plus linear noise: a batch of noise rows enters the
+    loss and gradient only through its mean row, `batch.mean(axis=-2)`."""
+
+    noise_scale: float
+
+    def draw_batch(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        return self.noise_scale * rng.standard_normal((n, self.dim))
+
+    def compact_batch(self, batch: np.ndarray) -> np.ndarray:
+        """The batch's mean row; the mean of one row is that row, so no bit moves."""
+        return batch.mean(axis=-2, keepdims=True)
+
+    def _add_noise(self, loss, grad, batch, point):
+        """Loss plus noise_mean . point and gradient plus noise_mean, for a batch."""
+        if batch is None:
+            return loss, grad
+        noise_mean = batch.mean(axis=-2)
+        return loss + _dot(noise_mean, point), grad + noise_mean
+
+
+class QuadraticObjective(LinearNoiseObjective):
     kind = "quadratic"
 
     def __init__(self, dimension: int, spectrum_lo: float, spectrum_hi: float,
@@ -118,25 +149,16 @@ class QuadraticObjective(Objective):
         rng = np.random.default_rng(seed)
         return self.init_scale * rng.standard_normal(self.dim)
 
-    def draw_batch(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        return self.noise_scale * rng.standard_normal((n, self.dim))
-
     def loss_and_grad(self, params, batch):
         diff = params - self.minimizer
         a_diff = np.matmul(self.matrix, diff[..., None])[..., 0]  # bit-identical to matrix @ diff
-        loss = 0.5 * _dot(diff, a_diff)
-        grad = a_diff
-        if batch is not None:
-            noise_mean = batch.mean(axis=-2)
-            loss = loss + _dot(noise_mean, diff)
-            grad = grad + noise_mean
-        return loss, grad
+        return self._add_noise(0.5 * _dot(diff, a_diff), a_diff, batch, diff)
 
     def population_grad(self, params):
         return self.matrix @ (params - self.minimizer)
 
 
-class RosenbrockObjective(Objective):
+class RosenbrockObjective(LinearNoiseObjective):
     kind = "rosenbrock_sum"
 
     def __init__(self, dimension: int, noise_scale: float = 0.0, init_scale: float = 1.0):
@@ -150,9 +172,6 @@ class RosenbrockObjective(Objective):
         rng = np.random.default_rng(seed)
         return self.init_scale * rng.standard_normal(self.dim)
 
-    def draw_batch(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        return self.noise_scale * rng.standard_normal((n, self.dim))
-
     def loss_and_grad(self, params, batch):
         x = params
         head, tail = x[..., :-1], x[..., 1:]
@@ -161,11 +180,7 @@ class RosenbrockObjective(Objective):
         grad = np.zeros_like(x)
         grad[..., :-1] += -400.0 * head * gap - 2.0 * (1.0 - head)
         grad[..., 1:] += 200.0 * gap
-        if batch is not None:
-            noise_mean = batch.mean(axis=-2)
-            loss = loss + _dot(noise_mean, x)
-            grad = grad + noise_mean
-        return loss, grad
+        return self._add_noise(loss, grad, batch, x)
 
 
 class MlpRegressionObjective(Objective):
@@ -189,6 +204,7 @@ class MlpRegressionObjective(Objective):
             pos = self._offsets[-1][2]
         rng = np.random.default_rng(derive_seed(teacher_seed, "mlp-teacher"))
         self.teacher_params = self._draw_params(rng, self.teacher_scale)
+        self._teacher_layers = self.unpack(self.teacher_params)  # views, unpacked once for every batch
 
     def _draw_params(self, rng: np.random.Generator, scale: float) -> np.ndarray:
         chunks = []
@@ -224,13 +240,13 @@ class MlpRegressionObjective(Objective):
 
     def draw_batch(self, rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarray]:
         x = rng.standard_normal((n, self.layer_sizes[0]))
-        y = self.forward(self.teacher_params, x)
+        y = self._activations(self._teacher_layers, x)[-1]
         return x, y
 
     def draw_batches(self, rngs: list[np.random.Generator], n: int) -> tuple[np.ndarray, np.ndarray]:
         """Inputs from each generator; one teacher forward labels all their rows."""
         x = np.stack([rng.standard_normal((n, self.layer_sizes[0])) for rng in rngs])
-        y = self.forward(self.teacher_params, x.reshape(-1, x.shape[-1]))
+        y = self._activations(self._teacher_layers, x.reshape(-1, x.shape[-1]))[-1]
         return x, y.reshape(len(rngs), n, -1)
 
     def _loss(self, err: np.ndarray):
@@ -306,17 +322,28 @@ def make_objective(spec: dict) -> Objective:
     raise ValueError(f"unknown objective kind {kind!r}")
 
 
-def sample_batch(obj: Objective, shards: list[Shard], round_idx: int, inner_step: int):
-    """Deterministic batches for (shard, round, inner step), stacked in shard order.
+def batch_seeds(shards: list[Shard], rounds: range, inner_steps: int) -> np.ndarray:
+    """Seed table of every (shard, round, inner step) batch, shape (K, len(rounds), H, 4).
 
-    Each shard keeps its own generator, so row k is the same bytes whatever
-    the other shards are.
+    Entry [k, i, step] seeds shards[k]'s batch of round rounds[i]: the state
+    `np.random.default_rng((shard.seed, rounds[i], step))` starts from.
+    """
+    keys = np.stack(np.meshgrid(np.asarray(rounds), np.arange(inner_steps), indexing="ij"), axis=-1)
+    tails = keys.reshape(-1, 2)
+    return np.stack([seed_table(shard.seed, tails) for shard in shards]).reshape(
+        len(shards), len(rounds), inner_steps, 4)
+
+
+def sample_batch(obj: Objective, shards: list[Shard], seeds: np.ndarray):
+    """One batch per shard from its `batch_seeds` row, stacked in shard order.
+
+    `seeds` is (K, 4), row k for shards[k]. Each shard keeps its own
+    generator, so row k is the same bytes whatever the other shards are.
     """
     sizes = {shard.batch_size for shard in shards}
     if len(sizes) != 1:
         raise ValueError(f"shards must share one batch size, got {sorted(sizes)}")
-    rngs = [np.random.default_rng((shard.seed, round_idx, inner_step)) for shard in shards]
-    return obj.draw_batches(rngs, sizes.pop())
+    return obj.draw_batches([seeded_generator(state) for state in seeds], sizes.pop())
 
 
 def finite_diff_check(

@@ -17,7 +17,11 @@ One outer round does, in order:
 4. the global params are evaluated on a fixed held-out batch.
 
 Everything is seeded through `derive_seed`, so a run is a deterministic
-function of its config: same config, same bytes out. Entries still in
+function of its config: same config, same bytes out. The generator of
+each batch and each delay draw is built from a seed table that the run
+hashes once for many rounds (`batch_seeds`, `delay_seeds`); it gives the
+same bytes as `np.random.default_rng((shard.seed, round, step))` and
+`np.random.default_rng((delay seed, worker, round))`. Entries still in
 flight when the run ends are dropped, never applied. With a fixed delay
 tau the first tau rounds therefore apply nothing and the loss curve is
 flat; that is the protocol, not a bug.
@@ -35,6 +39,7 @@ from .gate import effective_age
 from .objective import (
     Objective,
     Shard,
+    batch_seeds,
     init_reference_loss,
     make_objective,
     sample_batch,
@@ -48,7 +53,7 @@ from .optim import (
     method_row,
     outer_step,
 )
-from .seeding import derive_seed
+from .seeding import derive_seed, seed_table, seeded_generator
 
 __all__ = [
     "DelaySchedule",
@@ -59,6 +64,7 @@ __all__ = [
     "Trace",
     "RunResult",
     "Simulation",
+    "delay_seeds",
     "sample_delay",
     "select_fragments",
     "run_inner_phase",
@@ -69,6 +75,7 @@ __all__ = [
 
 DIVERGENCE_FACTOR = 5.0  # final loss above this multiple of the untrained reference flags the run
 FINAL_LOSS_WINDOW = 5  # trailing rounds averaged into the reported final loss
+SEED_TABLE_ROWS = 8192  # batch seeds hashed at once; bounds the seed tables of a long run
 
 
 @dataclass(frozen=True)
@@ -102,11 +109,21 @@ class DelaySchedule:
         return f"exp:{self.rate}"
 
 
-def sample_delay(schedule: DelaySchedule, worker: int, round_idx: int) -> int:
-    """Delay for this (worker, round); independent of call order."""
+def delay_seeds(schedule: DelaySchedule, workers: int, rounds: range) -> np.ndarray:
+    """Seed table of every (worker, round) delay draw, shape (workers, len(rounds), 4).
+
+    Entry [w, i] is the state `np.random.default_rng((schedule.seed, w, rounds[i]))`
+    starts from.
+    """
+    keys = np.stack(np.meshgrid(np.arange(workers), np.asarray(rounds), indexing="ij"), axis=-1)
+    return seed_table(schedule.seed, keys.reshape(-1, 2)).reshape(workers, len(rounds), 4)
+
+
+def sample_delay(schedule: DelaySchedule, seed: np.ndarray) -> int:
+    """Delay of one (worker, round) from its `delay_seeds` row; independent of call order."""
     if schedule.kind == "fixed":
         return schedule.tau
-    rng = np.random.default_rng((schedule.seed, worker, round_idx))
+    rng = seeded_generator(seed)
     if schedule.kind == "uniform_int":
         return int(rng.integers(schedule.lo, schedule.hi + 1))
     if schedule.kind == "exponential":
@@ -147,8 +164,10 @@ def select_fragments(partition: FragmentPartition, budget: int) -> list[int]:
     count = len(partition)
     if not (1 <= budget <= count):
         raise ValueError(f"budget must be in [1, {count}], got {budget}")
-    order = sorted(range(count), key=lambda f: (-int(partition.ages[f]), f))
-    return sorted(order[:budget])
+    if budget == count:  # full sync: every fragment, no sort needed
+        return list(range(count))
+    oldest = np.argsort(-partition.ages, kind="stable")[:budget]  # stable: lower id first on ties
+    return np.sort(oldest).tolist()
 
 
 @dataclass
@@ -190,24 +209,24 @@ def dequantize_payload(payload: QuantizedPayload, partition: FragmentPartition) 
 def run_inner_phase(
     obj: Objective,
     shards: list[Shard],
+    seeds: np.ndarray,
     global_snapshot: np.ndarray,
-    inner_steps: int,
-    round_idx: int,
     inner_cfg: InnerConfig,
 ) -> np.ndarray:
     """H inner AdamW steps per shard's worker, from fresh copies of the global params.
 
-    Returns the (K, dim) pseudo-gradients snapshot - params_after, row k
-    for shards[k]. The inner optimizer state is reset at every phase.
-    Non-finite values simply propagate into the returned deltas; the
-    caller flags divergence.
+    `seeds` is the (K, H, 4) slice of `batch_seeds` for one round, row k
+    for shards[k]; H is the number of inner steps. Returns the (K, dim)
+    pseudo-gradients snapshot - params_after, row k for shards[k]. The
+    inner optimizer state is reset at every phase. Non-finite values
+    simply propagate into the returned deltas; the caller flags divergence.
     """
-    if inner_steps < 1:
-        raise ValueError(f"inner_steps must be >= 1, got {inner_steps}")
+    if seeds.ndim != 3 or seeds.shape[0] != len(shards) or seeds.shape[1] < 1:
+        raise ValueError(f"need (K={len(shards)}, H >= 1, 4) batch seeds, got {seeds.shape}")
     params = np.tile(global_snapshot, (len(shards), 1))
     state = AdamMoments.zeros(params.shape)
-    for step in range(inner_steps):
-        batch = sample_batch(obj, shards, round_idx, step)
+    for step in range(seeds.shape[1]):
+        batch = sample_batch(obj, shards, seeds[:, step])
         _, grad = obj.loss_and_grad(params, batch)
         params, state = inner_adamw_step(params, grad, state, inner_cfg)
     return global_snapshot - params
@@ -303,10 +322,14 @@ class Simulation:
         self.workers = [Shard.for_worker(master, w, config.batch_size) for w in range(config.workers)]
         self.delay = DelaySchedule.from_spec(config.delay, derive_seed(master, "delay"))
         eval_rng = np.random.default_rng(derive_seed(master, "eval"))
-        self.eval_batch = self.obj.draw_batch(eval_rng, config.eval_batch_size)
+        self.eval_batch = self.obj.compact_batch(self.obj.draw_batch(eval_rng, config.eval_batch_size))
         self.reference_loss = init_reference_loss(self.obj, self.eval_batch)
         self.pending: list[QueueEntry] = []
         self.round = 0
+        # batch and delay seed tables of the rounds in _seed_rounds; run_round hashes them
+        self._seed_rounds = range(0)
+        self._batch_seeds: np.ndarray | None = None
+        self._delay_seeds: np.ndarray | None = None
         self.diverged = False
         self.losses: list[float] = []
         self.consumed_entries = 0
@@ -331,6 +354,16 @@ class Simulation:
             return dequantize_payload(entry.payload, self.partition)
         return entry.payload
 
+    def _hash_seed_tables(self, r: int) -> None:
+        """Seed tables from round r on: the rest of the configured run, capped
+        at SEED_TABLE_ROWS batch seeds, and at least round r itself (a run can
+        be stepped past config.rounds)."""
+        cfg = self.config
+        per_round = len(self.workers) * cfg.inner_steps
+        self._seed_rounds = range(r, r + max(1, min(cfg.rounds - r, SEED_TABLE_ROWS // per_round)))
+        self._batch_seeds = batch_seeds(self.workers, self._seed_rounds, cfg.inner_steps)
+        self._delay_seeds = delay_seeds(self.delay, len(self.workers), self._seed_rounds)
+
     def run_round(self, workers: list[Shard] | None = None) -> bool:
         """Execute one outer round; False once the run has diverged.
 
@@ -343,12 +376,16 @@ class Simulation:
         r = self.round
 
         shards = workers if workers is not None else self.workers
-        deltas = run_inner_phase(self.obj, shards, self.global_params, cfg.inner_steps, r, cfg.inner)
+        if r not in self._seed_rounds:
+            self._hash_seed_tables(r)
+        i = r - self._seed_rounds.start
+        ids = [shard.worker_id for shard in shards]
+        deltas = run_inner_phase(self.obj, shards, self._batch_seeds[ids, i], self.global_params, cfg.inner)
         if not np.all(np.isfinite(deltas)):
             self.diverged = True
             return False
         for shard, delta in zip(shards, deltas):
-            tau = sample_delay(self.delay, shard.worker_id, r)
+            tau = sample_delay(self.delay, self._delay_seeds[shard.worker_id, i])
             payload = quantize_payload(delta, self.partition) if cfg.quantize_queue else delta
             self.pending.append(
                 QueueEntry(
@@ -423,8 +460,8 @@ class Simulation:
         if eager and round_deltas:
             self._prev_avg = np.mean(round_deltas, axis=0)
 
-        for f in range(len(self.partition)):
-            self.partition.ages[f] = 0 if f in selected else self.partition.ages[f] + 1
+        self.partition.ages += 1
+        self.partition.ages[selected] = 0
 
         if not np.all(np.isfinite(self.global_params)):
             self.diverged = True

@@ -6,6 +6,7 @@ from stalelab.objective import (
     QuadraticObjective,
     RosenbrockObjective,
     Shard,
+    batch_seeds,
     finite_diff_check,
     init_reference_loss,
     make_objective,
@@ -23,6 +24,11 @@ def quad():
 @pytest.fixture
 def mlp():
     return MlpRegressionObjective(layer_sizes=[4, 8, 1], teacher_seed=3)
+
+
+def draw(obj, shards, round_idx, step):
+    """sample_batch for one (round, inner step), from its batch_seeds row."""
+    return sample_batch(obj, shards, batch_seeds(shards, range(round_idx, round_idx + 1), step + 1)[:, 0, step])
 
 
 class TestQuadratic:
@@ -117,8 +123,9 @@ class TestMlp:
         params = obj.init_params(99)[None]  # one worker, stacked
         state = AdamMoments.zeros(params.shape)
         cfg = InnerConfig(lr=1e-2)
+        seeds = batch_seeds([shard], range(1), 600)
         for step in range(600):
-            batch = sample_batch(obj, [shard], 0, step)
+            batch = sample_batch(obj, [shard], seeds[:, 0, step])
             _, grad = obj.loss_and_grad(params, batch)
             params, state = inner_adamw_step(params, grad, state, cfg)
         eval_rng = np.random.default_rng(123)
@@ -129,16 +136,17 @@ class TestMlp:
 class TestSampleBatch:
     def test_deterministic(self, mlp):
         shard = Shard.for_worker(7, 1, batch_size=8)
-        x1, y1 = sample_batch(mlp, [shard], 3, 2)
-        x2, y2 = sample_batch(mlp, [shard], 3, 2)
+        x1, y1 = draw(mlp, [shard], 3, 2)
+        x2, y2 = draw(mlp, [shard], 3, 2)
         np.testing.assert_array_equal(x1, x2)
         np.testing.assert_array_equal(y1, y2)
 
     def test_workers_draw_distinct_batches(self, quad):
         a = Shard.for_worker(7, 0, batch_size=4)
         b = Shard.for_worker(7, 1, batch_size=4)
+        seeds_a, seeds_b = batch_seeds([a], range(5000), 2), batch_seeds([b], range(5000), 2)
         collisions = sum(
-            np.array_equal(sample_batch(quad, [a], r, s), sample_batch(quad, [b], r, s))
+            np.array_equal(sample_batch(quad, [a], seeds_a[:, r, s]), sample_batch(quad, [b], seeds_b[:, r, s]))
             for r in range(5000) for s in range(2)
         )
         assert collisions == 0
@@ -146,18 +154,31 @@ class TestSampleBatch:
     def test_master_seed_changes_stream(self, quad):
         a = Shard.for_worker(7, 0, batch_size=4)
         b = Shard.for_worker(8, 0, batch_size=4)
-        assert not np.array_equal(sample_batch(quad, [a], 0, 0), sample_batch(quad, [b], 0, 0))
+        assert not np.array_equal(draw(quad, [a], 0, 0), draw(quad, [b], 0, 0))
 
     def test_round_and_step_change_stream(self, quad):
         shard = Shard.for_worker(7, 0, batch_size=4)
-        base = sample_batch(quad, [shard], 0, 0)
-        assert not np.array_equal(base, sample_batch(quad, [shard], 1, 0))
-        assert not np.array_equal(base, sample_batch(quad, [shard], 0, 1))
+        base = draw(quad, [shard], 0, 0)
+        assert not np.array_equal(base, draw(quad, [shard], 1, 0))
+        assert not np.array_equal(base, draw(quad, [shard], 0, 1))
 
     def test_shards_must_share_a_batch_size(self, quad):
         shards = [Shard.for_worker(7, 0, batch_size=4), Shard.for_worker(7, 1, batch_size=8)]
         with pytest.raises(ValueError, match="batch size"):
-            sample_batch(quad, shards, 0, 0)
+            draw(quad, shards, 0, 0)
+
+    @pytest.mark.parametrize("kind", ["quadratic", "mlp_regression"])
+    def test_same_bytes_as_default_rng_per_key(self, kind):
+        obj = make_objective(KINDS[kind])
+        shards = [Shard.for_worker(11, w, batch_size=8) for w in range(3)]
+        seeds = batch_seeds(shards, range(70000, 70003), 4)
+        for i, round_idx in enumerate(range(70000, 70003)):
+            for step in range(4):
+                rngs = [np.random.default_rng((shard.seed, round_idx, step)) for shard in shards]
+                want = obj.draw_batches(rngs, 8)
+                got = sample_batch(obj, shards, seeds[:, i, step])
+                for g, w in zip(parts(got), parts(want), strict=True):
+                    np.testing.assert_array_equal(bits(g), bits(w))
 
 
 KINDS = {
@@ -191,9 +212,9 @@ class TestStacked:
     def test_sample_batch_rows_match_single_shard_draws(self, kind):
         obj = make_objective(KINDS[kind])
         shards = [Shard.for_worker(3, w, batch_size=16) for w in range(4)]
-        stacked = sample_batch(obj, shards, 5, 2)
+        stacked = draw(obj, shards, 5, 2)
         for k, shard in enumerate(shards):
-            single = sample_batch(obj, [shard], 5, 2)
+            single = draw(obj, [shard], 5, 2)
             for got, want in zip(parts(row(stacked, k)), parts(row(single, 0)), strict=True):
                 np.testing.assert_array_equal(bits(got), bits(want))
 
@@ -202,7 +223,7 @@ class TestStacked:
         obj = make_objective(KINDS[kind])
         shards = [Shard.for_worker(3, w, batch_size=16) for w in range(4)]
         params = np.stack([obj.init_params(40 + k) for k in range(len(shards))])
-        batch = sample_batch(obj, shards, 1, 0)
+        batch = draw(obj, shards, 1, 0)
         losses, grads = obj.loss_and_grad(params, batch)
         assert losses.shape == (4,) and grads.shape == params.shape
         for k in range(len(shards)):
@@ -240,6 +261,28 @@ class TestLoss:
             loss = obj.loss(params, batch)
             assert isinstance(loss, float)
             np.testing.assert_array_equal(bits(loss), bits(obj.loss_and_grad(params, batch)[0]))
+
+
+class TestCompactBatch:
+    @pytest.mark.parametrize("kind", ["quadratic", "rosenbrock_sum"])
+    def test_mean_row_gives_the_bits_of_the_full_batch(self, kind):
+        obj = make_objective(KINDS[kind])
+        rng = np.random.default_rng(12)
+        for n in (1, 7, 256):
+            batch = obj.draw_batch(rng, n)
+            compact = obj.compact_batch(batch)
+            assert compact.shape == (1, obj.dim)
+            stacked = rng.standard_normal((3, obj.dim))
+            for params in (stacked[0], stacked):
+                for want, got in zip(obj.loss_and_grad(params, batch), obj.loss_and_grad(params, compact)):
+                    np.testing.assert_array_equal(bits(got), bits(want))
+                np.testing.assert_array_equal(bits(obj.loss(params, compact)), bits(obj.loss(params, batch)))
+            np.testing.assert_array_equal(
+                bits(init_reference_loss(obj, compact)), bits(init_reference_loss(obj, batch)))
+
+    def test_mlp_batch_is_kept_whole(self, mlp):
+        batch = mlp.draw_batch(np.random.default_rng(3), 8)
+        assert mlp.compact_batch(batch) is batch
 
 
 class TestBatchLinearity:

@@ -3,12 +3,20 @@ import pytest
 
 import stalelab.simulator as sim_mod
 from stalelab.config import RunConfig
-from stalelab.objective import Objective, QuadraticObjective, Shard, make_objective, sample_batch
+from stalelab.objective import (
+    Objective,
+    QuadraticObjective,
+    Shard,
+    batch_seeds,
+    make_objective,
+    sample_batch,
+)
 from stalelab.optim import AdamMoments, InnerConfig, inner_adamw_step
 from stalelab.simulator import (
     DelaySchedule,
     FragmentPartition,
     Simulation,
+    delay_seeds,
     dequantize_payload,
     quantize_payload,
     run_experiment,
@@ -40,33 +48,53 @@ def quad_config(**overrides):
     return RunConfig.from_dict(quad_raw(**overrides))
 
 
+def delay_draws(sched, workers, rounds):
+    """sample_delay of every (worker, round) in [0, workers) x [0, rounds), worker-major."""
+    seeds = delay_seeds(sched, workers, range(rounds))
+    return [sample_delay(sched, seeds[w, r]) for w in range(workers) for r in range(rounds)]
+
+
 class TestSampleDelay:
     def test_fixed_is_constant(self):
         sched = DelaySchedule(kind="fixed", tau=8)
-        assert all(sample_delay(sched, w, r) == 8 for w in range(4) for r in range(20))
+        assert all(d == 8 for d in delay_draws(sched, 4, 20))
 
     def test_deterministic_per_worker_round(self):
         sched = DelaySchedule(kind="uniform_int", seed=3, lo=0, hi=16)
-        assert sample_delay(sched, 1, 7) == sample_delay(sched, 1, 7)
-        draws = {(w, r): sample_delay(sched, w, r) for w in range(3) for r in range(50)}
-        assert len(set(draws.values())) > 1
+        assert delay_draws(sched, 3, 50) == delay_draws(sched, 3, 50)
+        assert len(set(delay_draws(sched, 3, 50))) > 1
 
     def test_uniform_mean_and_range(self):
         sched = DelaySchedule(kind="uniform_int", seed=99, lo=0, hi=16)
-        draws = [sample_delay(sched, w, r) for w in range(4) for r in range(25000)]
+        draws = delay_draws(sched, 4, 25000)
         assert 0 <= min(draws) and max(draws) <= 16
         assert np.mean(draws) == pytest.approx(8.0, abs=0.05)
 
     def test_exponential_mean_matches_rate(self):
         # uncapped so the rounding itself is what is being checked; mean 1/rate
         sched = DelaySchedule(kind="exponential", seed=99, rate=0.25, tau_max=10**9)
-        draws = [sample_delay(sched, w, r) for w in range(4) for r in range(25000)]
+        draws = delay_draws(sched, 4, 25000)
         assert np.mean(draws) == pytest.approx(4.0, abs=0.05)
 
     def test_exponential_clipped_to_tau_max(self):
         sched = DelaySchedule(kind="exponential", seed=99, rate=0.25, tau_max=16)
-        draws = [sample_delay(sched, w, r) for w in range(2) for r in range(5000)]
+        draws = delay_draws(sched, 2, 5000)
         assert 0 <= min(draws) and max(draws) == 16
+
+    @pytest.mark.parametrize("spec", [{"kind": "uniform_int", "lo": 0, "hi": 16},
+                                      {"kind": "exponential", "rate": 0.25, "tau_max": 16}],
+                             ids=lambda spec: spec["kind"])
+    def test_same_draws_as_default_rng_per_key(self, spec):
+        sched = DelaySchedule.from_spec(spec, seed=2**64 - 1)
+        seeds = delay_seeds(sched, 3, range(65530, 65540))
+        for w in range(3):
+            for i, r in enumerate(range(65530, 65540)):
+                rng = np.random.default_rng((sched.seed, w, r))
+                if sched.kind == "uniform_int":
+                    want = int(rng.integers(sched.lo, sched.hi + 1))
+                else:
+                    want = int(min(sched.tau_max, int(np.rint(rng.exponential(1.0 / sched.rate)))))
+                assert sample_delay(sched, seeds[w, i]) == want
 
     def test_from_spec_round_trip(self):
         sched = DelaySchedule.from_spec({"kind": "fixed", "tau": 3}, seed=7)
@@ -120,6 +148,16 @@ class TestFragments:
             select_fragments(part, 0)
         with pytest.raises(ValueError):
             select_fragments(part, 5)
+
+    def test_matches_sorted_loop_on_tie_heavy_ages(self):
+        rng = np.random.default_rng(31)
+        for _ in range(3000):
+            count = int(rng.integers(1, 33))
+            part = FragmentPartition.even_split(64, count)
+            part.ages[:] = rng.integers(0, 4, count)  # few distinct ages, so many ties
+            budget = int(rng.integers(1, count + 1))
+            order = sorted(range(count), key=lambda f: (-int(part.ages[f]), f))
+            assert select_fragments(part, budget) == sorted(order[:budget])
 
 
 class TestQuantization:
@@ -203,18 +241,33 @@ class _ConstantObjective(Objective):
         return 0.0, np.zeros_like(params)
 
 
+def inner_phase(obj, shards, snapshot, inner_steps, round_idx):
+    """run_inner_phase on the batch seeds of one round."""
+    seeds = batch_seeds(shards, range(round_idx, round_idx + 1), inner_steps)[:, 0]
+    return run_inner_phase(obj, shards, seeds, snapshot, InnerConfig())
+
+
 class TestInnerPhase:
     def test_constant_objective_gives_zero_delta(self):
         obj = _ConstantObjective(6)
-        delta = run_inner_phase(obj, [Shard.for_worker(0, 0, 4)], np.ones(6), 4, 0, InnerConfig())
+        delta = inner_phase(obj, [Shard.for_worker(0, 0, 4)], np.ones(6), 4, 0)
         np.testing.assert_array_equal(delta, np.zeros((1, 6)))
+
+    def test_seeds_must_match_the_shards(self):
+        obj = _ConstantObjective(6)
+        shards = [Shard.for_worker(0, w, 4) for w in range(2)]
+        seeds = batch_seeds(shards, range(1), 3)[:, 0]
+        with pytest.raises(ValueError, match="batch seeds"):
+            run_inner_phase(obj, shards[:1], seeds, np.ones(6), InnerConfig())
+        with pytest.raises(ValueError, match="batch seeds"):
+            run_inner_phase(obj, shards, seeds[:, :0], np.ones(6), InnerConfig())
 
     def test_single_step_matches_direct_inner_update(self):
         obj = QuadraticObjective(dimension=8, spectrum_lo=0.5, spectrum_hi=3.0, rotation_seed=1)
         shard = Shard.for_worker(5, 0, 4)
         snapshot = obj.init_params(7)
-        delta = run_inner_phase(obj, [shard], snapshot, 1, 3, InnerConfig())
-        (batch,) = sample_batch(obj, [shard], 3, 0)
+        delta = inner_phase(obj, [shard], snapshot, 1, 3)
+        (batch,) = sample_batch(obj, [shard], batch_seeds([shard], range(3, 4), 1)[:, 0, 0])
         _, grad = obj.loss_and_grad(snapshot, batch)
         stepped, _ = inner_adamw_step(snapshot, grad, AdamMoments.zeros(8), InnerConfig())
         np.testing.assert_array_equal(delta, (snapshot - stepped)[None])
@@ -222,15 +275,15 @@ class TestInnerPhase:
     def test_delta_shape_matches_params(self):
         obj = QuadraticObjective(dimension=8, spectrum_lo=0.5, spectrum_hi=3.0, rotation_seed=1)
         shards = [Shard.for_worker(5, w, 4) for w in range(3)]
-        delta = run_inner_phase(obj, shards, obj.init_params(7), 3, 0, InnerConfig())
+        delta = inner_phase(obj, shards, obj.init_params(7), 3, 0)
         assert delta.shape == (3, 8)
 
     def test_worker_restarts_from_global_each_phase(self):
         obj = QuadraticObjective(dimension=8, spectrum_lo=0.5, spectrum_hi=3.0, rotation_seed=1)
         shards = [Shard.for_worker(5, w, 4) for w in range(2)]
         snapshot = obj.init_params(7)
-        first = run_inner_phase(obj, shards, snapshot, 2, 0, InnerConfig())
-        second = run_inner_phase(obj, shards, snapshot, 2, 0, InnerConfig())
+        first = inner_phase(obj, shards, snapshot, 2, 0)
+        second = inner_phase(obj, shards, snapshot, 2, 0)
         np.testing.assert_array_equal(first.view(np.uint64), second.view(np.uint64))
 
     @pytest.mark.parametrize("spec", [
@@ -244,9 +297,9 @@ class TestInnerPhase:
         obj = make_objective(spec)
         shards = [Shard.for_worker(9, w, 16) for w in range(4)]
         snapshot = obj.init_params(3)
-        stacked = run_inner_phase(obj, shards, snapshot, 5, 2, InnerConfig())
+        stacked = inner_phase(obj, shards, snapshot, 5, 2)
         for k, shard in enumerate(shards):
-            alone = run_inner_phase(obj, [shard], snapshot, 5, 2, InnerConfig())
+            alone = inner_phase(obj, [shard], snapshot, 5, 2)
             np.testing.assert_array_equal(stacked[k].view(np.uint64), alone[0].view(np.uint64))
 
 
