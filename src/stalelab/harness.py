@@ -5,8 +5,9 @@ full resolved config, so it is self-describing and byte-identical across
 reruns of the same build; it is renamed into place once written in full.
 Sweeps are resumable: a cell is skipped when its file parses and holds the
 cell's config hash and seed, else re-run. A pool child that dies breaks the
-pool and fails every cell still in it; each such cell is retried once, alone
-in a fresh single-worker pool, so only a cell that kills its own retry stays
+pool and fails every cell still in it; those cells are resubmitted once to a
+fresh pool of the same size, and a cell that breaks that pool too is tried
+alone in a single-worker pool, so only a cell that kills its own pool stays
 an error (and a rerun resumes it). The summary is always recomputed from the
 files on disk, never from in-process state.
 """
@@ -184,6 +185,26 @@ def resolve_jobs(cli_jobs: int | None, spec_jobs: int | None) -> int:
     return max(1, jobs)
 
 
+def _pool_pass(cells: list, out: Path, workers: int) -> tuple[list[str], list]:
+    """Run cells in one process pool.
+
+    Returns (per-cell error messages, the (desc, cfg) cells a dead pool
+    child failed: its own and every one still queued behind it).
+    """
+    errors, broken = [], []
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        futures = [(desc, cfg, pool.submit(_run_cell, cfg.resolved, str(out))) for desc, cfg in cells]
+        for desc, cfg, fut in futures:
+            try:
+                err = fut.result()
+            except BrokenProcessPool:
+                broken.append((desc, cfg))
+                continue
+            if err:
+                errors.append(f"cell {desc['assignment']}: {err}")
+    return errors, broken
+
+
 def run_sweep(
     spec: dict,
     out_dir: str | Path,
@@ -223,26 +244,19 @@ def run_sweep(
                 if err:
                     errors.append(f"cell {desc['assignment']}: {err}")
         else:
-            broken = []
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                futures = [(desc, cfg, pool.submit(_run_cell, cfg.resolved, str(out))) for desc, cfg in todo]
-                for desc, cfg, fut in futures:
-                    try:
-                        err = fut.result()
-                    except BrokenProcessPool:  # a child died; its cell and the queued ones fail
-                        broken.append((desc, cfg))
-                        continue
-                    if err:
-                        errors.append(f"cell {desc['assignment']}: {err}")
-            for desc, cfg in broken:
-                log(f"sweep: retrying cell {desc['assignment']} after a pool child died")
-                with ProcessPoolExecutor(max_workers=1) as pool:
-                    try:
-                        err = pool.submit(_run_cell, cfg.resolved, str(out)).result()
-                    except BrokenProcessPool as exc:  # the cell killed its own pool
-                        err = f"{type(exc).__name__}: {exc}"
-                if err:
-                    errors.append(f"cell {desc['assignment']}: {err}")
+            errors, broken = _pool_pass(todo, out, jobs)
+            if broken:
+                # the cell that killed the pool was running, so it is among the first
+                # failed cells; run those last, and the ones queued behind it finish
+                # before it can break the fresh pool
+                log(f"sweep: a pool child died; resubmitting {len(broken)} cells to a fresh pool")
+                more, broken = _pool_pass(broken[::-1], out, jobs)
+                errors += more
+            for cell in broken:  # isolate the cell that keeps breaking its pool
+                log(f"sweep: retrying cell {cell[0]['assignment']} alone after its pool broke twice")
+                more, still = _pool_pass([cell], out, 1)
+                errors += more + [f"cell {desc['assignment']}: BrokenProcessPool: its pool child died"
+                                  for desc, _ in still]
     for msg in errors:
         log(f"sweep: FAILED {msg}")
 

@@ -164,8 +164,6 @@ def select_fragments(partition: FragmentPartition, budget: int) -> list[int]:
     count = len(partition)
     if not (1 <= budget <= count):
         raise ValueError(f"budget must be in [1, {count}], got {budget}")
-    if budget == count:  # full sync: every fragment, no sort needed
-        return list(range(count))
     oldest = np.argsort(-partition.ages, kind="stable")[:budget]  # stable: lower id first on ties
     return np.sort(oldest).tolist()
 

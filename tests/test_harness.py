@@ -318,16 +318,28 @@ class TestSweeps:
         import stalelab.harness as harness_mod
 
         real = harness_mod.run_to_file
-        doomed = next(cfg for _, cfg in expand_sweep(sweep_spec()) if cfg.method == "nesterov")
+        doomed = expand_sweep(sweep_spec())[0][1]  # first cell: its crash fails nearly the whole pool
 
         def crash_on_doomed(config, out_dir):
             if (config.hash, config.master_seed) == (doomed.hash, doomed.master_seed):
                 os._exit(3)  # the child dies without raising
             return real(config, out_dir)
 
+        real_pass = harness_mod._pool_pass
+        passes = []
+
+        def record_pass(cells, out, workers):
+            passes.append((len(cells), workers))
+            return real_pass(cells, out, workers)
+
         monkeypatch.setattr(harness_mod, "run_to_file", crash_on_doomed)
+        monkeypatch.setattr(harness_mod, "_pool_pass", record_pass)
         rows, errors = run_sweep(sweep_spec(), tmp_path, jobs=2, log=lambda *_: None)
-        # the cells queued beside the doomed one are retried on a fresh pool and finish
+        # the cells queued beside the doomed one are resubmitted to a fresh pool of
+        # the same size; the doomed cell runs last there, so it breaks that pool for
+        # at most the 2 * jobs cells behind and beside it, and only those run alone
+        assert passes[0] == (len(expand_sweep(sweep_spec())), 2) and passes[1][1] == 2
+        assert 1 <= len(passes[2:]) <= 4 and all(p == (1, 1) for p in passes[2:])
         assert len(errors) == 1 and "BrokenProcessPool" in errors[0]
         assert {row.config_hash: row.missing for row in rows if row.missing} == {doomed.hash: 1}
         assert not (tmp_path / result_filename(doomed.hash, doomed.master_seed)).exists()
