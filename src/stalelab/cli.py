@@ -21,7 +21,7 @@ def _cmd_run(args) -> int:
     except (OSError, json.JSONDecodeError) as exc:
         print(f"error: cannot read config {args.config}: {exc}", file=sys.stderr)
         return 2
-    if args.seed_override is not None:
+    if args.seed_override is not None and isinstance(raw, dict):  # from_dict rejects a non-object
         raw["master_seed"] = args.seed_override
     try:
         config = RunConfig.from_dict(raw)

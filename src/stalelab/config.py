@@ -73,6 +73,9 @@ class _Checker:
         if isinstance(val, bool) or not isinstance(val, (int, float)):
             self.error(full, f"expected a number, got {val!r}")
             return default
+        if isinstance(val, float) and not math.isfinite(val):  # json.load reads NaN and Infinity
+            self.error(full, f"must be finite, got {val}")
+            return default
         if integer and not (isinstance(val, int) or float(val).is_integer()):
             self.error(full, f"expected an integer, got {val!r}")
             return default
@@ -183,7 +186,7 @@ def _resolve_outer(raw: dict, method: str, chk: _Checker) -> dict:
     }
 
     alpha = chk.num(raw, "alpha", "outer", lo=0)
-    tau_cut = (math.inf if "tau_cut" in raw and raw["tau_cut"] is None
+    tau_cut = (math.inf if "tau_cut" in raw and raw["tau_cut"] in (None, math.inf)
                else chk.num(raw, "tau_cut", "outer", lo=0, lo_open=True))
     for key, value, default in (("alpha", alpha, DEFAULT_ALPHA), ("tau_cut", tau_cut, DEFAULT_TAU_CUT)):
         pin = getattr(row, key)

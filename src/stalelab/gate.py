@@ -52,9 +52,6 @@ class StalenessGate:
     def infinite_cutoff(self) -> bool:
         return math.isinf(self.tau_cut)
 
-    def evaluate(self, tau: float) -> float:
-        return staleness_weight(tau, self)
-
 
 def cosine_gate(tau: float, tau_cut: float) -> float:
     """Smooth cutoff 0.5*(1 + cos(pi*tau/tau_cut)) on [0, tau_cut], 0 beyond.

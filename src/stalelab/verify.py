@@ -3,7 +3,8 @@
 Each check exercises one contract the rest of the lab leans on: gate
 identities, the plain-Adam reduction, drop totality, run determinism,
 the step-norm audit, quantization round-trips, and gradient correctness.
-All checks are fast enough to run on every build.
+All checks are fast enough to run on every build; the acceptance and unit
+tests call the same checks with their own seeds and sizes.
 """
 
 from __future__ import annotations
@@ -48,7 +49,8 @@ def check_gate_identities():
     return True, f"identities hold for alpha in {VERIFY_ALPHAS}"
 
 
-def _reference_adam(params, grads, eta, beta1, beta2, eps):
+def reference_adam(params, grads, eta, beta1, beta2, eps):
+    """Textbook Adam with bias correction, kept independent of the kernels."""
     p = params.copy()
     m = np.zeros_like(p)
     v = np.zeros_like(p)
@@ -60,16 +62,16 @@ def _reference_adam(params, grads, eta, beta1, beta2, eps):
     return p
 
 
-def check_adam_reduction():
-    rng = np.random.default_rng(7)
-    params = rng.standard_normal(16)
-    grads = [rng.standard_normal(16) for _ in range(100)]
+def check_adam_reduction(seed=7, dim=16):
+    rng = np.random.default_rng(seed)
+    params = rng.standard_normal(dim)
+    grads = [rng.standard_normal(dim) for _ in range(100)]
     cfg = OuterConfig.for_method("cgad")
-    state = AdamMoments.zeros(16)
+    state = AdamMoments.zeros(dim)
     p = params.copy()
     for g in grads:
         p, state, _ = cgad_step(p, g, 0.0, state, cfg)
-    ref = _reference_adam(params, grads, cfg.eta, cfg.beta1, cfg.beta2, cfg.epsilon)
+    ref = reference_adam(params, grads, cfg.eta, cfg.beta1, cfg.beta2, cfg.epsilon)
     if not np.array_equal(p, ref):
         return False, f"100 tau=0 steps drifted from plain Adam by {np.max(np.abs(p - ref))}"
     return True, "100 tau=0 steps bit-identical to plain Adam"
@@ -133,40 +135,42 @@ def check_step_norm_audit():
                   f"rho<=1 in {report['rho_le_one_frac']:.1%} of them")
 
 
-def check_quantization():
-    rng = np.random.default_rng(23)
+def check_quantization(seed=23, trials=1000, exponents=(-3, 3)):
+    rng = np.random.default_rng(seed)
     partition = FragmentPartition.even_split(64, 4)
-    for trial in range(1000):
-        grad = rng.standard_normal(64) * 10.0 ** rng.integers(-3, 3)
+    for trial in range(trials):
+        grad = rng.standard_normal(64) * 10.0 ** rng.integers(*exponents)
         qp = quantize_payload(grad, partition)
-        back = dequantize_payload(qp, partition)
-        for f, (start, end) in enumerate(partition.boundaries):
-            err = np.max(np.abs(back[start:end] - grad[start:end]))
-            if err > qp.scales[f] / 2.0 + 1e-15:
-                return False, f"round-trip error {err} above half a scale on trial {trial}"
-    zeros = np.zeros(64)
-    qp = quantize_payload(zeros, partition)
-    if np.any(qp.codes != 0) or np.any(qp.scales != 0.0) or np.any(dequantize_payload(qp, partition) != 0.0):
-        return False, "all-zero payload did not round-trip exactly"
-    return True, "1000 random payloads within half a scale per element"
+        err = np.abs(dequantize_payload(qp, partition) - grad)
+        if np.any(err > np.repeat(qp.scales, partition.sizes) / 2.0 + 1e-15):
+            return False, f"round-trip error {np.max(err)} above half a scale on trial {trial}"
+    for exact in (np.zeros(64), np.array([127.0, -64.0, 3.0, -127.0])):  # all zero; scale 1.0 exactly
+        single = FragmentPartition.even_split(exact.size, 1)
+        if np.any(dequantize_payload(quantize_payload(exact, single), single) != exact):
+            return False, f"{exact} did not round-trip exactly"
+    return True, f"{trials} random payloads within half a scale per element; zero and +-127 endpoint exact"
 
 
-def check_gradients():
-    quad = QuadraticObjective(dimension=10, spectrum_lo=0.5, spectrum_hi=5.0, rotation_seed=2)
-    mlp = MlpRegressionObjective(layer_sizes=[4, 8, 1], teacher_seed=3)
-    rng = np.random.default_rng(31)
-    for trial in range(3):
+def check_gradients(quad=None, mlp=None, draws=3, seed=31):
+    quad = quad or QuadraticObjective(dimension=10, spectrum_lo=0.5, spectrum_hi=5.0, rotation_seed=2)
+    mlp = mlp or MlpRegressionObjective(layer_sizes=[4, 8, 1], teacher_seed=3)
+    rng = np.random.default_rng(seed)
+    worst_quad = worst_mlp = 0.0
+    for _ in range(draws):
         params = rng.standard_normal(quad.dim)
         batch = quad.draw_batch(rng, 8)
         ok, err = finite_diff_check(quad, params, batch, 1e-8)
         if not ok:
             return False, f"quadratic gradient check failed with error {err}"
+        worst_quad = max(worst_quad, err)
         params = mlp.init_params(int(rng.integers(1 << 30)))
         batch = mlp.draw_batch(rng, 8)
         ok, err = finite_diff_check(mlp, params, batch, 1e-5)
         if not ok:
             return False, f"mlp gradient check failed with error {err}"
-    return True, "quadratic within 1e-8, mlp within 1e-5 of central differences"
+        worst_mlp = max(worst_mlp, err)
+    return True, (f"quadratic worst {worst_quad:.2e} < 1e-8, mlp worst {worst_mlp:.2e} < 1e-5 "
+                  f"of central differences over {draws} draws each")
 
 
 ALL_CHECKS = [

@@ -15,12 +15,17 @@ import numpy as np
 import pytest
 
 from stalelab.config import RunConfig
-from stalelab.gate import StalenessGate, gate_curve, staleness_weight
 from stalelab.harness import run_sweep, run_to_file
-from stalelab.objective import MlpRegressionObjective, QuadraticObjective, finite_diff_check
-from stalelab.optim import AdamMoments, OuterConfig, cgad_step
-from stalelab.simulator import FragmentPartition, dequantize_payload, quantize_payload, run_experiment
+from stalelab.objective import MlpRegressionObjective, QuadraticObjective
+from stalelab.simulator import run_experiment
 from stalelab.theory import TheoryInputs, audit_run, bound_terms
+from stalelab.verify import (
+    VERIFY_ALPHAS,
+    check_adam_reduction,
+    check_gate_identities,
+    check_gradients,
+    check_quantization,
+)
 
 SWEPT_ALPHAS = (0.025, 0.05, 0.1, 0.2, 0.4)
 SEEDS = (0, 1, 2)
@@ -92,39 +97,19 @@ def quad_raw(**overrides):
 
 def test_criterion_01_gate_identities():
     start = time.perf_counter()
-    for alpha in SWEPT_ALPHAS:
-        gate = StalenessGate(alpha, 32.0)
-        assert staleness_weight(0.0, gate) == 1.0
-        assert staleness_weight(32.0, gate) == 0.0
-        assert staleness_weight(33.0, gate) == 0.0
-        taus = np.arange(0.0, 64.0 + 1e-2, 1e-2)
-        curve = gate_curve(gate, taus)
-        assert np.all(np.diff(curve) <= 1e-15)
-        peak = float(np.max(taus * curve))
-        assert peak <= 1.0 / (math.e * alpha) + 1e-12
+    assert VERIFY_ALPHAS == SWEPT_ALPHAS
+    ok, detail = check_gate_identities()
+    assert ok, detail
     elapsed = time.perf_counter() - start
     assert elapsed < 1.0
-    print(f"\n[acceptance 1] PASS gate identities for alpha in {SWEPT_ALPHAS} ({elapsed:.2f}s)")
+    print(f"\n[acceptance 1] PASS gate {detail} ({elapsed:.2f}s)")
 
 
 def test_criterion_02_reduction_laws():
     start = time.perf_counter()
     # (a) 100 tau=0 gated steps == plain Adam, bitwise
-    rng = np.random.default_rng(2024)
-    params = rng.standard_normal(24)
-    grads = [rng.standard_normal(24) for _ in range(100)]
-    cfg = OuterConfig.for_method("cgad")
-    p = params.copy()
-    m = np.zeros(24)
-    v = np.zeros(24)
-    state = AdamMoments.zeros(24)
-    for t, g in enumerate(grads, start=1):
-        p, state, _ = cgad_step(p, g, 0.0, state, cfg)
-        m = cfg.beta1 * m + (1 - cfg.beta1) * g
-        v = cfg.beta2 * v + (1 - cfg.beta2) * (g * g)
-        ratio = (m / (1 - cfg.beta1**t)) / (np.sqrt(v / (1 - cfg.beta2**t)) + cfg.epsilon)
-        params = params - cfg.eta * ratio
-    assert np.array_equal(p, params)
+    ok, detail = check_adam_reduction(seed=2024, dim=24)
+    assert ok, detail
 
     # (b) no-cutoff gated run == the exponential-only method, bit-identical
     delay = {"kind": "uniform_int", "lo": 0, "hi": 12}
@@ -190,24 +175,11 @@ def test_criterion_05_gradient_correctness():
     mlp = MlpRegressionObjective(layer_sizes=[8, 32, 1], teacher_seed=17)
     quad = QuadraticObjective(dimension=16, spectrum_lo=0.3, spectrum_hi=4.0,
                               rotation_seed=9, noise_scale=0.1)
-    rng = np.random.default_rng(555)
-    worst_mlp = worst_quad = 0.0
-    for _ in range(20):
-        params = mlp.init_params(int(rng.integers(1 << 30)))
-        batch = mlp.draw_batch(rng, 8)
-        ok, err = finite_diff_check(mlp, params, batch, 1e-5)
-        worst_mlp = max(worst_mlp, err)
-        assert ok, f"mlp gradient error {err} above 1e-5"
-
-        params = 0.5 * rng.standard_normal(quad.dim)
-        batch = quad.draw_batch(rng, 8)
-        ok, err = finite_diff_check(quad, params, batch, 1e-8)
-        worst_quad = max(worst_quad, err)
-        assert ok, f"quadratic gradient error {err} above 1e-8"
+    ok, detail = check_gradients(quad=quad, mlp=mlp, draws=20, seed=555)
+    assert ok, detail
     elapsed = time.perf_counter() - start
     assert elapsed < 30.0
-    print(f"[acceptance 5] PASS gradients: mlp worst {worst_mlp:.2e} < 1e-5, "
-          f"quadratic worst {worst_quad:.2e} < 1e-8 over 20 draws each ({elapsed:.2f}s)")
+    print(f"[acceptance 5] PASS gradients: {detail} ({elapsed:.2f}s)")
 
 
 def test_criterion_06_divergence_ranking(ranking_runs):
@@ -285,32 +257,11 @@ def test_criterion_08_bound_term_arithmetic():
 
 def test_criterion_09_quantization_round_trip():
     start = time.perf_counter()
-    rng = np.random.default_rng(99)
-    part = FragmentPartition.even_split(64, 4)
-    worst = 0.0
-    for _ in range(10_000):
-        grad = rng.standard_normal(64) * 10.0 ** rng.integers(-4, 4)
-        qp = quantize_payload(grad, part)
-        back = dequantize_payload(qp, part)
-        for f, (s, e) in enumerate(part.boundaries):
-            err = float(np.max(np.abs(back[s:e] - grad[s:e])))
-            assert err <= qp.scales[f] / 2.0 + 1e-15
-            worst = max(worst, err - qp.scales[f] / 2.0)
-
-    zeros = np.zeros(64)
-    qp = quantize_payload(zeros, part)
-    assert np.all(qp.codes == 0) and np.all(qp.scales == 0.0)
-    np.testing.assert_array_equal(dequantize_payload(qp, part), zeros)
-
-    endpoint = np.array([127.0, -64.0, 3.0, -127.0])
-    part1 = FragmentPartition.even_split(4, 1)
-    qp = quantize_payload(endpoint, part1)
-    assert qp.codes[0] == 127 and qp.codes[3] == -127
-    np.testing.assert_array_equal(dequantize_payload(qp, part1), endpoint)
+    ok, detail = check_quantization(seed=99, trials=10_000, exponents=(-4, 4))
+    assert ok, detail
     elapsed = time.perf_counter() - start
     assert elapsed < 5.0
-    print(f"[acceptance 9] PASS int8 round-trip over 10^4 fragments; "
-          f"zero and endpoint exact ({elapsed:.2f}s)")
+    print(f"[acceptance 9] PASS int8 round-trip: {detail} ({elapsed:.2f}s)")
 
 
 def test_criterion_10_gate_placement_ablation(tmp_path):

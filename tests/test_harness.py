@@ -3,6 +3,7 @@ import math
 import multiprocessing
 import os
 
+import numpy as np
 import pytest
 
 import stalelab.verify as verify_mod
@@ -21,6 +22,7 @@ from stalelab.harness import (
     run_to_file,
     summarize_results,
 )
+from stalelab.objective import QuadraticObjective
 
 
 def quad_raw(**overrides):
@@ -78,9 +80,24 @@ class TestValidation:
             resolve_config(quad_raw(method="nesterov", outer={"alpha": 0.5}))
 
     def test_tau_cut_null_means_no_cutoff(self):
-        cfg = RunConfig.from_dict(quad_raw(outer={"tau_cut": None}))
-        assert math.isinf(cfg.outer.gate.tau_cut)
-        assert cfg.resolved["outer"]["tau_cut"] is None
+        for tau_cut in (None, math.inf):
+            cfg = RunConfig.from_dict(quad_raw(outer={"tau_cut": tau_cut}))
+            assert math.isinf(cfg.outer.gate.tau_cut)
+            assert cfg.resolved["outer"]["tau_cut"] is None
+
+    @pytest.mark.parametrize("path,value", [
+        *[(p, math.nan) for p in ("outer.eta", "outer.alpha", "outer.beta1", "outer.tau_cut", "inner.lr",
+                                  "objective.noise_scale", "delay.rate")],
+        *[(p, math.inf) for p in ("outer.eta", "outer.alpha", "inner.lr", "objective.noise_scale")],
+        ("outer.tau_cut", -math.inf),
+    ])
+    def test_non_finite_number_names_field(self, path, value):
+        raw = quad_raw(delay={"kind": "exponential"})
+        section, key = path.split(".")
+        raw[section] = {**raw.get(section, {}), key: value}
+        with pytest.raises(ConfigError) as exc:
+            RunConfig.from_dict(raw)
+        assert exc.value.errors == [f"{path}: must be finite, got {value}"]
 
     def test_fragment_budget_bounds(self):
         with pytest.raises(ConfigError, match="fragments.budget"):
@@ -398,10 +415,16 @@ class TestCli:
         assert len(list((tmp_path / "res").glob("*.json"))) == 1
 
     def test_run_rejects_invalid_config_with_field_path(self, tmp_path, capsys):
-        cfg_path = self.write_config(tmp_path, quad_raw(outer={"beta1": 1.0}))
-        rc = cli_main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "res")])
-        assert rc == 2
-        assert "outer.beta1" in capsys.readouterr().err
+        for outer, message in (({"beta1": 1.0}, "outer.beta1"), ({"eta": math.nan}, "outer.eta: must be finite")):
+            cfg_path = self.write_config(tmp_path, quad_raw(outer=outer))
+            assert cli_main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "res")]) == 2
+            assert message in capsys.readouterr().err
+
+    def test_run_rejects_non_object_config(self, tmp_path, capsys):
+        cfg_path = self.write_config(tmp_path, [1, 2])
+        for extra in ([], ["--seed-override", "3"]):
+            assert cli_main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "res"), *extra]) == 2
+            assert "config: expected a JSON object" in capsys.readouterr().err
 
     def test_minimal_adam_run_trains(self, tmp_path):
         cfg_path = self.write_config(tmp_path, quad_raw(method="adam", rounds=40))
@@ -498,3 +521,36 @@ class TestVerifySuite:
         monkeypatch.setattr(verify_mod, "cgad_step", leaky_cgad_step)
         ok, detail = verify_mod.check_drop_totality()
         assert not ok
+
+    def test_one_ulp_adam_drift_fails_reduction(self, monkeypatch):
+        import stalelab.optim as optim_mod
+
+        def drifting_cgad_step(params, grad, tau, state, cfg):
+            p, s, info = optim_mod.cgad_step(params, grad, tau, state, cfg)
+            return np.nextafter(p, np.inf), s, info  # the mutation
+
+        monkeypatch.setattr(verify_mod, "cgad_step", drifting_cgad_step)
+        ok, detail = verify_mod.check_adam_reduction()
+        assert not ok and "drifted" in detail
+
+    def test_lossy_quantizer_fails_half_scale_bound(self, monkeypatch):
+        import stalelab.simulator as sim_mod
+
+        def lossy_quantize(grad, partition):
+            qp = sim_mod.quantize_payload(grad, partition)
+            qp.codes -= np.sign(qp.codes)  # the mutation: every nonzero code one step toward 0
+            return qp
+
+        monkeypatch.setattr(verify_mod, "quantize_payload", lossy_quantize)
+        ok, detail = verify_mod.check_quantization()
+        assert not ok and "half a scale" in detail
+
+    def test_corrupted_gradient_fails_gradient_check(self):
+        class Corrupted(QuadraticObjective):
+            def loss_and_grad(self, params, batch):
+                loss, grad = super().loss_and_grad(params, batch)
+                return loss, grad + 1e-6  # the mutation
+
+        bad = Corrupted(dimension=10, spectrum_lo=0.5, spectrum_hi=5.0, rotation_seed=2)
+        ok, detail = verify_mod.check_gradients(quad=bad)
+        assert not ok and "quadratic" in detail

@@ -308,22 +308,6 @@ class TestBatchLinearity:
 
 
 class TestFiniteDiffCheck:
-    def test_quadratic_passes_tight(self, quad):
-        rng = np.random.default_rng(7)
-        for _ in range(3):
-            params = rng.standard_normal(quad.dim)
-            batch = quad.draw_batch(rng, 8)
-            ok, err = finite_diff_check(quad, params, batch, 1e-8)
-            assert ok, f"max error {err}"
-
-    def test_mlp_passes(self, mlp):
-        rng = np.random.default_rng(8)
-        for _ in range(3):
-            params = mlp.init_params(int(rng.integers(1 << 30)))
-            batch = mlp.draw_batch(rng, 8)
-            ok, err = finite_diff_check(mlp, params, batch, 1e-5)
-            assert ok, f"max error {err}"
-
     def test_corrupted_gradient_fails(self, quad):
         class Corrupted(QuadraticObjective):
             def loss_and_grad(self, params, batch):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from stalelab.gate import StalenessGate
+from stalelab.gate import StalenessGate, staleness_weight
 from stalelab.optim import (
     METHOD_TABLE,
     AdamMoments,
@@ -20,6 +20,7 @@ from stalelab.optim import (
     nesterov_step,
     outer_step,
 )
+from stalelab.verify import reference_adam
 
 INF = math.inf
 
@@ -27,19 +28,6 @@ INF = math.inf
 CGAD_FIRST_STEP = -0.0009999999900000003
 # same shape for the inner optimizer at lr=3e-4
 INNER_FIRST_STEP = -0.00029999999700000004
-
-
-def reference_adam(params, grads, eta, beta1, beta2, eps):
-    """Textbook Adam with bias correction, kept independent of the kernel."""
-    p = params.copy()
-    m = np.zeros_like(p)
-    v = np.zeros_like(p)
-    for t, g in enumerate(grads, start=1):
-        m = beta1 * m + (1 - beta1) * g
-        v = beta2 * v + (1 - beta2) * (g * g)
-        ratio = (m / (1 - beta1**t)) / (np.sqrt(v / (1 - beta2**t)) + eps)
-        p = p - eta * ratio
-    return p
 
 
 class TestCgadStep:
@@ -53,18 +41,6 @@ class TestCgadStep:
         assert p[0] == pytest.approx(CGAD_FIRST_STEP, abs=1e-18)
         assert info.applied and info.sigma == 1.0
 
-    def test_tau_zero_bit_identical_to_plain_adam_100_steps(self):
-        rng = np.random.default_rng(0)
-        params = rng.standard_normal(32)
-        grads = [rng.standard_normal(32) for _ in range(100)]
-        cfg = OuterConfig.for_method("cgad")
-        p = params.copy()
-        state = AdamMoments.zeros(32)
-        for g in grads:
-            p, state, _ = cgad_step(p, g, 0.0, state, cfg)
-        ref = reference_adam(params, grads, cfg.eta, cfg.beta1, cfg.beta2, cfg.epsilon)
-        assert np.array_equal(p, ref)
-
     def test_past_cutoff_drops_everything(self):
         cfg = OuterConfig.for_method("cgad")
         rng = np.random.default_rng(1)
@@ -73,20 +49,6 @@ class TestCgadStep:
         p, s, info = cgad_step(params, rng.standard_normal(8), 33.0, state, cfg)
         assert p is params and s is state and s.t == 7
         assert not info.applied and info.sigma == 0.0
-
-    def test_drop_then_fresh_step_equals_never_dropped(self):
-        cfg = OuterConfig.for_method("cgad")
-        rng = np.random.default_rng(2)
-        params = rng.standard_normal(8)
-        state = AdamMoments.zeros(8)
-        stale, fresh = rng.standard_normal(8), rng.standard_normal(8)
-
-        p_a, s_a, _ = cgad_step(params, stale, 40.0, state, cfg)
-        p_a, s_a, _ = cgad_step(p_a, fresh, 0.0, s_a, cfg)
-        p_b, s_b, _ = cgad_step(params, fresh, 0.0, state, cfg)
-        assert np.array_equal(p_a, p_b)
-        assert s_a.t == s_b.t == 1
-        assert np.array_equal(s_a.m, s_b.m) and np.array_equal(s_a.v, s_b.v)
 
     def test_adam_decay_is_cgad_with_infinite_cutoff(self):
         rng = np.random.default_rng(3)
@@ -131,7 +93,7 @@ class TestCgadStep:
         after = OuterConfig.for_method("cgad", gate_placement="after")
         g = np.array([2.0, -1.0])
         tau = 8.0
-        sigma = gate.evaluate(tau)
+        sigma = staleness_weight(tau, gate)
         _, s_after, info_after = cgad_step(np.zeros(2), g, tau, AdamMoments.zeros(2), after)
         _, s_before, _ = cgad_step(np.zeros(2), g, tau, AdamMoments.zeros(2), before)
         np.testing.assert_array_equal(s_after.m, (1 - after.beta1) * g)

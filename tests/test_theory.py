@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from stalelab.config import RunConfig
-from stalelab.gate import StalenessGate
+from stalelab.gate import StalenessGate, staleness_weight
 from stalelab.simulator import ApplyRecord, Trace, run_experiment
 from stalelab.theory import TheoryInputs, audit_run, bound_terms, max_tau_sigma, trace_stats
 
@@ -188,7 +188,7 @@ class TestAuditOnRealRuns:
     def test_sigma_bar_exact_for_fixed_tau(self):
         gate = StalenessGate(0.2, 32.0)
         report = audit_run(run_experiment(quad_config(delay={"kind": "fixed", "tau": 6})).trace)
-        assert report["sigma_bar"] == gate.evaluate(6.0)
+        assert report["sigma_bar"] == staleness_weight(6.0, gate)
 
     def test_quadratic_run_satisfies_bound(self):
         # consistency check with exact L and F_gap, empirical sup-estimates for G, sigma^2
