@@ -1,8 +1,9 @@
 """Golden digests: every method x delay kind x queue layout, byte for byte.
 
 Each matrix cell is one short quadratic run; the extra cells add the mlp
-and Rosenbrock objectives and a fixed delay past `tau_cut`, so that a
-dropped update is pinned too. A pin is the sha256 of the serialized
+and Rosenbrock objectives, a fixed delay past `tau_cut`, so that a
+dropped update is pinned too, and fragmented cells whose fragments of
+one entry are gated, dropped or burst differently. A pin is the sha256 of the serialized
 result file, which carries the resolved config and its hash.
 A refactor that moves any pin changed results or a default resolution.
 Re-pin only for a deliberate behaviour change, and say so in CHANGES.md.
@@ -44,6 +45,17 @@ EXTRA = {
     "cgad/fixed33/frag4b2q": ("cgad", "fixed33", "frag4b2q", {"rounds": 36}),
     "pa_cgad/fixed33/whole": ("pa_cgad", "fixed33", "whole", {"rounds": 36}),
     "pa_cgad/fixed33/frag4b2q": ("pa_cgad", "fixed33", "frag4b2q", {"rounds": 36}),
+    # one entry's selected fragments gated at different ages (1 and 2), or all dropped
+    "pa_cgad/split-ages": ("pa_cgad", "uniform0-6", "whole",
+                           {"fragments": {"count": 5, "budget": 2}, "outer": {"tau_cut": 3}}),
+    # 14 entries split: a fragment at age 2 drops while its sibling at age 1 applies,
+    # and fragments that dropped so apply later
+    "pa_cgad/split-drop": ("pa_cgad", "exp0.3", "whole",
+                           {"fragments": {"count": 5, "budget": 2}, "outer": {"tau_cut": 2}}),
+    # fragment 0 syncs every round, 1 and 2 alternate: burst counters differ per fragment
+    "delayed_nesterov/split-bursts": ("delayed_nesterov", "uniform0-6", "whole",
+                                      {"fragments": {"count": 3, "budget": 2},
+                                       "outer": {"buffer_period": 3}}),
 }
 
 PINS = {
@@ -114,6 +126,9 @@ PINS = {
     "cgad/fixed33/frag4b2q": "05db0aa0882a29501da0fddff59e3778b9af35f4740fc42eb2e05ce029ee8f3f",
     "pa_cgad/fixed33/whole": "7fc87bf9ed1da4302dcdd29dd5e045a8a0539cf67fe04aae606e9742771aa7bf",
     "pa_cgad/fixed33/frag4b2q": "d83d906a1082dc03ae6b89f5c0387e720f4d412a115109f8afa391e5253838ce",
+    "pa_cgad/split-ages": "63da38e72d564a3806c2327de4401fe1a45296f07c299f0e9854ee4696ea3f97",
+    "pa_cgad/split-drop": "e8769b874bd7c28b6ef4fab489f69c9d0d2d737ef9815f959d6a430b2f6e23b9",
+    "delayed_nesterov/split-bursts": "1d8d4d193fb4ef54301b30dfaee7850cb7dd9c49ccea0f27c45550ec2aae39b3",
 }
 
 
