@@ -23,15 +23,11 @@ from .objective import (
 )
 from .optim import (
     AdamMoments,
-    DelayBuffer,
     InnerConfig,
-    NesterovVelocity,
     OuterConfig,
-    cgad_step,
+    OuterState,
     eager_step,
     inner_adamw_step,
-    mla_step,
-    nesterov_step,
     outer_step,
 )
 from .simulator import (

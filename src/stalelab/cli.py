@@ -61,6 +61,9 @@ def _cmd_gate_table(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     tau_max = args.tau_max
+    if tau_max is not None and tau_max < 0:
+        print(f"error: --tau-max must be >= 0, got {tau_max}", file=sys.stderr)
+        return 2
     if tau_max is None:
         tau_max = int(2 * tau_cut) if not math.isinf(tau_cut) else int(4.0 / args.alpha) if args.alpha > 0 else 16
 

@@ -35,7 +35,7 @@ __all__ = [
 class StalenessGate:
     """Immutable (alpha, tau_cut) pair defining one gate.
 
-    alpha:   exponential decay rate per round, >= 0.
+    alpha:   exponential decay rate per round, finite and >= 0.
     tau_cut: cosine cutoff in rounds, > 0, or math.inf for no cutoff.
     """
 
@@ -43,8 +43,8 @@ class StalenessGate:
     tau_cut: float
 
     def __post_init__(self):
-        if not (self.alpha >= 0.0):
-            raise ValueError(f"gate alpha must be >= 0, got {self.alpha}")
+        if not (0.0 <= self.alpha < math.inf):  # inf would make sigma(0) = 0 * inf = nan
+            raise ValueError(f"gate alpha must be finite and >= 0, got {self.alpha}")
         if not (self.tau_cut > 0.0):
             raise ValueError(f"gate tau_cut must be > 0 or inf, got {self.tau_cut}")
 

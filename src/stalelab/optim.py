@@ -1,12 +1,13 @@
 """Outer optimizers behind one step interface, plus the workers' inner AdamW.
 
-Every outer method consumes one pseudo-gradient at a time together with its
-integer-or-real age tau and returns (new_params, new_state, StepInfo). A
-method is one row of METHOD_TABLE: the base kernel that takes the step, the
-staleness weight on the gradient, the age it is weighted by, and an optional
-pre-mix of the delta. States are plain dataclasses holding numpy arrays;
-steps are functional (inputs are never mutated), which is what makes the
-drop-entirely path literally a no-op.
+A method is one row of METHOD_TABLE: the base kernel that takes the step,
+the staleness weight on the gradient, the age it is weighted by, and an
+optional pre-mix of the delta. One run keeps one OuterState over the full
+parameter vector, and `outer_step` applies one pseudo-gradient to the
+selected fragments of it in place, each fragment weighted by its own age.
+Every per-fragment scalar (weight, bias correction, step factor) is a
+Python float, broadcast over its fragment's elements, so a fragment steps
+to the same bytes whether it is stepped alone or with its siblings.
 """
 
 from __future__ import annotations
@@ -24,29 +25,21 @@ __all__ = [
     "MethodRow",
     "method_row",
     "AdamMoments",
-    "NesterovVelocity",
-    "DelayBuffer",
+    "OuterState",
     "OuterConfig",
     "InnerConfig",
-    "StepInfo",
-    "cgad_step",
-    "nesterov_step",
-    "delayed_nesterov_step",
     "eager_step",
-    "mla_step",
     "inner_adamw_step",
-    "init_outer_state",
     "outer_step",
 ]
 
 
 @dataclass
 class AdamMoments:
-    """First/second moment vectors plus the count of applied updates.
+    """The inner AdamW's first/second moments and its step count.
 
-    t counts only applied (non-dropped) updates; bias correction always
-    uses the post-increment value, so the first applied update corrects
-    with t=1.
+    Bias correction uses the post-increment count, so the first step
+    corrects with t=1.
     """
 
     m: np.ndarray
@@ -59,39 +52,29 @@ class AdamMoments:
 
 
 @dataclass
-class NesterovVelocity:
-    v: np.ndarray
+class OuterState:
+    """One run's outer-optimizer state over the full parameter vector.
 
-    @classmethod
-    def zeros(cls, dim: int) -> "NesterovVelocity":
-        return cls(v=np.zeros(dim))
-
-
-@dataclass
-class DelayBuffer:
-    """Accumulator for the buffered-burst method.
-
-    Collects raw gradients between bursts; `rounds_since_burst` counts
-    step calls, and both reset to zero when a burst fires.
+    Fragment f covers [starts[f], starts[f] + sizes[f]). The adam base keeps
+    its moments in m and v; the momentum bases keep the velocity in m, and
+    delayed_nesterov its burst buffer (the sum of the gradients since the
+    last burst) in v. Per fragment, t counts applied Adam updates (a dropped
+    update leaves it alone) and count the gradients in the burst buffer.
     """
 
-    accumulated: np.ndarray
-    count: int = 0
-    rounds_since_burst: int = 0
+    starts: np.ndarray
+    sizes: np.ndarray
+    m: np.ndarray
+    v: np.ndarray
+    t: np.ndarray
+    count: np.ndarray
 
     @classmethod
-    def zeros(cls, dim: int) -> "DelayBuffer":
-        return cls(accumulated=np.zeros(dim), count=0, rounds_since_burst=0)
-
-
-@dataclass
-class DelayedNesterovState:
-    velocity: NesterovVelocity
-    buffer: DelayBuffer
-
-    @classmethod
-    def zeros(cls, dim: int) -> "DelayedNesterovState":
-        return cls(velocity=NesterovVelocity.zeros(dim), buffer=DelayBuffer.zeros(dim))
+    def zeros(cls, sizes) -> "OuterState":
+        sizes = np.asarray(sizes, dtype=np.int64)
+        dim, n = int(sizes.sum()), len(sizes)
+        return cls(starts=np.cumsum(sizes) - sizes, sizes=sizes, m=np.zeros(dim), v=np.zeros(dim),
+                   t=np.zeros(n, dtype=np.int64), count=np.zeros(n, dtype=np.int64))
 
 
 # Published defaults: the gated-Adam family ships with
@@ -105,7 +88,7 @@ DEFAULT_TAU_CUT = 32.0
 class MethodRow:
     """One outer method: how it steps, and its config defaults and pins.
 
-    base: the kernel (adam = cgad_step, nesterov, delayed_nesterov, mla).
+    base: the kernel (adam: gated Adam; nesterov, delayed_nesterov, mla).
     weight: the staleness weight on the gradient: cos_exp (the full gate),
     exp (no cutoff), poly ((1+tau)^(-1/2)) or one. age: tau, or fragment
     for max(tau, rounds since the fragment last synced). premix: none, or
@@ -215,114 +198,9 @@ class InnerConfig:
             raise ValueError(f"inner weight_decay must be >= 0, got {self.weight_decay}")
 
 
-@dataclass
-class StepInfo:
-    """What one outer step did, for trace records and the norm audit.
-
-    sigma is the gate weight actually used (1.0 for ungated methods),
-    rho the max bias-corrected Adam ratio |m_hat|/(sqrt(v_hat)+eps)
-    (None outside the Adam family), and step_inf_norm the inf-norm of
-    the update vector as computed, before it was added to the params.
-    """
-
-    applied: bool
-    sigma: float
-    rho: float | None = None
-    step_inf_norm: float = 0.0
-
-
 def _check_shapes(params: np.ndarray, grad: np.ndarray):
     if params.shape != grad.shape:
         raise ValueError(f"shape mismatch: params {params.shape} vs grad {grad.shape}")
-
-
-def cgad_step(
-    params: np.ndarray,
-    grad: np.ndarray,
-    tau: float,
-    state: AdamMoments,
-    cfg: OuterConfig,
-) -> tuple[np.ndarray, AdamMoments, StepInfo]:
-    """One gated-Adam outer step; the shared kernel of the Adam family.
-
-    sigma = 0 drops the update entirely: params, moments and the step
-    counter are returned untouched. Otherwise, with placement 'before'
-    the gated gradient sigma*grad feeds both moments and the step is
-    eta*sigma*m_hat/(sqrt(v_hat)+eps); with placement 'after' the raw
-    gradient feeds the moments and only the final step is scaled.
-    """
-    _check_shapes(params, grad)
-    if tau < 0.0:
-        raise ValueError(f"tau must be >= 0, got {tau}")
-    sigma = staleness_weight(tau, cfg.gate)
-    if sigma == 0.0:
-        return params, state, StepInfo(applied=False, sigma=0.0)
-
-    g = sigma * grad if cfg.gate_placement == "before" else grad
-    t = state.t + 1
-    m = cfg.beta1 * state.m + (1.0 - cfg.beta1) * g
-    v = cfg.beta2 * state.v + (1.0 - cfg.beta2) * (g * g)
-    m_hat = m / (1.0 - cfg.beta1**t)
-    v_hat = v / (1.0 - cfg.beta2**t)
-    ratio = m_hat / (np.sqrt(v_hat) + cfg.epsilon)
-    step = (cfg.eta * sigma) * ratio
-    new_params = params - step
-    rho = float(np.max(np.abs(ratio)))
-    info = StepInfo(applied=True, sigma=sigma, rho=rho, step_inf_norm=float(np.max(np.abs(step))))
-    return new_params, AdamMoments(m=m, v=v, t=t), info
-
-
-def nesterov_step(
-    params: np.ndarray,
-    grad: np.ndarray,
-    state: NesterovVelocity,
-    cfg: OuterConfig,
-) -> tuple[np.ndarray, NesterovVelocity, StepInfo]:
-    """v <- mu*v + g; params <- params - eta*(g + mu*v).
-
-    The common deep-learning form of Nesterov momentum, evaluated with
-    the post-update velocity.
-    """
-    _check_shapes(params, grad)
-    v = cfg.mu * state.v + grad
-    step = cfg.eta * (grad + cfg.mu * v)
-    new_params = params - step
-    info = StepInfo(applied=True, sigma=1.0, step_inf_norm=float(np.max(np.abs(step))))
-    return new_params, NesterovVelocity(v=v), info
-
-
-def delayed_nesterov_step(
-    params: np.ndarray,
-    grad: np.ndarray,
-    state: DelayedNesterovState,
-    cfg: OuterConfig,
-) -> tuple[np.ndarray, DelayedNesterovState, StepInfo]:
-    """Plain gradient steps each call, momentum bursts every N-th call.
-
-    Between bursts the gradient only accumulates in the buffer and moves
-    the params by -eta*grad. On every buffer_period-th call the buffered
-    mean enters the velocity and an extra -eta*mu*v burst is applied,
-    after which the buffer resets.
-    """
-    _check_shapes(params, grad)
-    acc = state.buffer.accumulated + grad
-    count = state.buffer.count + 1
-    since = state.buffer.rounds_since_burst + 1
-    step = cfg.eta * grad
-    v = state.velocity.v
-    if since >= cfg.buffer_period:
-        v = cfg.mu * v + acc / count
-        step = step + cfg.eta * cfg.mu * v
-        acc = np.zeros_like(acc)
-        count = 0
-        since = 0
-    new_params = params - step
-    new_state = DelayedNesterovState(
-        velocity=NesterovVelocity(v=v),
-        buffer=DelayBuffer(accumulated=acc, count=count, rounds_since_burst=since),
-    )
-    info = StepInfo(applied=True, sigma=1.0, step_inf_norm=float(np.max(np.abs(step))))
-    return new_params, new_state, info
 
 
 def eager_step(
@@ -344,22 +222,6 @@ def eager_step(
     return (own_delta - prev_own_delta) / num_workers + prev_avg_delta
 
 
-def mla_step(params, grad, tau, state, cfg):
-    """Nesterov update plus a tau*mu-scaled velocity extrapolation.
-
-    One reading of "project parameters by tau*mu steps": the regular
-    momentum step is extended by tau*mu extra velocity applications.
-    """
-    _check_shapes(params, grad)
-    if tau < 0.0:
-        raise ValueError(f"tau must be >= 0, got {tau}")
-    v = cfg.mu * state.v + grad
-    step = cfg.eta * (grad + cfg.mu * v) + (cfg.eta * tau * cfg.mu) * v
-    new_params = params - step
-    info = StepInfo(applied=True, sigma=1.0, step_inf_norm=float(np.max(np.abs(step))))
-    return new_params, NesterovVelocity(v=v), info
-
-
 def inner_adamw_step(
     params: np.ndarray,
     grad: np.ndarray,
@@ -377,43 +239,105 @@ def inner_adamw_step(
     return new_params, AdamMoments(m=m, v=v, t=t)
 
 
-_STATE_TYPES = {"adam": AdamMoments, "nesterov": NesterovVelocity, "mla": NesterovVelocity,
-                "delayed_nesterov": DelayedNesterovState}
-
-
-def init_outer_state(method: str, dim: int):
-    return _STATE_TYPES[method_row(method).base].zeros(dim)
-
-
 # Weights a momentum base applies to the gradient before its kernel; the
-# adam base reads its weight from cfg.gate inside cgad_step instead.
+# adam base weighs by cfg.gate through staleness_weight instead.
 _MOMENTUM_WEIGHTS = {
+    "one": lambda tau, cfg: 1.0,
     "exp": lambda tau, cfg: math.exp(-cfg.gate.alpha * tau),
     "poly": lambda tau, cfg: (1.0 + tau) ** -0.5,
 }
 
 
-def outer_step(params, grad, tau, state, cfg: OuterConfig):
-    """Uniform dispatch: one outer update for any method, read off its row.
+def _spread(values, sizes: np.ndarray):
+    """Per-fragment scalars as an elementwise factor: the scalar itself for one fragment."""
+    return values[0] if len(values) == 1 else np.repeat(values, sizes)
 
-    Only the adam base drops an update at weight 0; a momentum base still
-    applies its momentum step. For the eager pre-mix the caller mixes the
-    delta first (eager_step) and passes the result here.
+
+def outer_step(params, grad, ages, state: OuterState, cfg: OuterConfig, frags):
+    """Apply one pseudo-gradient to the fragments `frags` of params and state, in place.
+
+    frags are ascending fragment ids and ages[i] is the age fragment
+    frags[i] is weighted by. Returns per fragment (applied, sigma, rho,
+    step_inf_norm): sigma is the weight used (1.0 for an unweighted
+    method), rho the max bias-corrected Adam ratio |m_hat|/(sqrt(v_hat)+eps)
+    (NaN outside the adam base and where dropped), and step_inf_norm the
+    inf-norm of the fragment's update before it was added to the params.
+
+    Only the adam base drops: a fragment at weight 0 keeps its params,
+    moments and t untouched. A momentum base always steps. With placement
+    'before' the weighted gradient feeds both Adam moments; with 'after'
+    the raw gradient does and only the final step is scaled. For the eager
+    pre-mix the caller mixes the delta first (eager_step).
     """
+    _check_shapes(params, grad)
+    if min(ages) < 0.0:
+        raise ValueError(f"ages must be >= 0, got {list(ages)}")
     row = METHOD_TABLE[cfg.method]
+    n = len(frags)
     if row.base == "adam":
-        return cgad_step(params, grad, tau, state, cfg)
-    sigma = 1.0
-    if row.weight != "one":
-        if tau < 0.0:
-            raise ValueError(f"tau must be >= 0, got {tau}")
-        sigma = _MOMENTUM_WEIGHTS[row.weight](tau, cfg)
-        grad = sigma * grad
-    if row.base == "mla":
-        new_params, new_state, info = mla_step(params, grad, tau, state, cfg)
-    elif row.base == "delayed_nesterov":
-        new_params, new_state, info = delayed_nesterov_step(params, grad, state, cfg)
+        sigma = [staleness_weight(age, cfg.gate) for age in ages]
+        live = [i for i in range(n) if sigma[i] != 0.0]
     else:
-        new_params, new_state, info = nesterov_step(params, grad, state, cfg)
-    info.sigma = sigma
-    return new_params, new_state, info
+        sigma = [_MOMENTUM_WEIGHTS[row.weight](age, cfg) for age in ages]
+        live = list(range(n))
+    applied = np.zeros(n, dtype=bool)
+    applied[live] = True
+    rho = np.full(n, math.nan)
+    norm = np.zeros(n)
+    if not live:
+        return applied, sigma, rho, norm
+
+    ids = [frags[i] for i in live]
+    sizes = state.sizes[ids]
+    if len(ids) == len(state.sizes):  # every fragment steps: no gather
+        index, offsets = slice(None), state.starts
+    else:
+        offsets = np.cumsum(sizes) - sizes
+        index = np.repeat(state.starts[ids] - offsets, sizes) + np.arange(int(sizes.sum()))
+    sig = [sigma[i] for i in live]
+    g = grad[index]
+
+    if row.base == "adam":
+        if cfg.gate_placement == "before":
+            g = _spread(sig, sizes) * g
+        t = state.t[ids] + 1
+        state.t[ids] = t
+        m = cfg.beta1 * state.m[index] + (1.0 - cfg.beta1) * g
+        v = cfg.beta2 * state.v[index] + (1.0 - cfg.beta2) * (g * g)
+        state.m[index] = m
+        state.v[index] = v
+        m_hat = m / _spread([1.0 - cfg.beta1**k for k in t.tolist()], sizes)
+        v_hat = v / _spread([1.0 - cfg.beta2**k for k in t.tolist()], sizes)
+        ratio = m_hat / (np.sqrt(v_hat) + cfg.epsilon)
+        step = _spread([cfg.eta * s for s in sig], sizes) * ratio
+        rho[live] = np.maximum.reduceat(np.abs(ratio), offsets)
+    else:
+        if row.weight != "one":
+            g = _spread(sig, sizes) * g
+        velocity = state.m[index]
+        if row.base == "delayed_nesterov":
+            # plain gradient steps; every buffer_period-th call the buffered mean
+            # enters the velocity, an extra -eta*mu*v burst applies, the buffer resets
+            acc = state.v[index] + g
+            count = state.count[ids] + 1
+            step = cfg.eta * g
+            burst = count >= cfg.buffer_period
+            if burst.any():
+                mask = _spread(burst, sizes)
+                velocity = np.where(mask, cfg.mu * velocity + acc / _spread(count, sizes), velocity)
+                step = np.where(mask, step + cfg.eta * cfg.mu * velocity, step)
+                acc = np.where(mask, 0.0, acc)
+                count[burst] = 0
+            state.v[index] = acc
+            state.count[ids] = count
+        else:
+            # Nesterov with the post-update velocity; mla extends the step by
+            # tau*mu extra velocity applications ("project by tau*mu steps")
+            velocity = cfg.mu * velocity + g
+            step = cfg.eta * (g + cfg.mu * velocity)
+            if row.base == "mla":
+                step = step + _spread([cfg.eta * ages[i] * cfg.mu for i in live], sizes) * velocity
+        state.m[index] = velocity
+    params[index] -= step
+    norm[live] = np.maximum.reduceat(np.abs(step), offsets)
+    return applied, sigma, rho, norm

@@ -11,8 +11,10 @@ One outer round does, in order:
    never mix, and each row is the same bytes as a worker run alone;
 2. every queue entry whose available round equals the current round is
    dequeued in sorted (worker id, produced round) order and applied to
-   the global params by the outer optimizer, one outer step per entry,
-   restricted to this round's selected fragments;
+   the global params by the outer optimizer, one outer step per entry
+   over this round's selected fragments, each weighted by its own age.
+   The outer state is one `OuterState` over the full vector, and the trace
+   gets one `ApplyRecord` row per (entry, selected fragment);
 3. fragment ages reset to 0 where selected, else grow by 1;
 4. the global params are evaluated on a fixed held-out batch.
 
@@ -34,6 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import theory
 from .config import RunConfig
 from .gate import effective_age
 from .objective import (
@@ -47,8 +50,8 @@ from .objective import (
 from .optim import (
     AdamMoments,
     InnerConfig,
+    OuterState,
     eager_step,
-    init_outer_state,
     inner_adamw_step,
     method_row,
     outer_step,
@@ -230,33 +233,34 @@ def run_inner_phase(
     return global_snapshot - params
 
 
-@dataclass
-class ApplyRecord:
-    """One outer-optimizer application (one queue entry on one fragment)."""
-
-    round: int
-    worker: int
-    produced_round: int
-    tau: int
-    age: float
-    fragment: int
-    applied: bool
-    sigma: float
-    rho: float | None
-    step_inf_norm: float
-    grad_norm_sq: float | None  # exact population gradient, when the objective has one
-    delta_norm_sq: float  # squared l2 norm of the full dequeued pseudo-gradient
+# One trace row per (queue entry, selected fragment), in application order.
+# rho is NaN where there is no Adam ratio (a momentum base, or a dropped
+# update); grad_norm_sq is NaN when the objective has no exact gradient;
+# delta_norm_sq is the squared l2 norm of the full dequeued pseudo-gradient.
+ApplyRecord = np.dtype([
+    ("round", np.int64), ("worker", np.int64), ("produced_round", np.int64), ("tau", np.int64),
+    ("age", np.float64), ("fragment", np.int64), ("applied", np.bool_), ("sigma", np.float64),
+    ("rho", np.float64), ("step_inf_norm", np.float64), ("grad_norm_sq", np.float64),
+    ("delta_norm_sq", np.float64),
+])
 
 
 @dataclass
 class Trace:
+    """A run's outer applications as one ApplyRecord array, plus what the audit needs.
+
+    exact_grad says whether grad_norm_sq holds the objective's exact
+    population gradient; `Simulation.run` fills in `records`.
+    """
+
     method: str
     eta: float
     alpha: float
     tau_cut: float
-    records: list[ApplyRecord] = field(default_factory=list)
+    records: np.ndarray = field(default_factory=lambda: np.zeros(0, ApplyRecord))
     l_smooth: float | None = None
     f_gap: float | None = None
+    exact_grad: bool = False
 
 
 @dataclass
@@ -313,10 +317,7 @@ class Simulation:
         master = config.master_seed
         self.global_params = self.obj.init_params(derive_seed(master, "init"))
         self.partition = FragmentPartition.even_split(dim, config.fragment_count)
-        self.frag_states = [
-            init_outer_state(config.method, end - start)
-            for start, end in self.partition.boundaries
-        ]
+        self.outer_state = OuterState.zeros(self.partition.sizes)
         self.workers = [Shard.for_worker(master, w, config.batch_size) for w in range(config.workers)]
         self.delay = DelaySchedule.from_spec(config.delay, derive_seed(master, "delay"))
         eval_rng = np.random.default_rng(derive_seed(master, "eval"))
@@ -339,7 +340,9 @@ class Simulation:
             eta=config.outer.eta,
             alpha=gate.alpha,
             tau_cut=gate.tau_cut,
+            exact_grad=self.obj.population_grad(self.global_params) is not None,
         )
+        self._trace_rows: list[tuple] = []  # one ApplyRecord row per (entry, selected fragment)
         if self.obj.kind == "quadratic":
             self.trace.l_smooth = self.obj.smoothness
             self.trace.f_gap = float(self.obj.loss(self.global_params, None))
@@ -410,7 +413,7 @@ class Simulation:
             grad = self._entry_grad(entry)
             delta_norm_sq = float(grad @ grad)
             pop_grad = self.obj.population_grad(self.global_params)
-            grad_norm_sq = None if pop_grad is None else float(pop_grad @ pop_grad)
+            grad_norm_sq = np.nan if pop_grad is None else float(pop_grad @ pop_grad)
 
             if eager:
                 own = grad
@@ -419,38 +422,18 @@ class Simulation:
                 self._prev_own[entry.worker] = own
                 round_deltas.append(own)
 
-            entry_applied = False
-            for f in selected:
-                start, end = self.partition.boundaries[f]
-                age = (
-                    effective_age(entry.tau, float(self.partition.ages[f]))
-                    if fragment_age
-                    else float(entry.tau)
-                )
-                new_slice, new_state, info = outer_step(
-                    self.global_params[start:end], grad[start:end], age,
-                    self.frag_states[f], cfg.outer,
-                )
-                self.global_params[start:end] = new_slice
-                self.frag_states[f] = new_state
-                entry_applied = entry_applied or info.applied
-                self.trace.records.append(
-                    ApplyRecord(
-                        round=r,
-                        worker=entry.worker,
-                        produced_round=entry.produced_round,
-                        tau=entry.tau,
-                        age=age,
-                        fragment=f,
-                        applied=info.applied,
-                        sigma=info.sigma,
-                        rho=info.rho,
-                        step_inf_norm=info.step_inf_norm,
-                        grad_norm_sq=grad_norm_sq,
-                        delta_norm_sq=delta_norm_sq,
-                    )
-                )
-            if entry_applied:
+            if fragment_age:
+                ages = [effective_age(entry.tau, float(a)) for a in self.partition.ages[selected]]
+            else:
+                ages = [float(entry.tau)] * len(selected)
+            applied, sigma, rho, norm = outer_step(
+                self.global_params, grad, ages, self.outer_state, cfg.outer, selected)
+            n = len(selected)
+            self._trace_rows.extend(zip(  # in ApplyRecord field order
+                [r] * n, [entry.worker] * n, [entry.produced_round] * n, [entry.tau] * n, ages,
+                selected, applied.tolist(), sigma, rho.tolist(), norm.tolist(),
+                [grad_norm_sq] * n, [delta_norm_sq] * n))
+            if applied.any():
                 self.applied_updates += 1
             else:
                 self.dropped_updates += 1
@@ -487,11 +470,10 @@ class Simulation:
         if not self.diverged and final is not None and final > DIVERGENCE_FACTOR * self.reference_loss:
             self.diverged = True
 
-        from . import theory  # deferred: theory imports this module's Trace
-
+        self.trace.records = np.array(self._trace_rows, dtype=ApplyRecord)
         records = self.trace.records
         sigma_bar, rho_max, rho_le_one = theory.trace_stats(records)
-        audit = theory.audit_run(self.trace) if self.row.base == "adam" and records else None
+        audit = theory.audit_run(self.trace) if self.row.base == "adam" and len(records) else None
 
         return RunResult(
             config=self.config.resolved,

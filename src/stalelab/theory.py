@@ -21,11 +21,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .gate import StalenessGate, gate_curve
-from .simulator import ApplyRecord, Trace
+
+if TYPE_CHECKING:
+    from .simulator import Trace
 
 STEP_BOUND_REL_TOL = 1e-12
 
@@ -88,19 +91,22 @@ def bound_terms(inputs: TheoryInputs, alpha: float) -> tuple[float, float, float
     return opt, noise, staleness
 
 
-def trace_stats(records: list[ApplyRecord]) -> tuple[float | None, float | None, float | None]:
-    """(sigma_bar, rho_max, rho_le_one_frac) of a trace; None where there are no records.
+def trace_stats(records: np.ndarray) -> tuple[float | None, float | None, float | None]:
+    """(sigma_bar, rho_max, rho_le_one_frac) of an ApplyRecord array; None where there are no records.
 
     The rho fields cover applied records with an Adam ratio, so they are
     None for the Nesterov-base methods.
     """
-    if not records:
+    if len(records) == 0:
         return None, None, None
-    sigma_bar = float(np.mean([rec.sigma for rec in records]))
-    rhos = [rec.rho for rec in records if rec.applied and rec.rho is not None]
-    if not rhos:
+    # a contiguous copy: numpy sums an unaligned strided column in buffered
+    # chunks, whose rounding differs from one pairwise sum over the column
+    sigma_bar = float(np.mean(np.ascontiguousarray(records["sigma"])))
+    rhos = records["rho"][records["applied"]]
+    rhos = rhos[~np.isnan(rhos)]
+    if rhos.size == 0:
         return sigma_bar, None, None
-    return sigma_bar, max(rhos), sum(1 for x in rhos if x <= 1.0) / len(rhos)
+    return sigma_bar, float(rhos.max()), np.count_nonzero(rhos <= 1.0) / rhos.size
 
 
 def audit_run(trace: Trace) -> dict:
@@ -110,22 +116,19 @@ def audit_run(trace: Trace) -> dict:
     family (sigma, rho, step norms). Reports, per applied step, whether
     ||step||_inf <= eta*sigma*rho held to STEP_BOUND_REL_TOL relative, the
     fraction of steps with rho <= 1, the mean gate weight over all
-    consumed steps, and (when exact gradients were traced) the
+    consumed steps, and (when the trace holds exact gradients) the
     sigma-weighted mean squared gradient norm next to the bound's
     right-hand side evaluated with empirical G and sigma^2 estimates.
     """
     records = trace.records
-    if not records:
+    if len(records) == 0:
         raise ValueError("audit_run needs a non-empty trace")
-    applied = [rec for rec in records if rec.applied]
-    if any(rec.rho is None for rec in applied):
+    applied = records[records["applied"]]
+    if np.isnan(applied["rho"]).any():
         raise ValueError("trace lacks Adam ratio maxima; audit_run only covers the gated-Adam family")
 
-    violations = 0
-    for rec in applied:
-        bound = (trace.eta * rec.sigma) * rec.rho
-        if rec.step_inf_norm > bound * (1.0 + STEP_BOUND_REL_TOL):
-            violations += 1
+    bound = (trace.eta * applied["sigma"]) * applied["rho"]
+    violations = int(np.count_nonzero(applied["step_inf_norm"] > bound * (1.0 + STEP_BOUND_REL_TOL)))
 
     sigma_bar, rho_max, rho_le_one = trace_stats(records)
     report: dict = {
@@ -140,8 +143,9 @@ def audit_run(trace: Trace) -> dict:
         "bound": None,
     }
 
-    if all(rec.grad_norm_sq is not None for rec in records):
-        weighted = float(np.mean([rec.sigma * rec.grad_norm_sq for rec in records]))
+    if trace.exact_grad:
+        grad_norm_sq = records["grad_norm_sq"]
+        weighted = float(np.mean(records["sigma"] * grad_norm_sq))
         report["weighted_grad_norm_avg"] = weighted
         if (
             trace.l_smooth is not None
@@ -151,8 +155,9 @@ def audit_run(trace: Trace) -> dict:
         ):
             horizon = len(records)
             c = trace.eta * math.sqrt(horizon)
-            g_est = math.sqrt(max(rec.grad_norm_sq for rec in records))
-            sigma_sq_est = max(rec.delta_norm_sq for rec in records)
+            # Python max, not np.max: a NaN norm after params went non-finite is skipped, not propagated
+            g_est = math.sqrt(max(grad_norm_sq.tolist()))
+            sigma_sq_est = max(records["delta_norm_sq"].tolist())
             inputs = TheoryInputs(
                 l_smooth=trace.l_smooth,
                 grad_bound=g_est,

@@ -9,6 +9,7 @@ tests call the same checks with their own seeds and sizes.
 
 from __future__ import annotations
 
+import copy
 import math
 
 import numpy as np
@@ -17,7 +18,7 @@ from .config import RunConfig
 from .gate import StalenessGate, gate_curve, staleness_weight
 from .harness import serialize_result
 from .objective import MlpRegressionObjective, QuadraticObjective, finite_diff_check
-from .optim import AdamMoments, OuterConfig, cgad_step
+from .optim import OuterConfig, OuterState, outer_step
 from .simulator import FragmentPartition, dequantize_payload, quantize_payload, run_experiment
 from .theory import audit_run
 
@@ -67,10 +68,10 @@ def check_adam_reduction(seed=7, dim=16):
     params = rng.standard_normal(dim)
     grads = [rng.standard_normal(dim) for _ in range(100)]
     cfg = OuterConfig.for_method("cgad")
-    state = AdamMoments.zeros(dim)
+    state = OuterState.zeros([dim])
     p = params.copy()
     for g in grads:
-        p, state, _ = cgad_step(p, g, 0.0, state, cfg)
+        outer_step(p, g, [0.0], state, cfg, [0])
     ref = reference_adam(params, grads, cfg.eta, cfg.beta1, cfg.beta2, cfg.epsilon)
     if not np.array_equal(p, ref):
         return False, f"100 tau=0 steps drifted from plain Adam by {np.max(np.abs(p - ref))}"
@@ -79,21 +80,27 @@ def check_adam_reduction(seed=7, dim=16):
 
 def check_drop_totality():
     rng = np.random.default_rng(11)
-    params = rng.standard_normal(8)
     cfg = OuterConfig.for_method("cgad")
-    state = AdamMoments.zeros(8)
-    fresh = rng.standard_normal(8)
-    stale = rng.standard_normal(8)
+    p = rng.standard_normal(8)
+    state = OuterState.zeros([4, 4])
+    outer_step(p, rng.standard_normal(8), [0.0, 0.0], state, cfg, [0, 1])
+    p_ref, state_ref = p.copy(), copy.deepcopy(state)
 
-    p1, s1, info = cgad_step(params, stale, 33.0, state, cfg)
-    if info.applied or s1.t != 0 or not (np.array_equal(p1, params) and np.array_equal(s1.m, state.m)):
-        return False, "a dropped update touched state"
-    p1, s1, _ = cgad_step(p1, fresh, 0.0, s1, cfg)
-    p2, s2, _ = cgad_step(params, fresh, 0.0, state, cfg)
-    if not (np.array_equal(p1, p2) and s1.t == s2.t and np.array_equal(s1.m, s2.m)
-            and np.array_equal(s1.v, s2.v)):
+    # fragment 0 is past tau_cut and drops while fragment 1 steps
+    applied, *_ = outer_step(p, rng.standard_normal(8), [33.0, 0.0], state, cfg, [0, 1])
+    kept = all(a[:4].tobytes() == b[:4].tobytes()
+               for a, b in ((p, p_ref), (state.m, state_ref.m), (state.v, state_ref.v)))
+    if applied[0] or not kept or state.t[0] != state_ref.t[0]:
+        return False, "a dropped update touched params or state"
+    if not applied[1] or np.array_equal(p[4:], p_ref[4:]) or state.t[1] != state_ref.t[1] + 1:
+        return False, "the fragment beside a dropped one did not step"
+    fresh = rng.standard_normal(8)
+    outer_step(p, fresh, [0.0], state, cfg, [0])
+    outer_step(p_ref, fresh, [0.0], state_ref, cfg, [0])
+    if not (np.array_equal(p[:4], p_ref[:4]) and state.t[0] == state_ref.t[0]
+            and np.array_equal(state.m[:4], state_ref.m[:4]) and np.array_equal(state.v[:4], state_ref.v[:4])):
         return False, "a step after a drop differs from the no-drop step"
-    return True, "dropped updates change nothing, including the step counter"
+    return True, "dropped updates change nothing, including the step counter, while a sibling steps"
 
 
 def _small_config(method="cgad", delay=None, rounds=20, quantize=False, extra=None):

@@ -83,6 +83,8 @@ class TestStalenessWeight:
             StalenessGate(-0.1, 32.0)
         with pytest.raises(ValueError):
             StalenessGate(0.2, 0.0)
+        with pytest.raises(ValueError, match="finite"):
+            StalenessGate(INF, 4.0)  # sigma(0) would be nan, not 1
         StalenessGate(0.0, INF)  # degenerate but legal
 
 

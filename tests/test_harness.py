@@ -481,6 +481,15 @@ class TestCli:
         assert max(running_max) <= 1.0 / (math.e * 0.2) + 1e-12
         assert "1/(e*alpha)" in out
 
+    @pytest.mark.parametrize("argv,message", [
+        (["--alpha", "inf", "--tau-cut", "4"], "alpha must be finite"),
+        (["--alpha", "0.2", "--tau-max", "-3"], "--tau-max must be >= 0"),
+    ])
+    def test_gate_table_rejects_bad_input(self, capsys, argv, message):
+        assert cli_main(["gate-table", *argv]) == 2
+        captured = capsys.readouterr()
+        assert message in captured.err and captured.out == ""
+
     def test_gate_table_csv(self, tmp_path):
         out_csv = tmp_path / "table.csv"
         cli_main(["gate-table", "--alpha", "0.2", "--tau-cut", "32", "--tau-max", "4",
@@ -512,24 +521,24 @@ class TestVerifySuite:
     def test_mutated_drop_advances_counter_and_fails(self, monkeypatch):
         import stalelab.optim as optim_mod
 
-        def leaky_cgad_step(params, grad, tau, state, cfg):
-            p, s, info = optim_mod.cgad_step(params, grad, tau, state, cfg)
-            if not info.applied:
-                s = optim_mod.AdamMoments(m=s.m, v=s.v, t=s.t + 1)  # the mutation
-            return p, s, info
+        def leaky_outer_step(params, grad, ages, state, cfg, frags):
+            applied, *rest = optim_mod.outer_step(params, grad, ages, state, cfg, frags)
+            state.t[np.asarray(frags)[~applied]] += 1  # the mutation
+            return (applied, *rest)
 
-        monkeypatch.setattr(verify_mod, "cgad_step", leaky_cgad_step)
+        monkeypatch.setattr(verify_mod, "outer_step", leaky_outer_step)
         ok, detail = verify_mod.check_drop_totality()
         assert not ok
 
     def test_one_ulp_adam_drift_fails_reduction(self, monkeypatch):
         import stalelab.optim as optim_mod
 
-        def drifting_cgad_step(params, grad, tau, state, cfg):
-            p, s, info = optim_mod.cgad_step(params, grad, tau, state, cfg)
-            return np.nextafter(p, np.inf), s, info  # the mutation
+        def drifting_outer_step(params, grad, ages, state, cfg, frags):
+            out = optim_mod.outer_step(params, grad, ages, state, cfg, frags)
+            params[:] = np.nextafter(params, np.inf)  # the mutation
+            return out
 
-        monkeypatch.setattr(verify_mod, "cgad_step", drifting_cgad_step)
+        monkeypatch.setattr(verify_mod, "outer_step", drifting_outer_step)
         ok, detail = verify_mod.check_adam_reduction()
         assert not ok and "drifted" in detail
 

@@ -1,3 +1,4 @@
+import copy
 import math
 
 import numpy as np
@@ -6,18 +7,13 @@ import pytest
 from stalelab.gate import StalenessGate, staleness_weight
 from stalelab.optim import (
     METHOD_TABLE,
+    METHODS,
     AdamMoments,
-    DelayedNesterovState,
     InnerConfig,
-    NesterovVelocity,
     OuterConfig,
-    cgad_step,
-    delayed_nesterov_step,
+    OuterState,
     eager_step,
-    init_outer_state,
     inner_adamw_step,
-    mla_step,
-    nesterov_step,
     outer_step,
 )
 from stalelab.verify import reference_adam
@@ -30,62 +26,75 @@ CGAD_FIRST_STEP = -0.0009999999900000003
 INNER_FIRST_STEP = -0.00029999999700000004
 
 
+def step(params, grad, tau, state, cfg):
+    """One-fragment outer step, in place: that fragment's (applied, sigma, rho, step_inf_norm)."""
+    applied, sigma, rho, norm = outer_step(params, grad, [tau], state, cfg, [0])
+    return applied[0], sigma[0], rho[0], norm[0]
+
+
+def stepped(method, grad, tau=0.0, params=None, **overrides):
+    """Params after one step from fresh state."""
+    p = np.zeros(grad.shape) if params is None else params.copy()
+    step(p, grad, tau, OuterState.zeros([grad.size]), OuterConfig.for_method(method, **overrides))
+    return p
+
+
 class TestCgadStep:
     def test_single_step_hand_oracle(self):
         cfg = OuterConfig.for_method("cgad")
         params = np.zeros(1)
-        p, state, info = cgad_step(params, np.ones(1), 0.0, AdamMoments.zeros(1), cfg)
+        state = OuterState.zeros([1])
+        applied, sigma, _, _ = step(params, np.ones(1), 0.0, state, cfg)
         assert state.m[0] == pytest.approx(0.1, rel=1e-12)
         assert state.v[0] == pytest.approx(0.05, rel=1e-12)
-        assert state.t == 1
-        assert p[0] == pytest.approx(CGAD_FIRST_STEP, abs=1e-18)
-        assert info.applied and info.sigma == 1.0
+        assert state.t[0] == 1
+        assert params[0] == pytest.approx(CGAD_FIRST_STEP, abs=1e-18)
+        assert applied and sigma == 1.0
 
     def test_past_cutoff_drops_everything(self):
         cfg = OuterConfig.for_method("cgad")
         rng = np.random.default_rng(1)
         params = rng.standard_normal(8)
-        state = AdamMoments(m=rng.standard_normal(8), v=np.abs(rng.standard_normal(8)), t=7)
-        p, s, info = cgad_step(params, rng.standard_normal(8), 33.0, state, cfg)
-        assert p is params and s is state and s.t == 7
-        assert not info.applied and info.sigma == 0.0
+        state = OuterState.zeros([8])
+        state.m[:], state.v[:], state.t[0] = rng.standard_normal(8), np.abs(rng.standard_normal(8)), 7
+        before = [params.tobytes(), state.m.tobytes(), state.v.tobytes()]
+        applied, sigma, rho, norm = step(params, rng.standard_normal(8), 33.0, state, cfg)
+        assert [params.tobytes(), state.m.tobytes(), state.v.tobytes()] == before and state.t[0] == 7
+        assert not applied and sigma == 0.0 and math.isnan(rho) and norm == 0.0
 
     def test_adam_decay_is_cgad_with_infinite_cutoff(self):
         rng = np.random.default_rng(3)
         cgad_cfg = OuterConfig.for_method("cgad", tau_cut=INF)
         decay_cfg = OuterConfig.for_method("adam_decay")
-        p1 = p2 = rng.standard_normal(16)
-        s1, s2 = AdamMoments.zeros(16), AdamMoments.zeros(16)
+        p1 = rng.standard_normal(16)
+        p2 = p1.copy()
+        s1, s2 = OuterState.zeros([16]), OuterState.zeros([16])
         for _ in range(50):
             g = rng.standard_normal(16)
             tau = float(rng.integers(0, 40))
-            p1, s1, _ = cgad_step(p1, g, tau, s1, cgad_cfg)
-            p2, s2, _ = cgad_step(p2, g, tau, s2, decay_cfg)
-        assert np.array_equal(p1, p2) and s1.t == s2.t
+            step(p1, g, tau, s1, cgad_cfg)
+            step(p2, g, tau, s2, decay_cfg)
+        assert np.array_equal(p1, p2) and s1.t[0] == s2.t[0]
 
     def test_method_adam_ignores_staleness(self):
         rng = np.random.default_rng(4)
-        cfg = OuterConfig.for_method("adam")
         p = rng.standard_normal(8)
-        s = AdamMoments.zeros(8)
         g = rng.standard_normal(8)
-        p1, s1, info = cgad_step(p, g, 100.0, s, cfg)
-        p2, s2, _ = cgad_step(p, g, 0.0, s, cfg)
-        assert np.array_equal(p1, p2) and info.sigma == 1.0
+        sigma = step(p.copy(), g, 100.0, OuterState.zeros([8]), OuterConfig.for_method("adam"))[1]
+        assert np.array_equal(stepped("adam", g, 100.0, p), stepped("adam", g, 0.0, p))
+        assert sigma == 1.0
 
     def test_step_norm_identity(self):
         # ||step||_inf equals eta*sigma*rho at the maximizing coordinate
         cfg = OuterConfig.for_method("cgad")
         rng = np.random.default_rng(5)
         p = rng.standard_normal(32)
-        s = AdamMoments.zeros(32)
+        s = OuterState.zeros([32])
         for tau in (0.0, 4.0, 16.0, 31.0):
-            g = rng.standard_normal(32)
-            p_new, s, info = cgad_step(p, g, tau, s, cfg)
-            bound = (cfg.eta * info.sigma) * info.rho
-            assert info.step_inf_norm <= bound * (1 + 1e-12)
-            assert info.step_inf_norm == pytest.approx(bound, rel=1e-12)
-            p = p_new
+            _, sigma, rho, norm = step(p, rng.standard_normal(32), tau, s, cfg)
+            bound = (cfg.eta * sigma) * rho
+            assert norm <= bound * (1 + 1e-12)
+            assert norm == pytest.approx(bound, rel=1e-12)
 
     def test_gate_placement_after_keeps_moments_raw(self):
         gate = StalenessGate(0.2, 32.0)
@@ -94,114 +103,101 @@ class TestCgadStep:
         g = np.array([2.0, -1.0])
         tau = 8.0
         sigma = staleness_weight(tau, gate)
-        _, s_after, info_after = cgad_step(np.zeros(2), g, tau, AdamMoments.zeros(2), after)
-        _, s_before, _ = cgad_step(np.zeros(2), g, tau, AdamMoments.zeros(2), before)
+        s_after, s_before = OuterState.zeros([2]), OuterState.zeros([2])
+        _, sigma_after, _, _ = step(np.zeros(2), g, tau, s_after, after)
+        step(np.zeros(2), g, tau, s_before, before)
         np.testing.assert_array_equal(s_after.m, (1 - after.beta1) * g)
         np.testing.assert_array_equal(s_before.m, (1 - before.beta1) * (sigma * g))
         # final scaling by sigma applies in both placements
-        assert info_after.sigma == sigma
+        assert sigma_after == sigma
 
     def test_placements_agree_at_tau_zero(self):
         rng = np.random.default_rng(6)
         p = rng.standard_normal(8)
         g = rng.standard_normal(8)
-        out = {}
-        for placement in ("before", "after"):
-            cfg = OuterConfig.for_method("cgad", gate_placement=placement)
-            out[placement], _, _ = cgad_step(p, g, 0.0, AdamMoments.zeros(8), cfg)
+        out = {placement: stepped("cgad", g, 0.0, p, gate_placement=placement)
+               for placement in ("before", "after")}
         assert np.array_equal(out["before"], out["after"])
 
     def test_shape_mismatch_is_structural_error(self):
         cfg = OuterConfig.for_method("cgad")
         with pytest.raises(ValueError, match="shape"):
-            cgad_step(np.zeros(3), np.zeros(4), 0.0, AdamMoments.zeros(3), cfg)
+            step(np.zeros(3), np.zeros(4), 0.0, OuterState.zeros([3]), cfg)
 
     def test_negative_tau_rejected(self):
         cfg = OuterConfig.for_method("cgad")
         with pytest.raises(ValueError):
-            cgad_step(np.zeros(2), np.zeros(2), -1.0, AdamMoments.zeros(2), cfg)
+            step(np.zeros(2), np.zeros(2), -1.0, OuterState.zeros([2]), cfg)
 
 
 class TestNesterovFamily:
     def test_single_step_oracle(self):
         cfg = OuterConfig.for_method("nesterov")
-        p, v, _ = nesterov_step(np.zeros(1), np.ones(1), NesterovVelocity.zeros(1), cfg)
-        assert v.v[0] == 1.0
+        p, s = np.zeros(1), OuterState.zeros([1])
+        step(p, np.ones(1), 0.0, s, cfg)
+        assert s.m[0] == 1.0
         assert p[0] == pytest.approx(-0.7 * 1.9, abs=1e-16)
 
     def test_two_steps_oracle(self):
         cfg = OuterConfig.for_method("nesterov")
-        p, v, _ = nesterov_step(np.zeros(1), np.ones(1), NesterovVelocity.zeros(1), cfg)
-        p, v, _ = nesterov_step(p, np.ones(1), v, cfg)
-        assert v.v[0] == pytest.approx(1.9, abs=0)
+        p, s = np.zeros(1), OuterState.zeros([1])
+        step(p, np.ones(1), 0.0, s, cfg)
+        step(p, np.ones(1), 0.0, s, cfg)
+        assert s.m[0] == pytest.approx(1.9, abs=0)
         assert (p[0] - (-0.7 * 1.9)) == pytest.approx(-0.7 * (1 + 0.9 * 1.9), abs=1e-15)
 
     def test_zero_momentum_is_sgd(self):
-        cfg = OuterConfig.for_method("nesterov", mu=0.0)
         g = np.array([0.5, -2.0])
-        p, _, _ = nesterov_step(np.zeros(2), g, NesterovVelocity.zeros(2), cfg)
-        np.testing.assert_array_equal(p, -cfg.eta * g)
+        np.testing.assert_array_equal(stepped("nesterov", g, mu=0.0), -0.7 * g)
 
     def test_linearity_in_grad_scale(self):
         cfg = OuterConfig.for_method("nesterov")
         rng = np.random.default_rng(7)
         g = rng.standard_normal(8)
-        p1, v1, _ = nesterov_step(np.zeros(8), 3.0 * g, NesterovVelocity.zeros(8), cfg)
-        p2, v2, _ = nesterov_step(np.zeros(8), g, NesterovVelocity.zeros(8), cfg)
+        p1, p2, s1, s2 = np.zeros(8), np.zeros(8), OuterState.zeros([8]), OuterState.zeros([8])
+        step(p1, 3.0 * g, 0.0, s1, cfg)
+        step(p2, g, 0.0, s2, cfg)
         np.testing.assert_allclose(p1, 3.0 * p2, rtol=1e-15)
-        np.testing.assert_allclose(v1.v, 3.0 * v2.v, rtol=1e-15)
+        np.testing.assert_allclose(s1.m, 3.0 * s2.m, rtol=1e-15)
 
     def test_sdm_scales_grad_by_exponential(self):
-        cfg = OuterConfig.for_method("sdm")
         rng = np.random.default_rng(8)
         g = rng.standard_normal(4)
-        p1, _, info = outer_step(np.zeros(4), g, 5.0, NesterovVelocity.zeros(4), cfg)
-        p2, _, _ = nesterov_step(np.zeros(4), math.exp(-1.0) * g, NesterovVelocity.zeros(4), cfg)
-        assert np.array_equal(p1, p2)
-        assert info.sigma == math.exp(-1.0)
+        sigma = step(np.zeros(4), g, 5.0, OuterState.zeros([4]), OuterConfig.for_method("sdm"))[1]
+        assert np.array_equal(stepped("sdm", g, 5.0), stepped("nesterov", math.exp(-1.0) * g))
+        assert sigma == math.exp(-1.0)
 
     def test_sdm_tau_zero_is_nesterov(self):
-        cfg = OuterConfig.for_method("sdm")
         g = np.array([1.0, -2.0])
-        p1, _, _ = outer_step(np.zeros(2), g, 0.0, NesterovVelocity.zeros(2), cfg)
-        p2, _, _ = nesterov_step(np.zeros(2), g, NesterovVelocity.zeros(2), cfg)
-        assert np.array_equal(p1, p2)
+        assert np.array_equal(stepped("sdm", g, 0.0), stepped("nesterov", g))
 
     def test_sdm_alpha_zero_is_nesterov_at_any_tau(self):
-        cfg = OuterConfig.for_method("sdm", alpha=0.0)
         g = np.array([1.0, -2.0])
         for tau in (0.0, 7.0, 100.0):
-            p1, _, _ = outer_step(np.zeros(2), g, tau, NesterovVelocity.zeros(2), cfg)
-            p2, _, _ = nesterov_step(np.zeros(2), g, NesterovVelocity.zeros(2), cfg)
-            assert np.array_equal(p1, p2)
+            assert np.array_equal(stepped("sdm", g, tau, alpha=0.0), stepped("nesterov", g))
 
     @pytest.mark.parametrize("tau,scale", [(0.0, 1.0), (3.0, 0.5), (15.0, 0.25)])
     def test_poly_decay_scales(self, tau, scale):
-        cfg = OuterConfig.for_method("poly_decay")
         g = np.array([2.0, -4.0])
-        p1, _, info = outer_step(np.zeros(2), g, tau, NesterovVelocity.zeros(2), cfg)
-        p2, _, _ = nesterov_step(np.zeros(2), scale * g, NesterovVelocity.zeros(2), cfg)
-        assert np.array_equal(p1, p2)
-        assert info.sigma == scale
+        cfg = OuterConfig.for_method("poly_decay")
+        sigma = step(np.zeros(2), g, tau, OuterState.zeros([2]), cfg)[1]
+        assert np.array_equal(stepped("poly_decay", g, tau), stepped("nesterov", scale * g))
+        assert sigma == scale
 
     def test_mla_tau_zero_is_nesterov(self):
-        cfg = OuterConfig.for_method("mla")
         g = np.array([1.0, -0.5])
-        p1, _, _ = mla_step(np.zeros(2), g, 0.0, NesterovVelocity.zeros(2), cfg)
-        p2, _, _ = nesterov_step(np.zeros(2), g, NesterovVelocity.zeros(2), cfg)
-        assert np.array_equal(p1, p2)
+        assert np.array_equal(stepped("mla", g, 0.0), stepped("nesterov", g))
 
     def test_mla_mu_zero_is_sgd_at_any_tau(self):
-        cfg = OuterConfig.for_method("mla", mu=0.0)
         g = np.array([1.0, -0.5])
         for tau in (0.0, 2.0, 9.0):
-            p, _, _ = mla_step(np.zeros(2), g, tau, NesterovVelocity.zeros(2), cfg)
-            np.testing.assert_array_equal(p, -cfg.eta * g)
+            np.testing.assert_array_equal(stepped("mla", g, tau, mu=0.0), -0.7 * g)
 
     def test_mla_extrapolation_oracle(self):
         cfg = OuterConfig.for_method("mla")
-        p, v, _ = mla_step(np.zeros(1), np.ones(1), 2.0, NesterovVelocity.zeros(1), cfg)
-        assert v.v[0] == 1.0
+        p, s = np.zeros(1), OuterState.zeros([1])
+        step(p, np.ones(1), 2.0, s, cfg)
+        assert s.m[0] == 1.0
         assert p[0] == pytest.approx(-0.7 * 1.9 - 0.7 * 2 * 0.9, abs=1e-15)
 
 
@@ -210,42 +206,42 @@ class TestDelayedNesterov:
         cfg = OuterConfig.for_method("delayed_nesterov", buffer_period=1)
         ref_cfg = OuterConfig.for_method("nesterov")
         rng = np.random.default_rng(9)
-        p1 = p2 = np.zeros(4)
-        s1 = DelayedNesterovState.zeros(4)
-        v2 = NesterovVelocity.zeros(4)
+        p1, p2 = np.zeros(4), np.zeros(4)
+        s1, s2 = OuterState.zeros([4]), OuterState.zeros([4])
         for _ in range(5):
             g = rng.standard_normal(4)
-            p1, s1, _ = delayed_nesterov_step(p1, g, s1, cfg)
-            p2, v2, _ = nesterov_step(p2, g, v2, ref_cfg)
+            step(p1, g, 0.0, s1, cfg)
+            step(p2, g, 0.0, s2, ref_cfg)
             np.testing.assert_allclose(p1, p2, rtol=1e-12, atol=1e-15)
-            np.testing.assert_array_equal(s1.velocity.v, v2.v)
+            np.testing.assert_array_equal(s1.m, s2.m)
 
     def test_buffer_state_machine(self):
+        # m holds the velocity, v the burst buffer, count the buffered gradients
         cfg = OuterConfig.for_method("delayed_nesterov", buffer_period=4)
-        state = DelayedNesterovState.zeros(2)
+        state = OuterState.zeros([2])
         p = np.zeros(2)
         g = np.array([1.0, 2.0])
-        for step in range(1, 4):
-            p, state, _ = delayed_nesterov_step(p, g, state, cfg)
-            assert state.buffer.count == step
-            np.testing.assert_array_equal(state.velocity.v, np.zeros(2))
+        for calls in range(1, 4):
+            step(p, g, 0.0, state, cfg)
+            assert state.count[0] == calls
+            np.testing.assert_array_equal(state.v, calls * g)
+            np.testing.assert_array_equal(state.m, np.zeros(2))
             # plain gradient steps only, no momentum yet
-            np.testing.assert_allclose(p, -cfg.eta * step * g, rtol=1e-15)
-        p, state, _ = delayed_nesterov_step(p, g, state, cfg)
-        assert state.buffer.count == 0
-        assert state.buffer.rounds_since_burst == 0
-        np.testing.assert_array_equal(state.buffer.accumulated, np.zeros(2))
+            np.testing.assert_allclose(p, -cfg.eta * calls * g, rtol=1e-15)
+        step(p, g, 0.0, state, cfg)
+        assert state.count[0] == 0
+        np.testing.assert_array_equal(state.v, np.zeros(2))
         # burst folded the buffered mean (= g here) into the velocity
-        np.testing.assert_allclose(state.velocity.v, g, rtol=1e-15)
+        np.testing.assert_allclose(state.m, g, rtol=1e-15)
 
     def test_burst_applies_momentum_kick(self):
         cfg = OuterConfig.for_method("delayed_nesterov", buffer_period=2)
-        state = DelayedNesterovState.zeros(1)
+        state = OuterState.zeros([1])
         p = np.zeros(1)
         g = np.ones(1)
-        p, state, _ = delayed_nesterov_step(p, g, state, cfg)
+        step(p, g, 0.0, state, cfg)
         before = p.copy()
-        p, state, _ = delayed_nesterov_step(p, g, state, cfg)
+        step(p, g, 0.0, state, cfg)
         # burst round: -eta*g plus -eta*mu*v with v = mean of two grads = 1
         assert (p - before)[0] == pytest.approx(-0.7 - 0.7 * 0.9, abs=1e-15)
 
@@ -329,11 +325,11 @@ class TestOuterDispatch:
                                         "delayed_nesterov", "eager", "mla"])
     def test_every_method_steps(self, method):
         cfg = OuterConfig.for_method(method)
-        state = init_outer_state(method, 4)
         rng = np.random.default_rng(11)
-        p, state, info = outer_step(np.zeros(4), rng.standard_normal(4), 1.0, state, cfg)
-        assert p.shape == (4,)
-        assert info.applied
+        p = np.zeros(4)
+        applied, _, _, _ = step(p, rng.standard_normal(4), 1.0, OuterState.zeros([4]), cfg)
+        assert p.shape == (4,) and np.any(p != 0.0)
+        assert applied
 
     def test_cgad_and_adam_share_kernel_at_tau_zero(self):
         rng = np.random.default_rng(12)
@@ -341,12 +337,35 @@ class TestOuterDispatch:
         outs = {}
         for method in ("cgad", "adam"):
             cfg = OuterConfig.for_method(method)
-            p = np.zeros(8)
-            s = init_outer_state(method, 8)
+            p, s = np.zeros(8), OuterState.zeros([8])
             for g in grads:
-                p, s, _ = outer_step(p, g, 0.0, s, cfg)
+                step(p, g, 0.0, s, cfg)
             outs[method] = p
         assert np.array_equal(outs["cgad"], outs["adam"])
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_fragments_step_as_if_alone(self, method):
+        # fragments with different ages, Adam counts and burst counts in one call
+        # give the bytes of stepping each of them alone
+        cfg = OuterConfig.for_method(method, tau_cut=8.0, buffer_period=2)
+        rng = np.random.default_rng(13)
+        p = rng.standard_normal(12)
+        state = OuterState.zeros([3, 5, 4])
+        for frags in ([0], [0, 1], [0, 2], [1]):
+            outer_step(p, rng.standard_normal(12), [1.0] * len(frags), state, cfg, frags)
+        assert state.t.tolist() == ([3, 2, 1] if METHOD_TABLE[method].base == "adam" else [0, 0, 0])
+        assert state.count.tolist() == ([1, 0, 1] if method == "delayed_nesterov" else [0, 0, 0])
+        for frags, ages in (([0, 1, 2], [0.0, 9.0, 3.0]), ([0, 1, 2], [1.0, 0.0, 2.0]),
+                            ([0, 2], [2.0, 5.0])):
+            g = rng.standard_normal(12)
+            p_alone, alone = p.copy(), copy.deepcopy(state)
+            together = outer_step(p, g, ages, state, cfg, frags)
+            one_by_one = [outer_step(p_alone, g, [age], alone, cfg, [f]) for f, age in zip(frags, ages)]
+            assert p.tobytes() == p_alone.tobytes()
+            for name in ("m", "v", "t", "count"):
+                assert getattr(state, name).tobytes() == getattr(alone, name).tobytes(), name
+            for column, parts in zip(together, zip(*one_by_one)):
+                np.testing.assert_array_equal(column, np.concatenate(parts))
 
 
 class TestOuterConfigValidation:

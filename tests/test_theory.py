@@ -97,21 +97,23 @@ class TestBoundTerms:
 
 
 def make_record(sigma, rho, step_inf, **kw):
-    defaults = dict(round=0, worker=0, produced_round=0, tau=0, age=0.0, fragment=0,
-                    applied=True, grad_norm_sq=1.0, delta_norm_sq=1.0)
-    defaults.update(kw)
-    return ApplyRecord(sigma=sigma, rho=rho, step_inf_norm=step_inf, **defaults)
+    """One ApplyRecord row as a tuple; rho None means no Adam ratio."""
+    rec = dict(round=0, worker=0, produced_round=0, tau=0, age=0.0, fragment=0, applied=True,
+               sigma=sigma, rho=math.nan if rho is None else rho, step_inf_norm=step_inf,
+               grad_norm_sq=1.0, delta_norm_sq=1.0)
+    rec.update(kw)
+    return tuple(rec[name] for name in ApplyRecord.names)
 
 
 class TestAuditRun:
     def synthetic_trace(self, eta=1e-3):
-        records = [
+        records = np.array([
             make_record(1.0, 0.8, (eta * 1.0) * 0.8),
             make_record(0.5, 1.2, (eta * 0.5) * 1.2, tau=4, age=4.0),
             make_record(0.25, 0.9, (eta * 0.25) * 0.9 * 0.5, tau=8, age=8.0),
-        ]
+        ], dtype=ApplyRecord)
         return Trace(method="cgad", eta=eta, alpha=0.2, tau_cut=32.0, records=records,
-                     l_smooth=2.0, f_gap=3.0)
+                     l_smooth=2.0, f_gap=3.0, exact_grad=True)
 
     def test_clean_trace_has_no_violations(self):
         report = audit_run(self.synthetic_trace())
@@ -122,17 +124,17 @@ class TestAuditRun:
 
     def test_inflated_step_is_flagged(self):
         trace = self.synthetic_trace()
-        trace.records[1].step_inf_norm *= 1.0 + 1e-9
+        trace.records["step_inf_norm"][1] *= 1.0 + 1e-9
         assert audit_run(trace)["step_bound_violations"] == 1
 
     def test_tolerance_is_relative(self):
         trace = self.synthetic_trace()
-        trace.records[0].step_inf_norm *= 1.0 + 1e-13  # inside 1e-12 relative
+        trace.records["step_inf_norm"][0] *= 1.0 + 1e-13  # inside 1e-12 relative
         assert audit_run(trace)["step_bound_violations"] == 0
 
     def test_missing_rho_is_structural_error(self):
         trace = self.synthetic_trace()
-        trace.records[0].rho = None
+        trace.records["rho"][0] = math.nan
         with pytest.raises(ValueError, match="ratio"):
             audit_run(trace)
 
@@ -142,9 +144,10 @@ class TestAuditRun:
             report["sigma_bar"], report["rho_max"], report["rho_le_one_frac"])
 
     def test_trace_stats_without_adam_ratios_or_records(self):
-        records = [make_record(0.5, None, 0.1), make_record(0.25, None, 0.1, applied=False)]
+        records = np.array([make_record(0.5, None, 0.1), make_record(0.25, None, 0.1, applied=False)],
+                           dtype=ApplyRecord)
         assert trace_stats(records) == (0.375, None, None)
-        assert trace_stats([]) == (None, None, None)
+        assert trace_stats(np.zeros(0, ApplyRecord)) == (None, None, None)
 
     def test_empty_trace_rejected(self):
         with pytest.raises(ValueError):
@@ -152,13 +155,27 @@ class TestAuditRun:
 
     def test_weighted_grad_norm_and_bound_block(self):
         report = audit_run(self.synthetic_trace())
-        expected = np.mean([r.sigma * r.grad_norm_sq for r in self.synthetic_trace().records])
+        records = self.synthetic_trace().records
+        expected = np.mean(records["sigma"] * records["grad_norm_sq"])
         assert report["weighted_grad_norm_avg"] == pytest.approx(expected)
         bound = report["bound"]
         assert bound is not None
         assert bound["rhs"] == pytest.approx(
             bound["optimization_term"] + bound["noise_term"] + bound["staleness_term"])
         assert bound["cutoff_covers_argmax"] is True  # 32 >= 1/0.2
+
+    def test_bound_block_follows_exact_grad_not_the_values(self):
+        trace = self.synthetic_trace()
+        trace.exact_grad = False
+        report = audit_run(trace)
+        assert report["weighted_grad_norm_avg"] is None and report["bound"] is None
+        # params gone non-finite mid-round: the block is still reported, and G is
+        # estimated from the finite gradient norms before it
+        trace = self.synthetic_trace()
+        trace.records["grad_norm_sq"] = [4.0, 9.0, math.nan]
+        bound = audit_run(trace)["bound"]
+        assert math.isnan(bound["lhs"]) and not bound["holds"]
+        assert bound["grad_bound_estimate"] == 3.0
 
 
 def quad_config(**overrides):
