@@ -8,7 +8,7 @@ module checks its guarantees numerically, and the harness runs seeded
 sweeps to byte-identical result files.
 """
 
-from .config import ConfigError, RunConfig, config_hash, expand_sweep, load_run_config
+from .config import ConfigError, RunConfig, config_hash, expand_sweep
 from .gate import StalenessGate, cosine_gate, effective_age, gate_curve, staleness_weight
 from .objective import (
     MlpRegressionObjective,

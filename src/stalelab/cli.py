@@ -65,7 +65,12 @@ def _cmd_gate_table(args) -> int:
         print(f"error: --tau-max must be >= 0, got {tau_max}", file=sys.stderr)
         return 2
     if tau_max is None:
-        tau_max = int(2 * tau_cut) if not math.isinf(tau_cut) else int(4.0 / args.alpha) if args.alpha > 0 else 16
+        tau_max = 2 * tau_cut if not math.isinf(tau_cut) else 4.0 / args.alpha if args.alpha > 0 else 16
+        if math.isinf(tau_max):
+            print("error: the default last row (2*tau_cut, or 4/alpha) overflows; pass --tau-max",
+                  file=sys.stderr)
+            return 2
+        tau_max = int(tau_max)
 
     header = f"{'tau':>5} {'cosine':>12} {'exp':>12} {'sigma':>12} {'tau*sigma':>12} {'running_max':>12}"
     print(header)

@@ -21,6 +21,7 @@ from .optim import DEFAULT_ALPHA, DEFAULT_TAU_CUT, METHOD_TABLE, METHODS, InnerC
 from .seeding import derive_seed
 
 CONFIG_VERSION = 1
+INT64_MAX = 2**63 - 1  # the largest delay.hi numpy's int64 integers(lo, hi + 1) can draw
 
 __all__ = [
     "ConfigError",
@@ -28,7 +29,6 @@ __all__ = [
     "resolve_config",
     "config_hash",
     "canonical_json",
-    "load_run_config",
     "expand_sweep",
 ]
 
@@ -160,7 +160,7 @@ def _resolve_delay(raw: dict, chk: _Checker) -> dict:
     elif kind == "uniform_int":
         chk.require_keys(raw, "delay", {"kind"}, {"lo", "hi"})
         out["lo"] = chk.num(raw, "lo", "delay", integer=True, lo=0, default=0)
-        out["hi"] = chk.num(raw, "hi", "delay", integer=True, lo=0, default=16)
+        out["hi"] = chk.num(raw, "hi", "delay", integer=True, lo=0, hi=INT64_MAX, default=16)
         if out["lo"] is not None and out["hi"] is not None and out["lo"] > out["hi"]:
             chk.error("delay.lo", "must be <= hi")
     else:
@@ -289,9 +289,14 @@ def resolve_config(raw: dict) -> dict:
 
 @dataclass
 class RunConfig:
-    """Fully validated run description; the unit the simulator executes."""
+    """Fully validated run description; the unit the simulator executes.
+
+    One field per key of the resolved config, with `outer` and `inner`
+    built into their config objects, plus `resolved` itself.
+    """
 
     resolved: dict
+    version: int
     objective: dict
     workers: int
     inner_steps: int
@@ -302,8 +307,7 @@ class RunConfig:
     outer: OuterConfig
     inner: InnerConfig
     delay: dict
-    fragment_count: int
-    fragment_budget: int
+    fragments: dict
     quantize_queue: bool
     master_seed: int
 
@@ -314,36 +318,11 @@ class RunConfig:
         tau_cut = math.inf if o["tau_cut"] is None else o["tau_cut"]
         outer = OuterConfig.for_method(resolved["method"], **{**o, "tau_cut": tau_cut})
         inner = InnerConfig(**resolved["inner"])
-        return cls(
-            resolved=resolved,
-            objective=resolved["objective"],
-            workers=resolved["workers"],
-            inner_steps=resolved["inner_steps"],
-            rounds=resolved["rounds"],
-            batch_size=resolved["batch_size"],
-            eval_batch_size=resolved["eval_batch_size"],
-            method=resolved["method"],
-            outer=outer,
-            inner=inner,
-            delay=resolved["delay"],
-            fragment_count=resolved["fragments"]["count"],
-            fragment_budget=resolved["fragments"]["budget"],
-            quantize_queue=resolved["quantize_queue"],
-            master_seed=resolved["master_seed"],
-        )
+        return cls(resolved=resolved, **{**resolved, "outer": outer, "inner": inner})
 
     @property
     def hash(self) -> str:
         return config_hash(self.resolved)
-
-
-def load_run_config(path: str) -> RunConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            raw = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError([f"{path}: not valid JSON ({exc})"]) from exc
-    return RunConfig.from_dict(raw)
 
 
 def _set_path(d: dict, dotted: str, value):
@@ -363,7 +342,8 @@ def expand_sweep(spec: dict) -> list[tuple[dict, RunConfig]]:
     to a derived master seed (digest of the base seed and the value), so
     adding or reordering other axes never reshuffles a cell's randomness,
     and the same seed value pairs runs across methods. Every cell is
-    validated before anything runs.
+    validated before anything runs, and two cells with the same config
+    hash and master seed (one result file) are rejected.
     """
     chk = _Checker()
     if not isinstance(spec, dict):
@@ -389,6 +369,7 @@ def expand_sweep(spec: dict) -> list[tuple[dict, RunConfig]]:
     names = list(axes.keys())
     cells: list[tuple[dict, RunConfig]] = []
     errors: list[str] = []
+    labels: dict[tuple[str, int], str] = {}  # (config hash, master seed) -> the first cell's label
 
     def rec(idx: int, assignment: dict):
         if idx == len(names):
@@ -408,6 +389,11 @@ def expand_sweep(spec: dict) -> list[tuple[dict, RunConfig]]:
             except ConfigError as exc:
                 errors.extend(f"cell {label} -> {e}" for e in exc.errors)
                 return
+            key = (cfg.hash, cfg.master_seed)
+            if key in labels:
+                errors.append(f"cell {label} -> same config hash and master seed as cell {labels[key]}")
+                return
+            labels[key] = label
             cells.append(({"assignment": assignment, "seed_value": seed_val}, cfg))
             return
         for value in axes[names[idx]]:

@@ -78,7 +78,7 @@ class SummaryRow:
 
 
 def _schedule_label(delay_spec: dict) -> str:
-    return DelaySchedule.from_spec(delay_spec, seed=0).label()
+    return DelaySchedule(**delay_spec).label()
 
 
 def summarize_results(results: list[dict]) -> list[SummaryRow]:

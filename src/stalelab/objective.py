@@ -188,7 +188,7 @@ class MlpRegressionObjective(Objective):
 
     kind = "mlp_regression"
 
-    def __init__(self, layer_sizes: list[int], teacher_seed: int,
+    def __init__(self, layer_sizes: list[int], teacher_seed: int = 0,
                  teacher_scale: float = 1.0, init_scale: float = 1.0):
         if len(layer_sizes) < 2 or any(s < 1 for s in layer_sizes):
             raise ValueError(f"layer_sizes needs >= 2 positive entries, got {layer_sizes}")
@@ -294,32 +294,16 @@ def mlp_dim(layer_sizes: list[int]) -> int:
     return sum(fan_out * fan_in + fan_out for fan_in, fan_out in zip(layer_sizes[:-1], layer_sizes[1:]))
 
 
+_OBJECTIVES = {cls.kind: cls for cls in (QuadraticObjective, RosenbrockObjective, MlpRegressionObjective)}
+
+
 def make_objective(spec: dict) -> Objective:
-    """Build an objective from its config mapping (see `config` module)."""
-    kind = spec["kind"]
-    if kind == "quadratic":
-        return QuadraticObjective(
-            dimension=spec["dimension"],
-            spectrum_lo=spec["spectrum_lo"],
-            spectrum_hi=spec["spectrum_hi"],
-            rotation_seed=spec["rotation_seed"],
-            noise_scale=spec.get("noise_scale", 0.1),
-            init_scale=spec.get("init_scale", 1.0),
-        )
-    if kind == "rosenbrock_sum":
-        return RosenbrockObjective(
-            dimension=spec["dimension"],
-            noise_scale=spec.get("noise_scale", 0.0),
-            init_scale=spec.get("init_scale", 1.0),
-        )
-    if kind == "mlp_regression":
-        return MlpRegressionObjective(
-            layer_sizes=spec["layer_sizes"],
-            teacher_seed=spec.get("teacher_seed", 0),
-            teacher_scale=spec.get("teacher_scale", 1.0),
-            init_scale=spec.get("init_scale", 1.0),
-        )
-    raise ValueError(f"unknown objective kind {kind!r}")
+    """Build an objective from its config mapping (see `config` module); every key but
+    "kind" is a keyword argument of the kind's class."""
+    cls = _OBJECTIVES.get(spec["kind"])
+    if cls is None:
+        raise ValueError(f"unknown objective kind {spec['kind']!r}")
+    return cls(**{key: value for key, value in spec.items() if key != "kind"})
 
 
 def batch_seeds(shards: list[Shard], rounds: range, inner_steps: int) -> np.ndarray:

@@ -32,7 +32,7 @@ flat; that is the protocol, not a bug.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -50,6 +50,7 @@ from .objective import (
 from .optim import (
     AdamMoments,
     InnerConfig,
+    OuterConfig,
     OuterState,
     eager_step,
     inner_adamw_step,
@@ -93,16 +94,9 @@ class DelaySchedule:
     rate: float = 0.25
     tau_max: int = 16
 
-    @classmethod
-    def from_spec(cls, spec: dict, seed: int) -> "DelaySchedule":
-        kind = spec["kind"]
-        if kind == "fixed":
-            return cls(kind="fixed", seed=seed, tau=spec["tau"])
-        if kind == "uniform_int":
-            return cls(kind="uniform_int", seed=seed, lo=spec["lo"], hi=spec["hi"])
-        if kind == "exponential":
-            return cls(kind="exponential", seed=seed, rate=spec["rate"], tau_max=spec["tau_max"])
-        raise ValueError(f"unknown delay kind {kind!r}")
+    def __post_init__(self):
+        if self.kind not in ("fixed", "uniform_int", "exponential"):
+            raise ValueError(f"unknown delay kind {self.kind!r}")
 
     def label(self) -> str:
         if self.kind == "fixed":
@@ -129,10 +123,8 @@ def sample_delay(schedule: DelaySchedule, seed: np.ndarray) -> int:
     rng = seeded_generator(seed)
     if schedule.kind == "uniform_int":
         return int(rng.integers(schedule.lo, schedule.hi + 1))
-    if schedule.kind == "exponential":
-        raw = rng.exponential(1.0 / schedule.rate)
-        return int(min(schedule.tau_max, int(np.rint(raw))))
-    raise ValueError(f"unknown delay kind {schedule.kind!r}")
+    # exponential; min before int(), so a draw that overflows to inf (a tiny rate) gives tau_max
+    return int(min(schedule.tau_max, np.rint(rng.exponential(1.0 / schedule.rate))))
 
 
 @dataclass
@@ -249,14 +241,12 @@ ApplyRecord = np.dtype([
 class Trace:
     """A run's outer applications as one ApplyRecord array, plus what the audit needs.
 
-    exact_grad says whether grad_norm_sq holds the objective's exact
-    population gradient; `Simulation.run` fills in `records`.
+    `outer` is the run's outer config; exact_grad says whether grad_norm_sq
+    holds the objective's exact population gradient; `Simulation.run` fills
+    in `records`.
     """
 
-    method: str
-    eta: float
-    alpha: float
-    tau_cut: float
+    outer: OuterConfig
     records: np.ndarray = field(default_factory=lambda: np.zeros(0, ApplyRecord))
     l_smooth: float | None = None
     f_gap: float | None = None
@@ -287,23 +277,8 @@ class RunResult:
     trace: Trace | None = None
 
     def to_json_dict(self) -> dict:
-        return {
-            "config": self.config,
-            "config_hash": self.config_hash,
-            "seed": self.seed,
-            "losses": [float(x) for x in self.losses],
-            "final_loss": None if self.final_loss is None else float(self.final_loss),
-            "diverged": bool(self.diverged),
-            "reference_loss": float(self.reference_loss),
-            "rounds_completed": int(self.rounds_completed),
-            "consumed_entries": int(self.consumed_entries),
-            "applied_updates": int(self.applied_updates),
-            "dropped_updates": int(self.dropped_updates),
-            "sigma_bar": None if self.sigma_bar is None else float(self.sigma_bar),
-            "rho_max": None if self.rho_max is None else float(self.rho_max),
-            "rho_le_one_frac": None if self.rho_le_one_frac is None else float(self.rho_le_one_frac),
-            "theory": self.theory,
-        }
+        """Every field but wall time and trace; each value is already a JSON built-in."""
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name not in ("wall_time_s", "trace")}
 
 
 class Simulation:
@@ -316,10 +291,10 @@ class Simulation:
         dim = self.obj.dim
         master = config.master_seed
         self.global_params = self.obj.init_params(derive_seed(master, "init"))
-        self.partition = FragmentPartition.even_split(dim, config.fragment_count)
+        self.partition = FragmentPartition.even_split(dim, config.fragments["count"])
         self.outer_state = OuterState.zeros(self.partition.sizes)
         self.workers = [Shard.for_worker(master, w, config.batch_size) for w in range(config.workers)]
-        self.delay = DelaySchedule.from_spec(config.delay, derive_seed(master, "delay"))
+        self.delay = DelaySchedule(seed=derive_seed(master, "delay"), **config.delay)
         eval_rng = np.random.default_rng(derive_seed(master, "eval"))
         self.eval_batch = self.obj.compact_batch(self.obj.draw_batch(eval_rng, config.eval_batch_size))
         self.reference_loss = init_reference_loss(self.obj, self.eval_batch)
@@ -334,14 +309,7 @@ class Simulation:
         self.consumed_entries = 0
         self.applied_updates = 0
         self.dropped_updates = 0
-        gate = config.outer.gate
-        self.trace = Trace(
-            method=config.method,
-            eta=config.outer.eta,
-            alpha=gate.alpha,
-            tau_cut=gate.tau_cut,
-            exact_grad=self.obj.population_grad(self.global_params) is not None,
-        )
+        self.trace = Trace(config.outer, exact_grad=self.obj.population_grad(self.global_params) is not None)
         self._trace_rows: list[tuple] = []  # one ApplyRecord row per (entry, selected fragment)
         if self.obj.kind == "quadratic":
             self.trace.l_smooth = self.obj.smoothness
@@ -398,7 +366,7 @@ class Simulation:
                 )
             )
 
-        selected = select_fragments(self.partition, cfg.fragment_budget)
+        selected = select_fragments(self.partition, cfg.fragments["budget"])
         due = sorted(
             (e for e in self.pending if e.available_round == r),
             key=lambda e: (e.worker, e.produced_round),

@@ -106,7 +106,7 @@ def trace_stats(records: np.ndarray) -> tuple[float | None, float | None, float 
     rhos = rhos[~np.isnan(rhos)]
     if rhos.size == 0:
         return sigma_bar, None, None
-    return sigma_bar, float(rhos.max()), np.count_nonzero(rhos <= 1.0) / rhos.size
+    return sigma_bar, float(rhos.max()), float(np.count_nonzero(rhos <= 1.0) / rhos.size)
 
 
 def audit_run(trace: Trace) -> dict:
@@ -127,7 +127,8 @@ def audit_run(trace: Trace) -> dict:
     if np.isnan(applied["rho"]).any():
         raise ValueError("trace lacks Adam ratio maxima; audit_run only covers the gated-Adam family")
 
-    bound = (trace.eta * applied["sigma"]) * applied["rho"]
+    eta, gate = trace.outer.eta, trace.outer.gate
+    bound = (eta * applied["sigma"]) * applied["rho"]
     violations = int(np.count_nonzero(applied["step_inf_norm"] > bound * (1.0 + STEP_BOUND_REL_TOL)))
 
     sigma_bar, rho_max, rho_le_one = trace_stats(records)
@@ -147,17 +148,20 @@ def audit_run(trace: Trace) -> dict:
         grad_norm_sq = records["grad_norm_sq"]
         weighted = float(np.mean(records["sigma"] * grad_norm_sq))
         report["weighted_grad_norm_avg"] = weighted
+        # Python max, not np.max: a NaN norm after params went non-finite is skipped, not propagated
+        g_est = math.sqrt(max(grad_norm_sq.tolist()))
+        sigma_sq_est = max(records["delta_norm_sq"].tolist())
         if (
             trace.l_smooth is not None
             and trace.f_gap is not None
             and trace.f_gap > 0.0
-            and trace.alpha > 0.0
+            and gate.alpha > 0.0
+            # TheoryInputs needs both > 0; sigma^2 is 0 when every pseudo-gradient rounds to 0
+            and g_est > 0.0
+            and sigma_sq_est > 0.0
         ):
             horizon = len(records)
-            c = trace.eta * math.sqrt(horizon)
-            # Python max, not np.max: a NaN norm after params went non-finite is skipped, not propagated
-            g_est = math.sqrt(max(grad_norm_sq.tolist()))
-            sigma_sq_est = max(records["delta_norm_sq"].tolist())
+            c = eta * math.sqrt(horizon)
             inputs = TheoryInputs(
                 l_smooth=trace.l_smooth,
                 grad_bound=g_est,
@@ -166,7 +170,7 @@ def audit_run(trace: Trace) -> dict:
                 horizon=horizon,
                 f_gap=trace.f_gap,
             )
-            opt, noise, staleness = bound_terms(inputs, trace.alpha)
+            opt, noise, staleness = bound_terms(inputs, gate.alpha)
             rhs = opt + noise + staleness
             report["bound"] = {
                 "optimization_term": opt,
@@ -178,6 +182,6 @@ def audit_run(trace: Trace) -> dict:
                 "step_const": c,
                 "grad_bound_estimate": g_est,
                 "sigma_sq_estimate": sigma_sq_est,
-                "cutoff_covers_argmax": trace.tau_cut >= 1.0 / trace.alpha,
+                "cutoff_covers_argmax": gate.tau_cut >= 1.0 / gate.alpha,
             }
     return report

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import multiprocessing
@@ -11,6 +12,7 @@ from stalelab.cli import main as cli_main
 from stalelab.config import (
     ConfigError,
     RunConfig,
+    canonical_json,
     config_hash,
     expand_sweep,
     resolve_config,
@@ -23,6 +25,8 @@ from stalelab.harness import (
     summarize_results,
 )
 from stalelab.objective import QuadraticObjective
+from stalelab.optim import METHODS
+from stalelab.simulator import DelaySchedule, delay_seeds, run_experiment, sample_delay
 
 
 def quad_raw(**overrides):
@@ -117,6 +121,17 @@ class TestValidation:
         with pytest.raises(ConfigError, match="delay.rate"):
             resolve_config(quad_raw(delay={"kind": "exponential", "rate": 0}))
 
+    def test_uniform_hi_is_one_numpy_can_draw(self):
+        with pytest.raises(ConfigError) as exc:
+            resolve_config(quad_raw(delay={"kind": "uniform_int", "hi": 2**64}))
+        assert exc.value.errors == [f"delay.hi: must be <= {2**63 - 1}, got {2**64}"]
+        sched = DelaySchedule(seed=3, **resolve_config(quad_raw(delay={"kind": "uniform_int", "hi": 2**63 - 1}))["delay"])
+        assert 0 <= sample_delay(sched, delay_seeds(sched, 1, range(1))[0, 0]) <= 2**63 - 1
+
+    def test_run_config_has_one_field_per_resolved_key(self):
+        cfg = RunConfig.from_dict(quad_raw())
+        assert {f.name for f in dataclasses.fields(cfg)} == {"resolved", *cfg.resolved}
+
     def test_resolution_is_idempotent(self):
         resolved = resolve_config(quad_raw())
         assert resolve_config(resolved) == resolved
@@ -175,6 +190,30 @@ class TestResultFiles:
         payload = json.loads(path.read_text())
         assert payload["config"] == cfg.resolved
         assert RunConfig.from_dict(payload["config"]).hash == cfg.hash
+
+
+def json_leaf_types(node):
+    if isinstance(node, dict):
+        return set().union(*map(json_leaf_types, node.values()))
+    if isinstance(node, list):
+        return set().union(*map(json_leaf_types, node))
+    return {type(node)}
+
+
+class TestResultJson:
+    @pytest.mark.parametrize("objective", [
+        None,
+        {"kind": "mlp_regression", "layer_sizes": [3, 4, 1], "teacher_scale": 0.5, "init_scale": 0.5},
+    ], ids=["quadratic", "mlp"])
+    @pytest.mark.parametrize("method", METHODS)
+    def test_every_leaf_is_a_json_builtin(self, method, objective):
+        raw = quad_raw(method=method, delay={"kind": "uniform_int", "lo": 0, "hi": 2})
+        if objective is not None:
+            raw["objective"] = objective
+        payload = run_experiment(RunConfig.from_dict(raw)).to_json_dict()
+        assert json_leaf_types(payload) <= {bool, int, float, str, type(None)}
+        if method == "cgad":
+            assert payload["rho_le_one_frac"] is not None
 
 
 class TestSummaries:
@@ -255,6 +294,25 @@ class TestSweeps:
         with pytest.raises(ConfigError) as exc:
             expand_sweep(bad)
         assert any("outer.beta1" in e for e in exc.value.errors)
+
+    @pytest.mark.parametrize("axes,method", [
+        ({"outer.eta": [0.001, 1e-3]}, "cgad"),
+        ({"seed": [0, 0]}, "cgad"),
+        ({"outer.alpha": [0.0, 0]}, "adam"),
+    ])
+    def test_cells_sharing_a_result_file_rejected(self, tmp_path, capsys, axes, method):
+        spec = {"version": 1, "base": quad_raw(method=method), "axes": axes}
+        (name, (a, b)), = axes.items()
+        message = f"cell {canonical_json({name: b})} -> same config hash and master seed as cell " \
+                  f"{canonical_json({name: a})}"
+        with pytest.raises(ConfigError) as exc:
+            expand_sweep(spec)
+        assert exc.value.errors == [message]
+        spec_path = tmp_path / "sweep.json"
+        spec_path.write_text(json.dumps(spec))
+        assert cli_main(["sweep", "--sweep", str(spec_path), "--out", str(tmp_path / "res")]) == 2
+        assert message in capsys.readouterr().err
+        assert list((tmp_path / "res").iterdir()) == []
 
     def test_dotted_axes_apply(self):
         spec = sweep_spec()
@@ -484,6 +542,8 @@ class TestCli:
     @pytest.mark.parametrize("argv,message", [
         (["--alpha", "inf", "--tau-cut", "4"], "alpha must be finite"),
         (["--alpha", "0.2", "--tau-max", "-3"], "--tau-max must be >= 0"),
+        (["--alpha", "0.2", "--tau-cut", "1e308"], "pass --tau-max"),
+        (["--alpha", "5e-324"], "pass --tau-max"),
     ])
     def test_gate_table_rejects_bad_input(self, capsys, argv, message):
         assert cli_main(["gate-table", *argv]) == 2

@@ -85,7 +85,7 @@ class TestSampleDelay:
                                       {"kind": "exponential", "rate": 0.25, "tau_max": 16}],
                              ids=lambda spec: spec["kind"])
     def test_same_draws_as_default_rng_per_key(self, spec):
-        sched = DelaySchedule.from_spec(spec, seed=2**64 - 1)
+        sched = DelaySchedule(seed=2**64 - 1, **spec)
         seeds = delay_seeds(sched, 3, range(65530, 65540))
         for w in range(3):
             for i, r in enumerate(range(65530, 65540)):
@@ -97,12 +97,21 @@ class TestSampleDelay:
                 assert sample_delay(sched, seeds[w, i]) == want
 
     def test_from_spec_round_trip(self):
-        sched = DelaySchedule.from_spec({"kind": "fixed", "tau": 3}, seed=7)
+        sched = DelaySchedule(seed=7, **{"kind": "fixed", "tau": 3})
         assert sched.tau == 3 and sched.label() == "fixed:3"
-        sched = DelaySchedule.from_spec({"kind": "uniform_int", "lo": 0, "hi": 16}, seed=7)
+        sched = DelaySchedule(seed=7, **{"kind": "uniform_int", "lo": 0, "hi": 16})
         assert sched.label() == "uniform:0-16"
-        sched = DelaySchedule.from_spec({"kind": "exponential", "rate": 0.25, "tau_max": 16}, seed=7)
+        sched = DelaySchedule(seed=7, **{"kind": "exponential", "rate": 0.25, "tau_max": 16})
         assert sched.label() == "exp:0.25"
+
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(ValueError, match="unknown delay kind 'pareto'"):
+            DelaySchedule(kind="pareto")
+
+    def test_exponential_draw_past_float_range_gives_tau_max(self):
+        # 1/rate is 1e308, so about one draw in six overflows to inf
+        sched = DelaySchedule(kind="exponential", seed=5, rate=1e-308, tau_max=16)
+        assert set(delay_draws(sched, 2, 50)) == {16}
 
 
 class TestFragments:

@@ -5,6 +5,7 @@ import pytest
 
 from stalelab.config import RunConfig
 from stalelab.gate import StalenessGate, staleness_weight
+from stalelab.optim import OuterConfig
 from stalelab.simulator import ApplyRecord, Trace, run_experiment
 from stalelab.theory import TheoryInputs, audit_run, bound_terms, max_tau_sigma, trace_stats
 
@@ -112,7 +113,7 @@ class TestAuditRun:
             make_record(0.5, 1.2, (eta * 0.5) * 1.2, tau=4, age=4.0),
             make_record(0.25, 0.9, (eta * 0.25) * 0.9 * 0.5, tau=8, age=8.0),
         ], dtype=ApplyRecord)
-        return Trace(method="cgad", eta=eta, alpha=0.2, tau_cut=32.0, records=records,
+        return Trace(OuterConfig.for_method("cgad", eta=eta), records=records,
                      l_smooth=2.0, f_gap=3.0, exact_grad=True)
 
     def test_clean_trace_has_no_violations(self):
@@ -151,7 +152,7 @@ class TestAuditRun:
 
     def test_empty_trace_rejected(self):
         with pytest.raises(ValueError):
-            audit_run(Trace(method="cgad", eta=1e-3, alpha=0.2, tau_cut=32.0))
+            audit_run(Trace(OuterConfig.for_method("cgad", eta=1e-3)))
 
     def test_weighted_grad_norm_and_bound_block(self):
         report = audit_run(self.synthetic_trace())
@@ -176,6 +177,13 @@ class TestAuditRun:
         bound = audit_run(trace)["bound"]
         assert math.isnan(bound["lhs"]) and not bound["holds"]
         assert bound["grad_bound_estimate"] == 3.0
+
+    @pytest.mark.parametrize("column", ["grad_norm_sq", "delta_norm_sq"])
+    def test_no_bound_without_positive_estimates(self, column):
+        trace = self.synthetic_trace()
+        trace.records[column] = 0.0
+        report = audit_run(trace)
+        assert report["bound"] is None and report["step_bound_violations"] == 0
 
 
 def quad_config(**overrides):
@@ -214,6 +222,12 @@ class TestAuditOnRealRuns:
         bound = report["bound"]
         assert bound is not None
         assert bound["holds"], f"lhs {bound['lhs']} vs rhs {bound['rhs']}"
+
+    def test_pseudo_gradients_below_float_resolution_audit_without_a_bound(self):
+        # every inner step rounds away, so every delta and the sigma^2 estimate are exactly 0
+        res = run_experiment(quad_config(rounds=8, inner={"lr": 1e-20}))
+        assert not res.diverged and res.applied_updates > 0
+        assert res.theory["weighted_grad_norm_avg"] > 0.0 and res.theory["bound"] is None
 
     def test_rho_frequency_is_measured_not_assumed(self):
         report = audit_run(run_experiment(quad_config(rounds=64)).trace)
