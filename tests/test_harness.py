@@ -125,7 +125,8 @@ class TestValidation:
         with pytest.raises(ConfigError) as exc:
             resolve_config(quad_raw(delay={"kind": "uniform_int", "hi": 2**64}))
         assert exc.value.errors == [f"delay.hi: must be <= {2**63 - 1}, got {2**64}"]
-        sched = DelaySchedule(seed=3, **resolve_config(quad_raw(delay={"kind": "uniform_int", "hi": 2**63 - 1}))["delay"])
+        delay = resolve_config(quad_raw(delay={"kind": "uniform_int", "hi": 2**63 - 1}))["delay"]
+        sched = DelaySchedule(seed=3, **delay)
         assert 0 <= sample_delay(sched, delay_seeds(sched, 1, range(1))[0, 0]) <= 2**63 - 1
 
     def test_run_config_has_one_field_per_resolved_key(self):
@@ -302,9 +303,9 @@ class TestSweeps:
     ])
     def test_cells_sharing_a_result_file_rejected(self, tmp_path, capsys, axes, method):
         spec = {"version": 1, "base": quad_raw(method=method), "axes": axes}
-        (name, (a, b)), = axes.items()
-        message = f"cell {canonical_json({name: b})} -> same config hash and master seed as cell " \
-                  f"{canonical_json({name: a})}"
+        (name, (first, second)), = axes.items()
+        message = (f"cell {canonical_json({name: second})} -> same config hash and master seed as cell "
+                   f"{canonical_json({name: first})}")
         with pytest.raises(ConfigError) as exc:
             expand_sweep(spec)
         assert exc.value.errors == [message]
