@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import argparse
+import contextlib
+import csv
 import json
 import math
 import sys
@@ -66,8 +68,8 @@ def _cmd_gate_table(args) -> int:
         return 2
     if tau_max is None:
         tau_max = 2 * tau_cut if not math.isinf(tau_cut) else 4.0 / args.alpha if args.alpha > 0 else 16
-        if math.isinf(tau_max):
-            print("error: the default last row (2*tau_cut, or 4/alpha) overflows; pass --tau-max",
+        if not tau_max <= 100_000:  # inf too; a longer table is asked for by --tau-max
+            print("error: the default last row (2*tau_cut, or 4/alpha) is above 100000; pass --tau-max",
                   file=sys.stderr)
             return 2
         tau_max = int(tau_max)
@@ -75,26 +77,23 @@ def _cmd_gate_table(args) -> int:
     header = f"{'tau':>5} {'cosine':>12} {'exp':>12} {'sigma':>12} {'tau*sigma':>12} {'running_max':>12}"
     print(header)
     print("-" * len(header))
-    rows = []
-    running = 0.0
-    for tau in range(tau_max + 1):
-        cos = cosine_gate(float(tau), tau_cut)
-        exp = math.exp(-gate.alpha * tau)
-        sigma = staleness_weight(float(tau), gate)
-        ts = tau * sigma
-        running = max(running, ts)
-        rows.append((tau, cos, exp, sigma, ts, running))
-        print(f"{tau:>5} {cos:>12.6g} {exp:>12.6g} {sigma:>12.6g} {ts:>12.6g} {running:>12.6g}")
+    with open(args.out, "w", newline="", encoding="utf-8") if args.out else contextlib.nullcontext() as fh:
+        writer = csv.writer(fh) if fh else None
+        if writer:
+            writer.writerow(["tau", "cosine", "exp", "sigma", "tau_sigma", "running_max"])
+        running = 0.0
+        for tau in range(tau_max + 1):
+            cos = cosine_gate(float(tau), tau_cut)
+            exp = math.exp(-gate.alpha * tau)
+            sigma = staleness_weight(float(tau), gate)
+            ts = tau * sigma
+            running = max(running, ts)
+            print(f"{tau:>5} {cos:>12.6g} {exp:>12.6g} {sigma:>12.6g} {ts:>12.6g} {running:>12.6g}")
+            if writer:
+                writer.writerow([tau] + [repr(x) for x in (cos, exp, sigma, ts, running)])
     if gate.alpha > 0:
         print(f"reference: 1/(e*alpha) = {1.0 / (math.e * gate.alpha):.12g}")
     if args.out:
-        import csv
-
-        with open(args.out, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["tau", "cosine", "exp", "sigma", "tau_sigma", "running_max"])
-            for row in rows:
-                writer.writerow([row[0]] + [repr(x) for x in row[1:]])
         print(f"table written to {args.out}")
     return 0
 

@@ -16,12 +16,13 @@ import math
 from dataclasses import dataclass
 from typing import Any
 
-from .objective import mlp_dim
+from .objective import _OBJECTIVES, mlp_dim
 from .optim import DEFAULT_ALPHA, DEFAULT_TAU_CUT, METHOD_TABLE, METHODS, InnerConfig, OuterConfig
+from .schema import Checker, resolve_fields
 from .seeding import derive_seed
+from .simulator import DelaySchedule
 
 CONFIG_VERSION = 1
-INT64_MAX = 2**63 - 1  # the largest delay.hi numpy's int64 integers(lo, hi + 1) can draw
 
 __all__ = [
     "ConfigError",
@@ -50,140 +51,38 @@ def config_hash(resolved: dict) -> str:
     return hashlib.sha256(canonical_json(hashed).encode("utf-8")).hexdigest()
 
 
-class _Checker:
-    def __init__(self):
-        self.errors: list[str] = []
-
-    def error(self, path: str, msg: str):
-        self.errors.append(f"{path}: {msg}")
-
-    def require_keys(self, d: dict, path: str, required: set[str], optional: set[str]):
-        for key in d:
-            if key not in required and key not in optional:
-                self.error(f"{path}.{key}" if path else key, "unknown key")
-        for key in required:
-            if key not in d:
-                self.error(f"{path}.{key}" if path else key, "missing required key")
-
-    def num(self, d, key, path, *, integer=False, lo=None, hi=None, lo_open=False, hi_open=False, default=None):
-        if key not in d:
-            return default
-        val = d[key]
-        full = f"{path}.{key}" if path else key
-        if isinstance(val, bool) or not isinstance(val, (int, float)):
-            self.error(full, f"expected a number, got {val!r}")
-            return default
-        if isinstance(val, float) and not math.isfinite(val):  # json.load reads NaN and Infinity
-            self.error(full, f"must be finite, got {val}")
-            return default
-        if integer and not (isinstance(val, int) or float(val).is_integer()):
-            self.error(full, f"expected an integer, got {val!r}")
-            return default
-        if lo is not None and (val <= lo if lo_open else val < lo):
-            self.error(full, f"must be {'>' if lo_open else '>='} {lo}, got {val}")
-            return default
-        if hi is not None and (val >= hi if hi_open else val > hi):
-            self.error(full, f"must be {'<' if hi_open else '<='} {hi}, got {val}")
-            return default
-        return int(val) if integer else float(val)
-
-    def choice(self, d, key, path, choices, default=None):
-        if key not in d:
-            return default
-        val = d[key]
-        full = f"{path}.{key}" if path else key
-        if val not in choices:
-            self.error(full, f"expected one of {sorted(choices)}, got {val!r}")
-            return default
-        return val
-
-    def boolean(self, d, key, path, default=False):
-        if key not in d:
-            return default
-        val = d[key]
-        if not isinstance(val, bool):
-            self.error(f"{path}.{key}" if path else key, f"expected true/false, got {val!r}")
-            return default
-        return val
-
-
-def _resolve_objective(raw: dict, chk: _Checker) -> tuple[dict, int | None]:
+def _resolve_objective(raw: dict, chk: Checker) -> tuple[dict, int | None]:
     """The resolved objective and its parameter dimension (None when invalid)."""
-    kind = chk.choice(raw, "kind", "objective", {"quadratic", "rosenbrock_sum", "mlp_regression"})
+    kind = chk.choice(raw, "kind", "objective", _OBJECTIVES)
     if kind is None:
         if "kind" not in raw:
             chk.error("objective.kind", "missing required key")
         return dict(raw), None
-    out: dict = {"kind": kind}
-    if kind == "quadratic":
-        chk.require_keys(raw, "objective", {"kind", "dimension", "spectrum_lo", "spectrum_hi", "rotation_seed"},
-                         {"noise_scale", "init_scale"})
-        out["dimension"] = chk.num(raw, "dimension", "objective", integer=True, lo=1)
-        out["spectrum_lo"] = chk.num(raw, "spectrum_lo", "objective", lo=0, lo_open=True)
-        out["spectrum_hi"] = chk.num(raw, "spectrum_hi", "objective", lo=0, lo_open=True)
-        out["rotation_seed"] = chk.num(raw, "rotation_seed", "objective", integer=True, default=0)
-        out["noise_scale"] = chk.num(raw, "noise_scale", "objective", lo=0, default=0.1)
-        out["init_scale"] = chk.num(raw, "init_scale", "objective", lo=0, lo_open=True, default=1.0)
-        if (out["spectrum_lo"] is not None and out["spectrum_hi"] is not None
-                and out["spectrum_lo"] > out["spectrum_hi"]):
-            chk.error("objective.spectrum_lo", "must be <= spectrum_hi")
-    elif kind == "rosenbrock_sum":
-        chk.require_keys(raw, "objective", {"kind", "dimension"}, {"noise_scale", "init_scale"})
-        out["dimension"] = chk.num(raw, "dimension", "objective", integer=True, lo=2)
-        out["noise_scale"] = chk.num(raw, "noise_scale", "objective", lo=0, default=0.0)
-        out["init_scale"] = chk.num(raw, "init_scale", "objective", lo=0, lo_open=True, default=1.0)
-    else:
-        chk.require_keys(raw, "objective", {"kind", "layer_sizes"}, {"teacher_seed", "teacher_scale", "init_scale"})
-        sizes = raw.get("layer_sizes")
-        if not (isinstance(sizes, list) and len(sizes) >= 2
-                and all(isinstance(s, int) and not isinstance(s, bool) and s >= 1 for s in sizes)):
-            chk.error("objective.layer_sizes", f"expected a list of >= 2 positive integers, got {sizes!r}")
-        else:
-            out["layer_sizes"] = list(sizes)
-        out["teacher_seed"] = chk.num(raw, "teacher_seed", "objective", integer=True, default=0)
-        out["teacher_scale"] = chk.num(raw, "teacher_scale", "objective", lo=0, lo_open=True, default=1.0)
-        out["init_scale"] = chk.num(raw, "init_scale", "objective", lo=0, lo_open=True, default=1.0)
-        return out, mlp_dim(out["layer_sizes"]) if "layer_sizes" in out else None
+    out = {"kind": kind, **resolve_fields(_OBJECTIVES[kind], raw, "objective", chk, allowed={"kind"})}
+    if kind == "mlp_regression":
+        return out, None if out["layer_sizes"] is None else mlp_dim(out["layer_sizes"])
+    if (kind == "quadratic" and out["spectrum_lo"] is not None and out["spectrum_hi"] is not None
+            and out["spectrum_lo"] > out["spectrum_hi"]):
+        chk.error("objective.spectrum_lo", "must be <= spectrum_hi")
     return out, out["dimension"]
 
 
-def _resolve_delay(raw: dict, chk: _Checker) -> dict:
-    kind = chk.choice(raw, "kind", "delay", {"fixed", "uniform_int", "exponential"})
+def _resolve_delay(raw: dict, chk: Checker) -> dict:
+    kind = chk.choice(raw, "kind", "delay", DelaySchedule.KEYS)
     if kind is None:
         if "kind" not in raw:
             chk.error("delay.kind", "missing required key")
         return dict(raw)
-    out: dict = {"kind": kind}
-    if kind == "fixed":
-        chk.require_keys(raw, "delay", {"kind", "tau"}, set())
-        out["tau"] = chk.num(raw, "tau", "delay", integer=True, lo=0)
-    elif kind == "uniform_int":
-        chk.require_keys(raw, "delay", {"kind"}, {"lo", "hi"})
-        out["lo"] = chk.num(raw, "lo", "delay", integer=True, lo=0, default=0)
-        out["hi"] = chk.num(raw, "hi", "delay", integer=True, lo=0, hi=INT64_MAX, default=16)
-        if out["lo"] is not None and out["hi"] is not None and out["lo"] > out["hi"]:
-            chk.error("delay.lo", "must be <= hi")
-    else:
-        chk.require_keys(raw, "delay", {"kind"}, {"rate", "tau_max"})
-        out["rate"] = chk.num(raw, "rate", "delay", lo=0, lo_open=True, default=0.25)
-        out["tau_max"] = chk.num(raw, "tau_max", "delay", integer=True, lo=0, default=16)
+    out = {"kind": kind, **resolve_fields(DelaySchedule, raw, "delay", chk, keys=DelaySchedule.KEYS[kind],
+                                          allowed={"kind"})}
+    if kind == "uniform_int" and out["lo"] is not None and out["hi"] is not None and out["lo"] > out["hi"]:
+        chk.error("delay.lo", "must be <= hi")
     return out
 
 
-def _resolve_outer(raw: dict, method: str, chk: _Checker) -> dict:
-    chk.require_keys(raw, "outer", set(),
-                     {"eta", "beta1", "beta2", "epsilon", "mu", "alpha", "tau_cut",
-                      "gate_placement", "buffer_period"})
+def _resolve_outer(raw: dict, method: str, chk: Checker) -> dict:
     row = METHOD_TABLE[method]
-    out = {
-        "eta": chk.num(raw, "eta", "outer", lo=0, lo_open=True, default=row.eta),
-        "beta1": chk.num(raw, "beta1", "outer", lo=0, hi=1, hi_open=True, default=0.9),
-        "beta2": chk.num(raw, "beta2", "outer", lo=0, hi=1, hi_open=True, default=0.95),
-        "epsilon": chk.num(raw, "epsilon", "outer", lo=0, lo_open=True, default=1e-8),
-        "mu": chk.num(raw, "mu", "outer", lo=0, hi=1, hi_open=True, default=0.9),
-        "gate_placement": chk.choice(raw, "gate_placement", "outer", {"before", "after"}, default="before"),
-        "buffer_period": chk.num(raw, "buffer_period", "outer", integer=True, lo=1, default=4),
-    }
+    out = resolve_fields(OuterConfig, {"eta": row.eta, **raw}, "outer", chk, allowed={"alpha", "tau_cut"})
 
     alpha = chk.num(raw, "alpha", "outer", lo=0)
     tau_cut = (math.inf if "tau_cut" in raw and raw["tau_cut"] in (None, math.inf)
@@ -203,24 +102,13 @@ def _resolve_outer(raw: dict, method: str, chk: _Checker) -> dict:
     return out
 
 
-def _resolve_inner(raw: dict, chk: _Checker) -> dict:
-    chk.require_keys(raw, "inner", set(), {"lr", "beta1", "beta2", "epsilon", "weight_decay"})
-    return {
-        "lr": chk.num(raw, "lr", "inner", lo=0, lo_open=True, default=3e-4),
-        "beta1": chk.num(raw, "beta1", "inner", lo=0, hi=1, hi_open=True, default=0.9),
-        "beta2": chk.num(raw, "beta2", "inner", lo=0, hi=1, hi_open=True, default=0.95),
-        "epsilon": chk.num(raw, "epsilon", "inner", lo=0, lo_open=True, default=1e-8),
-        "weight_decay": chk.num(raw, "weight_decay", "inner", lo=0, default=0.0),
-    }
-
-
 def resolve_config(raw: dict) -> dict:
     """Validate a raw config mapping and return the canonical resolved dict.
 
     Raises ConfigError listing every problem with its field path.
     Resolution is idempotent: resolving a resolved dict is a no-op.
     """
-    chk = _Checker()
+    chk = Checker()
     if not isinstance(raw, dict):
         raise ConfigError(["config: expected a JSON object"])
     chk.require_keys(
@@ -252,7 +140,7 @@ def resolve_config(raw: dict) -> dict:
         chk.error("inner", "expected a JSON object")
         inner_raw = {}
     outer = _resolve_outer(outer_raw, method, chk) if method else dict(outer_raw)
-    inner = _resolve_inner(inner_raw, chk)
+    inner = resolve_fields(InnerConfig, inner_raw, "inner", chk)
 
     frag_raw = raw.get("fragments", {})
     if not isinstance(frag_raw, dict):
@@ -345,7 +233,7 @@ def expand_sweep(spec: dict) -> list[tuple[dict, RunConfig]]:
     validated before anything runs, and two cells with the same config
     hash and master seed (one result file) are rejected.
     """
-    chk = _Checker()
+    chk = Checker()
     if not isinstance(spec, dict):
         raise ConfigError(["sweep: expected a JSON object"])
     chk.require_keys(spec, "", {"version", "base", "axes"}, {"jobs"})

@@ -168,21 +168,24 @@ def _load_result(path: Path, cfg: RunConfig) -> tuple[dict | None, str]:
 def resolve_jobs(cli_jobs: int | None, spec_jobs: int | None) -> int:
     """--jobs wins, then the STALE_LAB_JOBS env default, then the sweep file.
 
-    The sweep file's value additionally acts as a cap when set.
+    The sweep file's value additionally acts as a cap when set. A --jobs or
+    STALE_LAB_JOBS value below 1 is a ConfigError.
     """
-    jobs = cli_jobs
+    jobs, source = cli_jobs, "--jobs"
     if jobs is None:
-        env = os.environ.get(JOBS_ENV_VAR)
+        env, source = os.environ.get(JOBS_ENV_VAR), JOBS_ENV_VAR
         if env is not None:
             try:
                 jobs = int(env)
             except ValueError as exc:
                 raise ConfigError([f"{JOBS_ENV_VAR}: expected an integer, got {env!r}"]) from exc
+    if jobs is not None and jobs < 1:
+        raise ConfigError([f"{source}: must be >= 1, got {jobs}"])
     if jobs is None:
         jobs = spec_jobs if spec_jobs is not None else 1
     elif spec_jobs is not None:
         jobs = min(jobs, spec_jobs)
-    return max(1, jobs)
+    return jobs
 
 
 def _pool_pass(cells: list, out: Path, workers: int) -> tuple[list[str], list]:

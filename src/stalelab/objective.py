@@ -33,10 +33,12 @@ in another order) and reductions run along the axis a 1-D call reduces.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
+from .schema import check_fields, key
 from .seeding import derive_seed, seed_table, seeded_generator
 
 __all__ = [
@@ -125,24 +127,28 @@ class LinearNoiseObjective(Objective):
         return loss + _dot(noise_mean, point), grad + noise_mean
 
 
+@dataclass(eq=False)
 class QuadraticObjective(LinearNoiseObjective):
     kind = "quadratic"
 
-    def __init__(self, dimension: int, spectrum_lo: float, spectrum_hi: float,
-                 rotation_seed: int, noise_scale: float = 0.1, init_scale: float = 1.0):
-        if dimension < 1:
-            raise ValueError(f"dimension must be >= 1, got {dimension}")
-        if not (0.0 < spectrum_lo <= spectrum_hi):
-            raise ValueError(f"need 0 < spectrum_lo <= spectrum_hi, got ({spectrum_lo}, {spectrum_hi})")
-        self.dim = dimension
-        self.noise_scale = float(noise_scale)
-        self.init_scale = float(init_scale)
-        rng = np.random.default_rng(derive_seed(rotation_seed, "quadratic-rotation"))
-        self.eigenvalues = np.geomspace(spectrum_lo, spectrum_hi, dimension)
-        q, _ = np.linalg.qr(rng.standard_normal((dimension, dimension)))
+    dimension: int = key(integer=True, lo=1)
+    spectrum_lo: float = key(lo=0, lo_open=True)
+    spectrum_hi: float = key(lo=0, lo_open=True)
+    rotation_seed: int = key(integer=True)
+    noise_scale: float = key(0.1, lo=0)
+    init_scale: float = key(1.0, lo=0, lo_open=True)
+
+    def __post_init__(self):
+        check_fields(self)
+        if self.spectrum_lo > self.spectrum_hi:
+            raise ValueError(f"need spectrum_lo <= spectrum_hi, got ({self.spectrum_lo}, {self.spectrum_hi})")
+        self.dim = self.dimension
+        rng = np.random.default_rng(derive_seed(self.rotation_seed, "quadratic-rotation"))
+        self.eigenvalues = np.geomspace(self.spectrum_lo, self.spectrum_hi, self.dimension)
+        q, _ = np.linalg.qr(rng.standard_normal((self.dimension, self.dimension)))
         a = (q * self.eigenvalues) @ q.T
         self.matrix = 0.5 * (a + a.T)  # symmetrize away qr round-off
-        self.minimizer = rng.standard_normal(dimension)
+        self.minimizer = rng.standard_normal(self.dimension)
         self.smoothness = float(self.eigenvalues[-1])
 
     def init_params(self, seed: int) -> np.ndarray:
@@ -158,15 +164,17 @@ class QuadraticObjective(LinearNoiseObjective):
         return self.matrix @ (params - self.minimizer)
 
 
+@dataclass(eq=False)
 class RosenbrockObjective(LinearNoiseObjective):
     kind = "rosenbrock_sum"
 
-    def __init__(self, dimension: int, noise_scale: float = 0.0, init_scale: float = 1.0):
-        if dimension < 2:
-            raise ValueError(f"dimension must be >= 2, got {dimension}")
-        self.dim = dimension
-        self.noise_scale = float(noise_scale)
-        self.init_scale = float(init_scale)
+    dimension: int = key(integer=True, lo=2)
+    noise_scale: float = key(0.0, lo=0)
+    init_scale: float = key(1.0, lo=0, lo_open=True)
+
+    def __post_init__(self):
+        check_fields(self)
+        self.dim = self.dimension
 
     def init_params(self, seed: int) -> np.ndarray:
         rng = np.random.default_rng(seed)
@@ -183,26 +191,34 @@ class RosenbrockObjective(LinearNoiseObjective):
         return self._add_noise(loss, grad, batch, x)
 
 
+def valid_layer_sizes(sizes) -> bool:
+    """Whether sizes is a list (or tuple) of >= 2 positive integers, an MLP's layer widths."""
+    return (isinstance(sizes, (list, tuple)) and len(sizes) >= 2
+            and all(isinstance(s, numbers.Integral) and not isinstance(s, bool) and s >= 1 for s in sizes))
+
+
+@dataclass(eq=False)
 class MlpRegressionObjective(Objective):
     """tanh MLP fit to a frozen random teacher of the same architecture."""
 
     kind = "mlp_regression"
 
-    def __init__(self, layer_sizes: list[int], teacher_seed: int = 0,
-                 teacher_scale: float = 1.0, init_scale: float = 1.0):
-        if len(layer_sizes) < 2 or any(s < 1 for s in layer_sizes):
-            raise ValueError(f"layer_sizes needs >= 2 positive entries, got {layer_sizes}")
-        self.layer_sizes = list(layer_sizes)
-        self.teacher_scale = float(teacher_scale)
-        self.init_scale = float(init_scale)
-        self.dim = mlp_dim(layer_sizes)
+    layer_sizes: list[int] = key(valid=valid_layer_sizes, expected="a list of >= 2 positive integers")
+    teacher_seed: int = key(0, integer=True)
+    teacher_scale: float = key(1.0, lo=0, lo_open=True)
+    init_scale: float = key(1.0, lo=0, lo_open=True)
+
+    def __post_init__(self):
+        check_fields(self)
+        self.layer_sizes = list(self.layer_sizes)
+        self.dim = mlp_dim(self.layer_sizes)
         self._fans = list(zip(self.layer_sizes[:-1], self.layer_sizes[1:]))
         self._offsets = []  # (weight start, bias start, bias end) per layer
         pos = 0
         for fan_in, fan_out in self._fans:
             self._offsets.append((pos, pos + fan_out * fan_in, pos + fan_out * fan_in + fan_out))
             pos = self._offsets[-1][2]
-        rng = np.random.default_rng(derive_seed(teacher_seed, "mlp-teacher"))
+        rng = np.random.default_rng(derive_seed(self.teacher_seed, "mlp-teacher"))
         self.teacher_params = self._draw_params(rng, self.teacher_scale)
         self._teacher_layers = self.unpack(self.teacher_params)  # views, unpacked once for every batch
 

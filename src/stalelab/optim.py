@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .gate import StalenessGate, staleness_weight
+from .schema import check_fields, key
 
 __all__ = [
     "METHOD_TABLE",
@@ -135,31 +136,18 @@ def method_row(method: str) -> MethodRow:
 @dataclass
 class OuterConfig:
     method: str
-    eta: float
-    beta1: float = 0.9
-    beta2: float = 0.95
-    epsilon: float = 1e-8
-    mu: float = 0.9
+    eta: float = key(lo=0, lo_open=True)
+    beta1: float = key(0.9, lo=0, hi=1, hi_open=True)
+    beta2: float = key(0.95, lo=0, hi=1, hi_open=True)
+    epsilon: float = key(1e-8, lo=0, lo_open=True)
+    mu: float = key(0.9, lo=0, hi=1, hi_open=True)
     gate: StalenessGate = field(default_factory=lambda: StalenessGate(0.0, math.inf))
-    gate_placement: str = "before"
-    buffer_period: int = 4
+    gate_placement: str = key("before", choices=("before", "after"))
+    buffer_period: int = key(4, integer=True, lo=1)
 
     def __post_init__(self):
         method_row(self.method)
-        if not (self.eta > 0.0):
-            raise ValueError(f"eta must be > 0, got {self.eta}")
-        if not (0.0 <= self.beta1 < 1.0):
-            raise ValueError(f"beta1 must satisfy 0 <= beta1 < 1, got {self.beta1}")
-        if not (0.0 <= self.beta2 < 1.0):
-            raise ValueError(f"beta2 must satisfy 0 <= beta2 < 1, got {self.beta2}")
-        if not (self.epsilon > 0.0):
-            raise ValueError(f"epsilon must be > 0, got {self.epsilon}")
-        if not (0.0 <= self.mu < 1.0):
-            raise ValueError(f"mu must satisfy 0 <= mu < 1, got {self.mu}")
-        if self.gate_placement not in ("before", "after"):
-            raise ValueError(f"gate_placement must be 'before' or 'after', got {self.gate_placement!r}")
-        if self.buffer_period < 1:
-            raise ValueError(f"buffer_period must be >= 1, got {self.buffer_period}")
+        check_fields(self)
 
     @classmethod
     def for_method(cls, method: str, **overrides) -> "OuterConfig":
@@ -177,25 +165,16 @@ class OuterConfig:
 
 @dataclass
 class InnerConfig:
-    """Worker-side AdamW settings (defaults: lr 3e-4, betas (0.9, 0.95), wd 0)."""
+    """Worker-side AdamW settings."""
 
-    lr: float = 3e-4
-    beta1: float = 0.9
-    beta2: float = 0.95
-    epsilon: float = 1e-8
-    weight_decay: float = 0.0
+    lr: float = key(3e-4, lo=0, lo_open=True)
+    beta1: float = key(0.9, lo=0, hi=1, hi_open=True)
+    beta2: float = key(0.95, lo=0, hi=1, hi_open=True)
+    epsilon: float = key(1e-8, lo=0, lo_open=True)
+    weight_decay: float = key(0.0, lo=0)
 
     def __post_init__(self):
-        if not (self.lr > 0.0):
-            raise ValueError(f"inner lr must be > 0, got {self.lr}")
-        if not (0.0 <= self.beta1 < 1.0):
-            raise ValueError(f"inner beta1 must satisfy 0 <= beta1 < 1, got {self.beta1}")
-        if not (0.0 <= self.beta2 < 1.0):
-            raise ValueError(f"inner beta2 must satisfy 0 <= beta2 < 1, got {self.beta2}")
-        if not (self.epsilon > 0.0):
-            raise ValueError(f"inner epsilon must be > 0, got {self.epsilon}")
-        if self.weight_decay < 0.0:
-            raise ValueError(f"inner weight_decay must be >= 0, got {self.weight_decay}")
+        check_fields(self)
 
 
 def _check_shapes(params: np.ndarray, grad: np.ndarray):

@@ -33,11 +33,11 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, fields
+from typing import TYPE_CHECKING, ClassVar
 
 import numpy as np
 
 from . import theory
-from .config import RunConfig
 from .gate import effective_age
 from .objective import (
     Objective,
@@ -57,7 +57,11 @@ from .optim import (
     method_row,
     outer_step,
 )
+from .schema import check_fields, key
 from .seeding import derive_seed, seed_table, seeded_generator
+
+if TYPE_CHECKING:
+    from .config import RunConfig
 
 __all__ = [
     "DelaySchedule",
@@ -84,19 +88,20 @@ SEED_TABLE_ROWS = 8192  # batch seeds hashed at once; bounds the seed tables of 
 
 @dataclass(frozen=True)
 class DelaySchedule:
-    """Integer delay per (worker, round); deterministic given the seed."""
+    """Integer delay per (worker, round), deterministic given the seed; KEYS lists each kind's config keys."""
 
-    kind: str  # fixed | uniform_int | exponential
+    KEYS: ClassVar[dict] = {"fixed": ("tau",), "uniform_int": ("lo", "hi"), "exponential": ("rate", "tau_max")}
+
+    kind: str = key(choices=KEYS)
     seed: int = 0
-    tau: int = 0
-    lo: int = 0
-    hi: int = 16
-    rate: float = 0.25
-    tau_max: int = 16
+    tau: int = key(0, required=True, integer=True, lo=0)
+    lo: int = key(0, integer=True, lo=0)
+    hi: int = key(16, integer=True, lo=0, hi=2**63 - 1)  # the most numpy's int64 integers(lo, hi + 1) can draw
+    rate: float = key(0.25, lo=0, lo_open=True)
+    tau_max: int = key(16, integer=True, lo=0)
 
     def __post_init__(self):
-        if self.kind not in ("fixed", "uniform_int", "exponential"):
-            raise ValueError(f"unknown delay kind {self.kind!r}")
+        check_fields(self)
 
     def label(self) -> str:
         if self.kind == "fixed":

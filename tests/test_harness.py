@@ -68,6 +68,12 @@ class TestValidation:
         paths = {e.split(":")[0] for e in exc.value.errors}
         assert {"workers", "rounds", "outer.eta"} <= paths
 
+    def test_missing_keys_reported_in_sorted_order(self):
+        with pytest.raises(ConfigError) as exc:
+            resolve_config(quad_raw(objective={"kind": "quadratic"}))
+        assert exc.value.errors == [f"objective.{key}: missing required key"
+                                    for key in ("dimension", "rotation_seed", "spectrum_hi", "spectrum_lo")]
+
     def test_wrong_version_rejected(self):
         with pytest.raises(ConfigError, match="version"):
             resolve_config(quad_raw(version=99))
@@ -136,6 +142,16 @@ class TestValidation:
     def test_resolution_is_idempotent(self):
         resolved = resolve_config(quad_raw())
         assert resolve_config(resolved) == resolved
+
+    @pytest.mark.parametrize("path", ["method", "objective.kind", "delay.kind", "outer.gate_placement"])
+    def test_unhashable_choice_names_field(self, path):
+        raw = quad_raw()
+        *section, key = path.split(".")
+        (raw.setdefault(section[0], {}) if section else raw)[key] = ["cgad"]
+        with pytest.raises(ConfigError) as exc:
+            resolve_config(raw)
+        assert len(exc.value.errors) == 1 and exc.value.errors[0].startswith(f"{path}: expected one of [")
+        assert exc.value.errors[0].endswith("got ['cgad']")
 
     def test_objective_field_validation(self):
         raw = quad_raw()
@@ -458,6 +474,23 @@ class TestJobsResolution:
         with pytest.raises(ConfigError, match="STALE_LAB_JOBS"):
             resolve_jobs(None, None)
 
+    @pytest.mark.parametrize("cli_jobs,env,message", [
+        (0, None, "--jobs: must be >= 1, got 0"),
+        (-4, "3", "--jobs: must be >= 1, got -4"),
+        (None, "0", "STALE_LAB_JOBS: must be >= 1, got 0"),
+        (None, "-2", "STALE_LAB_JOBS: must be >= 1, got -2"),
+    ])
+    def test_jobs_below_one_is_config_error(self, monkeypatch, cli_jobs, env, message):
+        from stalelab.harness import resolve_jobs
+
+        if env is None:
+            monkeypatch.delenv("STALE_LAB_JOBS", raising=False)
+        else:
+            monkeypatch.setenv("STALE_LAB_JOBS", env)
+        with pytest.raises(ConfigError) as exc:
+            resolve_jobs(cli_jobs, 2)
+        assert exc.value.errors == [message]
+
 
 class TestCli:
     def write_config(self, tmp_path, raw):
@@ -527,6 +560,23 @@ class TestCli:
         out = capsys.readouterr().out
         assert "summary.csv" in out and "cgad" in out and "nesterov" in out
 
+    @pytest.mark.parametrize("jobs,env,message", [
+        (["--jobs", "0"], None, "--jobs: must be >= 1, got 0"),
+        (["--jobs", "-4"], None, "--jobs: must be >= 1, got -4"),
+        ([], "0", "STALE_LAB_JOBS: must be >= 1, got 0"),
+    ])
+    def test_sweep_rejects_jobs_below_one(self, tmp_path, capsys, monkeypatch, jobs, env, message):
+        if env is None:
+            monkeypatch.delenv("STALE_LAB_JOBS", raising=False)
+        else:
+            monkeypatch.setenv("STALE_LAB_JOBS", env)
+        spec_path = tmp_path / "sweep.json"
+        spec_path.write_text(json.dumps(sweep_spec()))
+        out = tmp_path / "res"
+        assert cli_main(["sweep", "--sweep", str(spec_path), "--out", str(out), *jobs]) == 2
+        assert message in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
     def test_gate_table_rows(self, capsys):
         rc = cli_main(["gate-table", "--alpha", "0.2", "--tau-cut", "32", "--tau-max", "33"])
         assert rc == 0
@@ -545,6 +595,8 @@ class TestCli:
         (["--alpha", "0.2", "--tau-max", "-3"], "--tau-max must be >= 0"),
         (["--alpha", "0.2", "--tau-cut", "1e308"], "pass --tau-max"),
         (["--alpha", "5e-324"], "pass --tau-max"),
+        (["--alpha", "0.2", "--tau-cut", "1e300"], "pass --tau-max"),
+        (["--alpha", "1e-6"], "pass --tau-max"),
     ])
     def test_gate_table_rejects_bad_input(self, capsys, argv, message):
         assert cli_main(["gate-table", *argv]) == 2

@@ -105,7 +105,7 @@ class TestSampleDelay:
         assert sched.label() == "exp:0.25"
 
     def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError, match="unknown delay kind 'pareto'"):
+        with pytest.raises(ValueError, match=r"^DelaySchedule\.kind: expected one of .*, got 'pareto'$"):
             DelaySchedule(kind="pareto")
 
     def test_exponential_draw_past_float_range_gives_tau_max(self):
