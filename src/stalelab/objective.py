@@ -20,8 +20,9 @@ and rosenbrock tasks a batch is a set of linear noise terms added to the
 population loss, so the stochastic gradient is the exact gradient plus
 the batch's mean noise vector; passing batch=None evaluates the
 noise-free population objective, and `compact_batch` reduces a batch
-that is reused (the eval batch) to that mean row. Gradients are written
-by hand (no autodiff) and checked against central finite differences.
+that is reused (the eval batch) to that mean row; the inner phase takes
+its mean rows from `seeding.STREAM_MEMO`. Gradients are written by hand
+(no autodiff) and checked against central finite differences.
 
 `loss_and_grad` also takes K parameter vectors stacked as a (K, dim)
 array, with a batch per row stacked the same way (see `sample_batch`),
@@ -39,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .schema import check_fields, key
-from .seeding import derive_seed, seed_table, seeded_generator
+from .seeding import STREAM_MEMO, derive_seed, seed_table, seeded_generator
 
 __all__ = [
     "Shard",
@@ -119,11 +120,20 @@ class LinearNoiseObjective(Objective):
         """The batch's mean row; the mean of one row is that row, so no bit moves."""
         return batch.mean(axis=-2, keepdims=True)
 
+    def draw_compact(self, seeds: np.ndarray, n: int) -> np.ndarray:
+        """The (1, dim) mean row of each row's draw, stacked to (K, 1, dim): copies of the memo's rows."""
+
+        def mean_row(state):
+            return self.compact_batch(self.draw_batch(seeded_generator(state), n))
+
+        params = ("noise", self.noise_scale, self.dim, n)
+        return np.stack([STREAM_MEMO.draw(params, state, mean_row, 8 * self.dim) for state in seeds])
+
     def _add_noise(self, loss, grad, batch, point):
         """Loss plus noise_mean . point and gradient plus noise_mean, for a batch."""
         if batch is None:
             return loss, grad
-        noise_mean = batch.mean(axis=-2)
+        noise_mean = batch[..., 0, :] if batch.shape[-2] == 1 else batch.mean(axis=-2)
         return loss + _dot(noise_mean, point), grad + noise_mean
 
 
@@ -334,15 +344,18 @@ def batch_seeds(shards: list[Shard], rounds: range, inner_steps: int) -> np.ndar
         len(shards), len(rounds), inner_steps, 4)
 
 
-def sample_batch(obj: Objective, shards: list[Shard], seeds: np.ndarray):
+def sample_batch(obj: Objective, shards: list[Shard], seeds: np.ndarray, compact: bool = False):
     """One batch per shard from its `batch_seeds` row, stacked in shard order.
 
     `seeds` is (K, 4), row k for shards[k]. Each shard keeps its own
     generator, so row k is the same bytes whatever the other shards are.
+    With compact, linear-noise rows come from the stream memo in `compact_batch` form.
     """
     sizes = {shard.batch_size for shard in shards}
     if len(sizes) != 1:
         raise ValueError(f"shards must share one batch size, got {sorted(sizes)}")
+    if compact and isinstance(obj, LinearNoiseObjective):
+        return obj.draw_compact(seeds, sizes.pop())
     return obj.draw_batches([seeded_generator(state) for state in seeds], sizes.pop())
 
 

@@ -61,6 +61,7 @@ class OuterState:
     delayed_nesterov its burst buffer (the sum of the gradients since the
     last burst) in v. Per fragment, t counts applied Adam updates (a dropped
     update leaves it alone) and count the gradients in the burst buffer.
+    `plan` is the gather plan (ids, sizes, element and counter index, offsets) a round's entries share.
     """
 
     starts: np.ndarray
@@ -69,6 +70,7 @@ class OuterState:
     v: np.ndarray
     t: np.ndarray
     count: np.ndarray
+    plan: tuple | None = None
 
     @classmethod
     def zeros(cls, sizes) -> "OuterState":
@@ -218,18 +220,19 @@ def inner_adamw_step(
     return new_params, AdamMoments(m=m, v=v, t=t)
 
 
-# Weights a momentum base applies to the gradient before its kernel; the
-# adam base weighs by cfg.gate through staleness_weight instead.
-_MOMENTUM_WEIGHTS = {
+# The weight on the gradient: the adam base weighs by cfg.gate, a momentum base by its row's weight.
+_WEIGHTS = {
+    "gate": lambda tau, cfg: staleness_weight(tau, cfg.gate),
     "one": lambda tau, cfg: 1.0,
     "exp": lambda tau, cfg: math.exp(-cfg.gate.alpha * tau),
     "poly": lambda tau, cfg: (1.0 + tau) ** -0.5,
 }
+_NAN = np.array([math.nan])  # repeat() fills a NaN array faster than np.full
 
 
-def _spread(values, sizes: np.ndarray):
-    """Per-fragment scalars as an elementwise factor: the scalar itself for one fragment."""
-    return values[0] if len(values) == 1 else np.repeat(values, sizes)
+def _spread(values: list, sizes: np.ndarray):
+    """Per-fragment scalars as an elementwise factor: one scalar where they are all equal."""
+    return values[0] if values.count(values[0]) == len(values) else np.repeat(values, sizes)
 
 
 def outer_step(params, grad, ages, state: OuterState, cfg: OuterConfig, frags):
@@ -253,43 +256,44 @@ def outer_step(params, grad, ages, state: OuterState, cfg: OuterConfig, frags):
         raise ValueError(f"ages must be >= 0, got {list(ages)}")
     row = METHOD_TABLE[cfg.method]
     n = len(frags)
-    if row.base == "adam":
-        sigma = [staleness_weight(age, cfg.gate) for age in ages]
-        live = [i for i in range(n) if sigma[i] != 0.0]
-    else:
-        sigma = [_MOMENTUM_WEIGHTS[row.weight](age, cfg) for age in ages]
-        live = list(range(n))
-    applied = np.zeros(n, dtype=bool)
-    applied[live] = True
-    rho = np.full(n, math.nan)
-    norm = np.zeros(n)
+    weigh = _WEIGHTS["gate" if row.base == "adam" else row.weight]
+    # a tau-aged method passes one age for every fragment: weigh it once
+    sigma = [weigh(ages[0], cfg)] * n if list(ages).count(ages[0]) == n else [weigh(age, cfg) for age in ages]
+    live = [i for i in range(n) if sigma[i] != 0.0] if row.base == "adam" else list(range(n))
+    at = slice(None) if len(live) == n else live  # where the stepped fragments' results go
+    applied, rho, norm = np.zeros(n, dtype=bool), _NAN.repeat(n), np.zeros(n)
+    applied[at] = True
     if not live:
         return applied, sigma, rho, norm
 
     ids = [frags[i] for i in live]
-    sizes = state.sizes[ids]
-    if len(ids) == len(state.sizes):  # every fragment steps: no gather
-        index, offsets = slice(None), state.starts
-    else:
+    if state.plan is None or state.plan[0] != ids:
+        sizes = state.sizes[ids]
         offsets = np.cumsum(sizes) - sizes
-        index = np.repeat(state.starts[ids] - offsets, sizes) + np.arange(int(sizes.sum()))
+        if ids == list(range(ids[0], ids[-1] + 1)):  # consecutive fragments: slices, no gather
+            start = int(state.starts[ids[0]])
+            state.plan = ids, sizes, slice(start, start + int(sizes.sum())), slice(ids[0], ids[-1] + 1), offsets
+        else:
+            index = np.repeat(state.starts[ids] - offsets, sizes) + np.arange(int(sizes.sum()))
+            state.plan = ids, sizes, index, ids, offsets
+    _, sizes, index, frag, offsets = state.plan
     sig = [sigma[i] for i in live]
     g = grad[index]
 
     if row.base == "adam":
         if cfg.gate_placement == "before":
             g = _spread(sig, sizes) * g
-        t = state.t[ids] + 1
-        state.t[ids] = t
+        state.t[frag] += 1
+        ts = state.t[frag].tolist()
         m = cfg.beta1 * state.m[index] + (1.0 - cfg.beta1) * g
         v = cfg.beta2 * state.v[index] + (1.0 - cfg.beta2) * (g * g)
         state.m[index] = m
         state.v[index] = v
-        m_hat = m / _spread([1.0 - cfg.beta1**k for k in t.tolist()], sizes)
-        v_hat = v / _spread([1.0 - cfg.beta2**k for k in t.tolist()], sizes)
+        m_hat = m / _spread([1.0 - cfg.beta1**k for k in ts], sizes)
+        v_hat = v / _spread([1.0 - cfg.beta2**k for k in ts], sizes)
         ratio = m_hat / (np.sqrt(v_hat) + cfg.epsilon)
         step = _spread([cfg.eta * s for s in sig], sizes) * ratio
-        rho[live] = np.maximum.reduceat(np.abs(ratio), offsets)
+        rho[at] = np.maximum.reduceat(np.abs(ratio), offsets)
     else:
         if row.weight != "one":
             g = _spread(sig, sizes) * g
@@ -298,17 +302,17 @@ def outer_step(params, grad, ages, state: OuterState, cfg: OuterConfig, frags):
             # plain gradient steps; every buffer_period-th call the buffered mean
             # enters the velocity, an extra -eta*mu*v burst applies, the buffer resets
             acc = state.v[index] + g
-            count = state.count[ids] + 1
+            count = state.count[frag] + 1
             step = cfg.eta * g
             burst = count >= cfg.buffer_period
             if burst.any():
-                mask = _spread(burst, sizes)
-                velocity = np.where(mask, cfg.mu * velocity + acc / _spread(count, sizes), velocity)
+                mask = _spread(burst.tolist(), sizes)
+                velocity = np.where(mask, cfg.mu * velocity + acc / _spread(count.tolist(), sizes), velocity)
                 step = np.where(mask, step + cfg.eta * cfg.mu * velocity, step)
                 acc = np.where(mask, 0.0, acc)
                 count[burst] = 0
             state.v[index] = acc
-            state.count[ids] = count
+            state.count[frag] = count
         else:
             # Nesterov with the post-update velocity; mla extends the step by
             # tau*mu extra velocity applications ("project by tau*mu steps")
@@ -318,5 +322,5 @@ def outer_step(params, grad, ages, state: OuterState, cfg: OuterConfig, frags):
                 step = step + _spread([cfg.eta * ages[i] * cfg.mu for i in live], sizes) * velocity
         state.m[index] = velocity
     params[index] -= step
-    norm[live] = np.maximum.reduceat(np.abs(step), offsets)
+    norm[at] = np.maximum.reduceat(np.abs(step), offsets)
     return applied, sigma, rho, norm

@@ -142,3 +142,29 @@ def seeded_generator(state: np.ndarray) -> np.random.Generator:
     PCG64 seeds itself from the row in numpy's own code.
     """
     return np.random.Generator(np.random.PCG64(_TableRow(state)))
+
+
+STREAM_MEMO_BYTES = 1 << 20  # row bytes plus value bytes the stream memo keeps per process
+
+
+class StreamMemo:
+    """Draws from seed-table rows, kept by (params, row bytes) while the kept bytes (32 per row
+    plus nbytes per value) fit the budget; params hold every value the draw reads besides the row."""
+
+    def __init__(self, budget: int):
+        self.budget, self.used, self.tables = budget, 0, {}
+
+    def draw(self, params: tuple, row: np.ndarray, draw, nbytes: int):
+        """draw(row), or the value the memo keeps for it."""
+        table, key = self.tables.setdefault(params, {}), row.tobytes()
+        if key not in table:
+            if self.used + len(key) + nbytes > self.budget:
+                return draw(row)
+            table[key], self.used = draw(row), self.used + len(key) + nbytes
+        return table[key]
+
+    def clear(self):
+        self.tables, self.used = {}, 0
+
+
+STREAM_MEMO = StreamMemo(STREAM_MEMO_BYTES)

@@ -58,7 +58,7 @@ from .optim import (
     outer_step,
 )
 from .schema import check_fields, key
-from .seeding import derive_seed, seed_table, seeded_generator
+from .seeding import STREAM_MEMO, derive_seed, seed_table, seeded_generator
 
 if TYPE_CHECKING:
     from .config import RunConfig
@@ -122,14 +122,18 @@ def delay_seeds(schedule: DelaySchedule, workers: int, rounds: range) -> np.ndar
 
 
 def sample_delay(schedule: DelaySchedule, seed: np.ndarray) -> int:
-    """Delay of one (worker, round) from its `delay_seeds` row; independent of call order."""
+    """Delay of one (worker, round) from its `delay_seeds` row, kept in the stream memo; order-free."""
     if schedule.kind == "fixed":
         return schedule.tau
-    rng = seeded_generator(seed)
-    if schedule.kind == "uniform_int":
-        return int(rng.integers(schedule.lo, schedule.hi + 1))
-    # exponential; min before int(), so a draw that overflows to inf (a tiny rate) gives tau_max
-    return int(min(schedule.tau_max, np.rint(rng.exponential(1.0 / schedule.rate))))
+
+    def draw(row):
+        rng = seeded_generator(row)
+        if schedule.kind == "uniform_int":
+            return int(rng.integers(schedule.lo, schedule.hi + 1))
+        # exponential; min before int(), so a draw that overflows to inf (a tiny rate) gives tau_max
+        return int(min(schedule.tau_max, np.rint(rng.exponential(1.0 / schedule.rate))))
+
+    return STREAM_MEMO.draw(schedule, seed, draw, 8)  # the schedule holds every field the draw reads
 
 
 @dataclass
@@ -224,7 +228,7 @@ def run_inner_phase(
     params = np.tile(global_snapshot, (len(shards), 1))
     state = AdamMoments.zeros(params.shape)
     for step in range(seeds.shape[1]):
-        batch = sample_batch(obj, shards, seeds[:, step])
+        batch = sample_batch(obj, shards, seeds[:, step], compact=True)
         _, grad = obj.loss_and_grad(params, batch)
         params, state = inner_adamw_step(params, grad, state, inner_cfg)
     return global_snapshot - params
@@ -315,7 +319,7 @@ class Simulation:
         self.applied_updates = 0
         self.dropped_updates = 0
         self.trace = Trace(config.outer, exact_grad=self.obj.population_grad(self.global_params) is not None)
-        self._trace_rows: list[tuple] = []  # one ApplyRecord row per (entry, selected fragment)
+        self._records, self._columns, self._recorded = np.zeros(0, ApplyRecord), [], 0  # trace rows, then room
         if self.obj.kind == "quadratic":
             self.trace.l_smooth = self.obj.smoothness
             self.trace.f_gap = float(self.obj.loss(self.global_params, None))
@@ -327,6 +331,16 @@ class Simulation:
         if isinstance(entry.payload, QuantizedPayload):
             return dequantize_payload(entry.payload, self.partition)
         return entry.payload
+
+    def _trace_slice(self, n: int) -> slice:
+        """The next n trace rows; the buffer takes the configured run's most rows, then doubles."""
+        start, stop, cfg = self._recorded, self._recorded + n, self.config
+        if stop > len(self._records):
+            records = np.empty(max(2 * stop, cfg.rounds * cfg.workers * cfg.fragments["budget"]), ApplyRecord)
+            records[:start] = self._records[:start]  # the spare rows stay unwritten until used
+            self._records, self._columns = records, [records[name] for name in ApplyRecord.names]
+        self._recorded = stop
+        return slice(start, stop)
 
     def _hash_seed_tables(self, r: int) -> None:
         """Seed tables from round r on: the rest of the configured run, capped
@@ -401,11 +415,11 @@ class Simulation:
                 ages = [float(entry.tau)] * len(selected)
             applied, sigma, rho, norm = outer_step(
                 self.global_params, grad, ages, self.outer_state, cfg.outer, selected)
-            n = len(selected)
-            self._trace_rows.extend(zip(  # in ApplyRecord field order
-                [r] * n, [entry.worker] * n, [entry.produced_round] * n, [entry.tau] * n, ages,
-                selected, applied.tolist(), sigma, rho.tolist(), norm.tolist(),
-                [grad_norm_sq] * n, [delta_norm_sq] * n))
+            rows = self._trace_slice(len(selected))
+            values = (r, entry.worker, entry.produced_round, entry.tau, ages, selected, applied, sigma, rho,
+                      norm, grad_norm_sq, delta_norm_sq)  # in ApplyRecord field order
+            for column, value in zip(self._columns, values):
+                column[rows] = value
             if applied.any():
                 self.applied_updates += 1
             else:
@@ -443,8 +457,10 @@ class Simulation:
         if not self.diverged and final is not None and final > DIVERGENCE_FACTOR * self.reference_loss:
             self.diverged = True
 
-        self.trace.records = np.array(self._trace_rows, dtype=ApplyRecord)
-        records = self.trace.records
+        if len(self._records) > self._recorded:  # shrink the buffer in place to the rows written
+            self._columns = []  # its column views would stop resize() from freeing the spare rows
+            self._records.resize(self._recorded)
+        records = self.trace.records = self._records
         sigma_bar, rho_max, rho_le_one = theory.trace_stats(records)
         audit = theory.audit_run(self.trace) if self.row.base == "adam" and len(records) else None
 

@@ -232,6 +232,19 @@ class TestStacked:
             np.testing.assert_array_equal(bits(losses[k]), bits(loss))
             np.testing.assert_array_equal(bits(grads[k]), bits(grad))
 
+    @pytest.mark.parametrize("kind", sorted(KINDS))
+    def test_compact_batches_give_the_bits_of_full_ones(self, kind):
+        # the inner phase's batches: each row compacted, linear-noise rows from the stream memo
+        obj = make_objective(KINDS[kind])
+        shards = [Shard.for_worker(3, w, batch_size=16) for w in range(4)]
+        params = np.stack([obj.init_params(40 + k) for k in range(len(shards))])
+        seeds = batch_seeds(shards, range(2, 3), 1)[:, 0, 0]
+        full = sample_batch(obj, shards, seeds)
+        for _ in range(2):  # a cold memo, then a warm one
+            compact = sample_batch(obj, shards, seeds, compact=True)
+            for got, want in zip(obj.loss_and_grad(params, compact), obj.loss_and_grad(params, full)):
+                np.testing.assert_array_equal(bits(got), bits(want))
+
     @pytest.mark.parametrize("kind", ["quadratic", "rosenbrock_sum"])
     def test_population_loss_rows_match(self, kind):
         obj = make_objective(KINDS[kind])
