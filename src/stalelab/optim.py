@@ -61,7 +61,8 @@ class OuterState:
     delayed_nesterov its burst buffer (the sum of the gradients since the
     last burst) in v. Per fragment, t counts applied Adam updates (a dropped
     update leaves it alone) and count the gradients in the burst buffer.
-    `plan` is the gather plan (ids, sizes, element and counter index, offsets) a round's entries share.
+    `plans` keeps the gather plan of each fragment selection seen (see _plan),
+    and `corrections` the Adam bias corrections by t (see _corrections).
     """
 
     starts: np.ndarray
@@ -70,7 +71,8 @@ class OuterState:
     v: np.ndarray
     t: np.ndarray
     count: np.ndarray
-    plan: tuple | None = None
+    plans: dict = field(default_factory=dict)
+    corrections: dict = field(default_factory=dict)
 
     @classmethod
     def zeros(cls, sizes) -> "OuterState":
@@ -227,100 +229,131 @@ _WEIGHTS = {
     "exp": lambda tau, cfg: math.exp(-cfg.gate.alpha * tau),
     "poly": lambda tau, cfg: (1.0 + tau) ** -0.5,
 }
-_NAN = np.array([math.nan])  # repeat() fills a NaN array faster than np.full
 
 
-def _spread(values: list, sizes: np.ndarray):
-    """Per-fragment scalars as an elementwise factor: one scalar where they are all equal."""
-    return values[0] if values.count(values[0]) == len(values) else np.repeat(values, sizes)
+def _corrections(state: OuterState, cfg: OuterConfig, t: np.ndarray) -> np.ndarray:
+    """(1 - beta1**t, 1 - beta2**t) on a leading axis, Python floats from a table the state grows on demand.
+
+    t=0 (only ever a dropped fragment, whose results are masked) gives 1."""
+    betas = cfg.beta1, cfg.beta2
+    try:
+        return state.corrections[betas][:, t]
+    except (KeyError, IndexError):
+        top = 2 * int(t.max()) + 64
+        state.corrections[betas] = np.array([[1.0] + [1.0 - beta**k for k in range(1, top)] for beta in betas])
+        return state.corrections[betas][:, t]
 
 
-def outer_step(params, grad, ages, state: OuterState, cfg: OuterConfig, frags):
-    """Apply one pseudo-gradient to the fragments `frags` of params and state, in place.
+def _plan(state: OuterState, frags) -> tuple:
+    """Gather plan of the fragments frags: (sizes, element index, counter index, reduceat offsets)."""
+    sizes = state.sizes[frags]
+    offsets = np.cumsum(sizes) - sizes
+    if frags == list(range(frags[0], frags[-1] + 1)):  # consecutive fragments: slices, no gather
+        start = int(state.starts[frags[0]])
+        return sizes, slice(start, start + int(sizes.sum())), slice(frags[0], frags[-1] + 1), offsets
+    index = np.repeat(state.starts[frags] - offsets, sizes) + np.arange(int(sizes.sum()))
+    return sizes, index, frags, offsets
 
-    frags are ascending fragment ids and ages[i] is the age fragment
-    frags[i] is weighted by. Returns per fragment (applied, sigma, rho,
-    step_inf_norm): sigma is the weight used (1.0 for an unweighted
-    method), rho the max bias-corrected Adam ratio |m_hat|/(sqrt(v_hat)+eps)
-    (NaN outside the adam base and where dropped), and step_inf_norm the
-    inf-norm of the fragment's update before it was added to the params.
+
+def outer_step(params, grad, ages, state: OuterState, cfg: OuterConfig, frags, *, before=None):
+    """Apply a round's pseudo-gradients, in order, to the fragments `frags` of params and state, in place.
+
+    grad is one pseudo-gradient (dim,) or E of them stacked (E, dim), applied
+    in row order; frags are ascending fragment ids and ages[e][i] (ages[i]
+    for a 1-D grad) is the age fragment frags[i] is weighted by in entry e.
+    Returns per (entry, fragment) arrays (applied, sigma, rho, step_inf_norm),
+    each (E, len(frags)), or (len(frags),) for a 1-D grad: sigma is the
+    weight used (1.0 for an unweighted method), rho the max bias-corrected
+    Adam ratio |m_hat|/(sqrt(v_hat)+eps) (NaN outside the adam base and where
+    dropped), and step_inf_norm the inf-norm of the fragment's update before
+    it was added to the params. If `before` is an (E, dim) array, row e
+    receives the params entry e was applied to.
 
     Only the adam base drops: a fragment at weight 0 keeps its params,
     moments and t untouched. A momentum base always steps. With placement
     'before' the weighted gradient feeds both Adam moments; with 'after'
     the raw gradient does and only the final step is scaled. For the eager
     pre-mix the caller mixes the delta first (eager_step).
-    """
-    _check_shapes(params, grad)
-    if min(ages) < 0.0:
-        raise ValueError(f"ages must be >= 0, got {list(ages)}")
-    row = METHOD_TABLE[cfg.method]
-    n = len(frags)
-    weigh = _WEIGHTS["gate" if row.base == "adam" else row.weight]
-    # a tau-aged method passes one age for every fragment: weigh it once
-    sigma = [weigh(ages[0], cfg)] * n if list(ages).count(ages[0]) == n else [weigh(age, cfg) for age in ages]
-    live = [i for i in range(n) if sigma[i] != 0.0] if row.base == "adam" else list(range(n))
-    at = slice(None) if len(live) == n else live  # where the stepped fragments' results go
-    applied, rho, norm = np.zeros(n, dtype=bool), _NAN.repeat(n), np.zeros(n)
-    applied[at] = True
-    if not live:
-        return applied, sigma, rho, norm
 
-    ids = [frags[i] for i in live]
-    if state.plan is None or state.plan[0] != ids:
-        sizes = state.sizes[ids]
-        offsets = np.cumsum(sizes) - sizes
-        if ids == list(range(ids[0], ids[-1] + 1)):  # consecutive fragments: slices, no gather
-            start = int(state.starts[ids[0]])
-            state.plan = ids, sizes, slice(start, start + int(sizes.sum())), slice(ids[0], ids[-1] + 1), offsets
-        else:
-            index = np.repeat(state.starts[ids] - offsets, sizes) + np.arange(int(sizes.sum()))
-            state.plan = ids, sizes, index, ids, offsets
-    _, sizes, index, frag, offsets = state.plan
-    sig = [sigma[i] for i in live]
-    g = grad[index]
+    Stepping E stacked entries gives the bytes of E one-entry calls: only the
+    moments, velocity, burst buffer and params are carried from entry to
+    entry; every other quantity is computed once over (E, selected elements).
+    """
+    grads = grad if grad.ndim == 2 else grad[None]
+    if params.shape != grads.shape[1:]:
+        raise ValueError(f"shape mismatch: params {params.shape} vs grad {grad.shape}")
+    n = len(frags)
+    ages = np.asarray(ages, dtype=np.float64).reshape(len(grads), n)
+    row = METHOD_TABLE[cfg.method]
+    weigh = _WEIGHTS["gate" if row.base == "adam" else row.weight]
+    flat = ages.ravel().tolist()
+    if min(flat) < 0.0:
+        raise ValueError(f"ages must be >= 0, got {ages.tolist()}")
+    weights = {age: weigh(age, cfg) for age in set(flat)}  # a round's entries share few ages
+    sigma = np.array([weights[age] for age in flat]).reshape(ages.shape)
+    dropped = row.base == "adam" and 0.0 in weights.values()
+    applied = sigma != 0.0 if dropped else np.ones(sigma.shape, dtype=bool)
+    key = tuple(frags)
+    if key not in state.plans:
+        state.plans[key] = _plan(state, list(frags))
+    sizes, index, slot, offsets = state.plans[key]
+    keep = np.repeat(applied, sizes, axis=1) if dropped else None  # the elements that step
+    g = grads[:, index]
+    elem_sigma = np.repeat(sigma, sizes, axis=1)
+    if cfg.gate_placement == "before" if row.base == "adam" else row.weight != "one":
+        g = elem_sigma * g
 
     if row.base == "adam":
-        if cfg.gate_placement == "before":
-            g = _spread(sig, sizes) * g
-        state.t[frag] += 1
-        ts = state.t[frag].tolist()
-        m = cfg.beta1 * state.m[index] + (1.0 - cfg.beta1) * g
-        v = cfg.beta2 * state.v[index] + (1.0 - cfg.beta2) * (g * g)
-        state.m[index] = m
-        state.v[index] = v
-        m_hat = m / _spread([1.0 - cfg.beta1**k for k in ts], sizes)
-        v_hat = v / _spread([1.0 - cfg.beta2**k for k in ts], sizes)
-        ratio = m_hat / (np.sqrt(v_hat) + cfg.epsilon)
-        step = _spread([cfg.eta * s for s in sig], sizes) * ratio
-        rho[at] = np.maximum.reduceat(np.abs(ratio), offsets)
-    else:
-        if row.weight != "one":
-            g = _spread(sig, sizes) * g
-        velocity = state.m[index]
-        if row.base == "delayed_nesterov":
-            # plain gradient steps; every buffer_period-th call the buffered mean
-            # enters the velocity, an extra -eta*mu*v burst applies, the buffer resets
-            acc = state.v[index] + g
-            count = state.count[frag] + 1
-            step = cfg.eta * g
+        t = state.t[slot] + applied.cumsum(axis=0)  # each entry's count per fragment
+        state.t[slot] = t[-1]
+        m_corr, v_corr = np.repeat(_corrections(state, cfg, t), sizes, axis=2)
+        # m and v side by side, (E, 2, S): one multiply-add per entry steps both
+        decay, moments = np.array([[cfg.beta1], [cfg.beta2]]), np.empty((len(g), 2, g.shape[1]))
+        np.multiply(1.0 - cfg.beta1, g, out=moments[:, 0])
+        np.multiply(1.0 - cfg.beta2, g * g, out=moments[:, 1])
+        mv = np.array((state.m[index], state.v[index]))
+        for e in range(len(g)):
+            stepped = decay * mv + moments[e]
+            moments[e] = mv = stepped if keep is None else np.where(keep[e], stepped, mv)
+        state.m[index], state.v[index] = mv
+        ratio = (moments[:, 0] / m_corr) / (np.sqrt(moments[:, 1] / v_corr) + cfg.epsilon)
+        step = (cfg.eta * elem_sigma) * ratio
+        rho = np.maximum.reduceat(np.abs(ratio), offsets, axis=1)
+        if dropped:
+            step, rho = np.where(keep, step, 0.0), np.where(applied, rho, math.nan)
+    elif row.base == "delayed_nesterov":
+        # plain gradient steps; every buffer_period-th entry of a fragment the buffered
+        # mean enters the velocity, an extra -eta*mu*v burst applies, the buffer resets
+        velocity, acc, count = state.m[index], state.v[index], state.count[slot]
+        step = cfg.eta * g
+        for e in range(len(g)):
+            acc, count = acc + g[e], count + 1
             burst = count >= cfg.buffer_period
             if burst.any():
-                mask = _spread(burst.tolist(), sizes)
-                velocity = np.where(mask, cfg.mu * velocity + acc / _spread(count.tolist(), sizes), velocity)
-                step = np.where(mask, step + cfg.eta * cfg.mu * velocity, step)
+                mask = np.repeat(burst, sizes)
+                velocity = np.where(mask, cfg.mu * velocity + acc / np.repeat(count, sizes), velocity)
+                step[e] = np.where(mask, step[e] + cfg.eta * cfg.mu * velocity, step[e])
                 acc = np.where(mask, 0.0, acc)
                 count[burst] = 0
-            state.v[index] = acc
-            state.count[frag] = count
-        else:
-            # Nesterov with the post-update velocity; mla extends the step by
-            # tau*mu extra velocity applications ("project by tau*mu steps")
-            velocity = cfg.mu * velocity + g
-            step = cfg.eta * (g + cfg.mu * velocity)
-            if row.base == "mla":
-                step = step + _spread([cfg.eta * ages[i] * cfg.mu for i in live], sizes) * velocity
+        state.m[index], state.v[index], state.count[slot] = velocity, acc, count
+    else:
+        # Nesterov with the post-update velocity; mla extends the step by
+        # tau*mu extra velocity applications ("project by tau*mu steps")
+        velocity, velocities = state.m[index], np.empty_like(g)
+        for e in range(len(g)):
+            velocities[e] = velocity = cfg.mu * velocity + g[e]
         state.m[index] = velocity
-    params[index] -= step
-    norm[at] = np.maximum.reduceat(np.abs(step), offsets)
-    return applied, sigma, rho, norm
+        step = cfg.eta * (g + cfg.mu * velocities)
+        if row.base == "mla":
+            step = step + np.repeat(cfg.eta * ages * cfg.mu, sizes, axis=1) * velocities
+    if row.base != "adam":
+        rho = np.full(sigma.shape, math.nan)
+    # the params before each entry, then after the last
+    trail = np.subtract.accumulate(np.concatenate((params[index][None], step)), axis=0)
+    params[index] = trail[-1]
+    if before is not None:
+        before[:] = params
+        before[:, index] = trail[:-1]
+    norm = np.maximum.reduceat(np.abs(step), offsets, axis=1)
+    out = applied, sigma, rho, norm
+    return tuple(column[0] for column in out) if grad.ndim == 1 else out

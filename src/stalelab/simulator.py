@@ -8,13 +8,15 @@ One outer round does, in order:
    schedule. The K workers run as one stacked phase: their params and
    AdamW moments are (K, dim) arrays, so each inner step is one batch
    draw, one `loss_and_grad` and one AdamW call for all of them. Rows
-   never mix, and each row is the same bytes as a worker run alone;
-2. every queue entry whose available round equals the current round is
-   dequeued in sorted (worker id, produced round) order and applied to
-   the global params by the outer optimizer, one outer step per entry
-   over this round's selected fragments, each weighted by its own age.
-   The outer state is one `OuterState` over the full vector, and the trace
-   gets one `ApplyRecord` row per (entry, selected fragment);
+   never mix, and each row is the same bytes as a worker run alone. With
+   a quantized queue the K deltas are quantized in one call;
+2. the queue entries due this round (the queue is keyed by due round)
+   are dequeued in sorted (worker id, produced round) order, stacked, and
+   applied to the global params in that order by one outer step for the
+   round over its selected fragments, each fragment of each entry weighted
+   by its own age. The outer state is one `OuterState` over the full
+   vector, and the trace gets one `ApplyRecord` row per (entry, selected
+   fragment), written one column at a time per round;
 3. fragment ages reset to 0 where selected, else grow by 1;
 4. the global params are evaluated on a fixed held-out batch.
 
@@ -38,7 +40,6 @@ from typing import TYPE_CHECKING, ClassVar
 import numpy as np
 
 from . import theory
-from .gate import effective_age
 from .objective import (
     Objective,
     Shard,
@@ -174,7 +175,7 @@ def select_fragments(partition: FragmentPartition, budget: int) -> list[int]:
 
 @dataclass
 class QuantizedPayload:
-    codes: np.ndarray  # int8, full parameter length
+    codes: np.ndarray  # int8, full parameter length (a row per payload when stacked)
     scales: np.ndarray  # float64, one per fragment
 
 
@@ -183,29 +184,29 @@ class QueueEntry:
     worker: int
     produced_round: int
     tau: int
-    available_round: int
     payload: np.ndarray | QuantizedPayload
 
 
 def quantize_payload(grad: np.ndarray, partition: FragmentPartition) -> QuantizedPayload:
-    """Symmetric per-fragment int8 quantization, scale = maxabs/127.
+    """Symmetric per-fragment int8 quantization, scale = maxabs/127, of a (dim,) or (K, dim) payload.
 
     All-zero fragments get scale 0 and zero codes; the max-magnitude
     element of each fragment maps to code +-127. Dequantization error is
-    at most half a scale per element.
+    at most half a scale per element. Each row quantizes to the bytes it
+    would give alone.
     """
-    if not np.all(np.isfinite(grad)):
+    if not np.isfinite(grad).all():
         raise ValueError("cannot quantize a non-finite payload")
     abs_grad = np.abs(grad)
-    scales = np.maximum.reduceat(abs_grad, partition.starts) / 127.0
+    scales = np.maximum.reduceat(abs_grad, partition.starts, axis=-1) / 127.0
     # an all-zero fragment keeps scale 0; dividing its zeros by 1 gives code 0
-    divisor = np.repeat(np.where(scales > 0.0, scales, 1.0), partition.sizes)
+    divisor = np.repeat(np.where(scales > 0.0, scales, 1.0), partition.sizes, axis=-1)
     q = np.sign(grad) * np.floor(abs_grad / divisor + 0.5)  # round half away from zero
     return QuantizedPayload(codes=np.clip(q, -127, 127).astype(np.int8), scales=scales)
 
 
 def dequantize_payload(payload: QuantizedPayload, partition: FragmentPartition) -> np.ndarray:
-    return payload.codes.astype(np.float64) * np.repeat(payload.scales, partition.sizes)
+    return payload.codes.astype(np.float64) * np.repeat(payload.scales, partition.sizes, axis=-1)
 
 
 def run_inner_phase(
@@ -236,7 +237,9 @@ def run_inner_phase(
 
 # One trace row per (queue entry, selected fragment), in application order.
 # rho is NaN where there is no Adam ratio (a momentum base, or a dropped
-# update); grad_norm_sq is NaN when the objective has no exact gradient;
+# update); grad_norm_sq is the squared norm of the exact population gradient
+# at the params the entry was applied to, filled in only where audit_run reads
+# it (the adam base on an objective with an exact gradient) and NaN elsewhere;
 # delta_norm_sq is the squared l2 norm of the full dequeued pseudo-gradient.
 ApplyRecord = np.dtype([
     ("round", np.int64), ("worker", np.int64), ("produced_round", np.int64), ("tau", np.int64),
@@ -246,13 +249,18 @@ ApplyRecord = np.dtype([
 ])
 
 
+def _norms_sq(rows: np.ndarray) -> np.ndarray:
+    """Squared l2 norm of each row as an (E, 1) column, each the bytes of `row @ row`."""
+    return (rows[:, None, :] @ rows[:, :, None]).reshape(-1, 1)
+
+
 @dataclass
 class Trace:
     """A run's outer applications as one ApplyRecord array, plus what the audit needs.
 
     `outer` is the run's outer config; exact_grad says whether grad_norm_sq
-    holds the objective's exact population gradient; `Simulation.run` fills
-    in `records`.
+    holds the objective's exact population gradient (only on the adam base);
+    `Simulation.run` fills in `records`.
     """
 
     outer: OuterConfig
@@ -307,7 +315,8 @@ class Simulation:
         eval_rng = np.random.default_rng(derive_seed(master, "eval"))
         self.eval_batch = self.obj.compact_batch(self.obj.draw_batch(eval_rng, config.eval_batch_size))
         self.reference_loss = init_reference_loss(self.obj, self.eval_batch)
-        self.pending: list[QueueEntry] = []
+        self.pending: dict[int, list[QueueEntry]] = {}  # entries in flight, by the round they come due
+        self._selections: dict[bytes, tuple] = {}  # fragment ages -> (selected ids, their ages, next ages)
         self.round = 0
         # batch and delay seed tables of the rounds in _seed_rounds; run_round hashes them
         self._seed_rounds = range(0)
@@ -315,11 +324,10 @@ class Simulation:
         self._delay_seeds: np.ndarray | None = None
         self.diverged = False
         self.losses: list[float] = []
-        self.consumed_entries = 0
-        self.applied_updates = 0
-        self.dropped_updates = 0
-        self.trace = Trace(config.outer, exact_grad=self.obj.population_grad(self.global_params) is not None)
-        self._records, self._columns, self._recorded = np.zeros(0, ApplyRecord), [], 0  # trace rows, then room
+        # grad_norm_sq is computed only where audit_run reads it
+        audited = self.row.base == "adam" and self.obj.population_grad(self.global_params) is not None
+        self.trace = Trace(config.outer, exact_grad=audited)
+        self._records, self._recorded = np.zeros(0, ApplyRecord), 0  # trace rows, then room
         if self.obj.kind == "quadratic":
             self.trace.l_smooth = self.obj.smoothness
             self.trace.f_gap = float(self.obj.loss(self.global_params, None))
@@ -327,20 +335,25 @@ class Simulation:
         self._prev_own: dict[int, np.ndarray] = {}
         self._prev_avg: np.ndarray | None = None
 
-    def _entry_grad(self, entry: QueueEntry) -> np.ndarray:
-        if isinstance(entry.payload, QuantizedPayload):
-            return dequantize_payload(entry.payload, self.partition)
-        return entry.payload
+    def _due_grads(self, due: list[QueueEntry]) -> np.ndarray:
+        """The due entries' pseudo-gradients, stacked (E, dim)."""
+        if self.config.quantize_queue:
+            stacked = QuantizedPayload(np.array([e.payload.codes for e in due]),
+                                       np.array([e.payload.scales for e in due]))
+            return dequantize_payload(stacked, self.partition)
+        return np.array([e.payload for e in due])
 
-    def _trace_slice(self, n: int) -> slice:
-        """The next n trace rows; the buffer takes the configured run's most rows, then doubles."""
-        start, stop, cfg = self._recorded, self._recorded + n, self.config
+    def _trace_rows(self, entries: int) -> np.ndarray:
+        """The next entries' trace rows as an (entries, budget) view; the buffer takes the configured
+        run's most rows, then doubles, and is never resized (`run` hands out a view)."""
+        cfg, n = self.config, self.config.fragments["budget"]
+        start, stop = self._recorded, self._recorded + entries * n
         if stop > len(self._records):
-            records = np.empty(max(2 * stop, cfg.rounds * cfg.workers * cfg.fragments["budget"]), ApplyRecord)
+            records = np.empty(max(2 * stop, cfg.rounds * cfg.workers * n), ApplyRecord)
             records[:start] = self._records[:start]  # the spare rows stay unwritten until used
-            self._records, self._columns = records, [records[name] for name in ApplyRecord.names]
+            self._records = records
         self._recorded = stop
-        return slice(start, stop)
+        return self._records[start:stop].reshape(entries, n)
 
     def _hash_seed_tables(self, r: int) -> None:
         """Seed tables from round r on: the rest of the configured run, capped
@@ -351,6 +364,33 @@ class Simulation:
         self._seed_rounds = range(r, r + max(1, min(cfg.rounds - r, SEED_TABLE_ROWS // per_round)))
         self._batch_seeds = batch_seeds(self.workers, self._seed_rounds, cfg.inner_steps)
         self._delay_seeds = delay_seeds(self.delay, len(self.workers), self._seed_rounds)
+
+    def _apply(self, r: int, due: list[QueueEntry], selected: list[int], selected_ages: np.ndarray) -> None:
+        """Apply round r's due entries, in order, with one outer step, and write their trace rows."""
+        cfg = self.config
+        grads = self._due_grads(due)
+        delta_norm_sq = _norms_sq(grads)
+        if self.row.premix == "eager":
+            own, grads = grads, grads.copy()
+            for j, entry in enumerate(due):
+                if entry.worker in self._prev_own and self._prev_avg is not None:
+                    grads[j] = eager_step(own[j], self._prev_own[entry.worker], self._prev_avg, cfg.workers)
+                self._prev_own[entry.worker] = own[j]
+            self._prev_avg = np.mean(own, axis=0)
+        taus = np.array([[e.tau] for e in due], dtype=np.float64)
+        # a fragment-aged method weighs each fragment by effective_age(tau, fragment age)
+        ages = np.maximum(taus, selected_ages) if self.row.age == "fragment" else taus.repeat(len(selected), 1)
+        before = np.empty(grads.shape) if self.trace.exact_grad else None
+        applied, sigma, rho, norm = outer_step(
+            self.global_params, grads, ages, self.outer_state, cfg.outer, selected, before=before)
+        grad_norm_sq = (np.nan if before is None
+                        else _norms_sq(np.array([self.obj.population_grad(p) for p in before])))
+        info = np.array([(e.worker, e.produced_round) for e in due])
+        values = (r, info[:, :1], info[:, 1:], taus, ages, selected, applied, sigma, rho, norm,
+                  grad_norm_sq, delta_norm_sq)  # in ApplyRecord field order, each broadcast to (E, budget)
+        rows = self._trace_rows(len(due))
+        for name, value in zip(ApplyRecord.names, values):
+            rows[name] = value
 
     def run_round(self, workers: list[Shard] | None = None) -> bool:
         """Execute one outer round; False once the run has diverged.
@@ -369,69 +409,33 @@ class Simulation:
         i = r - self._seed_rounds.start
         ids = [shard.worker_id for shard in shards]
         deltas = run_inner_phase(self.obj, shards, self._batch_seeds[ids, i], self.global_params, cfg.inner)
-        if not np.all(np.isfinite(deltas)):
+        if not np.isfinite(deltas).all():
             self.diverged = True
             return False
-        for shard, delta in zip(shards, deltas):
+        if cfg.quantize_queue:
+            stacked = quantize_payload(deltas, self.partition)
+            payloads = [QuantizedPayload(c, sc) for c, sc in zip(stacked.codes, stacked.scales)]
+        else:
+            payloads = deltas
+        for shard, payload in zip(shards, payloads):
             tau = sample_delay(self.delay, self._delay_seeds[shard.worker_id, i])
-            payload = quantize_payload(delta, self.partition) if cfg.quantize_queue else delta
-            self.pending.append(
-                QueueEntry(
-                    worker=shard.worker_id,
-                    produced_round=r,
-                    tau=tau,
-                    available_round=r + tau,
-                    payload=payload,
-                )
-            )
+            entry = QueueEntry(worker=shard.worker_id, produced_round=r, tau=tau, payload=payload)
+            self.pending.setdefault(r + tau, []).append(entry)
 
-        selected = select_fragments(self.partition, cfg.fragments["budget"])
-        due = sorted(
-            (e for e in self.pending if e.available_round == r),
-            key=lambda e: (e.worker, e.produced_round),
-        )
-        self.pending = [e for e in self.pending if e.available_round != r]
+        # the selection, its ages and the next ages are a function of the fragment ages, which cycle
+        ages = self.partition.ages
+        if ages.tobytes() not in self._selections:
+            selected = select_fragments(self.partition, cfg.fragments["budget"])
+            after = ages + 1
+            after[selected] = 0
+            self._selections[ages.tobytes()] = selected, ages[selected].astype(np.float64), after
+        selected, selected_ages, after = self._selections[ages.tobytes()]
+        due = sorted(self.pending.pop(r, ()), key=lambda e: (e.worker, e.produced_round))
+        if due:
+            self._apply(r, due, selected, selected_ages)
+        ages[:] = after
 
-        eager = self.row.premix == "eager"
-        fragment_age = self.row.age == "fragment"
-        round_deltas: list[np.ndarray] = []
-        for entry in due:
-            self.consumed_entries += 1
-            grad = self._entry_grad(entry)
-            delta_norm_sq = float(grad @ grad)
-            pop_grad = self.obj.population_grad(self.global_params)
-            grad_norm_sq = np.nan if pop_grad is None else float(pop_grad @ pop_grad)
-
-            if eager:
-                own = grad
-                if entry.worker in self._prev_own and self._prev_avg is not None:
-                    grad = eager_step(own, self._prev_own[entry.worker], self._prev_avg, cfg.workers)
-                self._prev_own[entry.worker] = own
-                round_deltas.append(own)
-
-            if fragment_age:
-                ages = [effective_age(entry.tau, float(a)) for a in self.partition.ages[selected]]
-            else:
-                ages = [float(entry.tau)] * len(selected)
-            applied, sigma, rho, norm = outer_step(
-                self.global_params, grad, ages, self.outer_state, cfg.outer, selected)
-            rows = self._trace_slice(len(selected))
-            values = (r, entry.worker, entry.produced_round, entry.tau, ages, selected, applied, sigma, rho,
-                      norm, grad_norm_sq, delta_norm_sq)  # in ApplyRecord field order
-            for column, value in zip(self._columns, values):
-                column[rows] = value
-            if applied.any():
-                self.applied_updates += 1
-            else:
-                self.dropped_updates += 1
-
-        if eager and round_deltas:
-            self._prev_avg = np.mean(round_deltas, axis=0)
-
-        self.partition.ages += 1
-        self.partition.ages[selected] = 0
-
-        if not np.all(np.isfinite(self.global_params)):
+        if not np.isfinite(self.global_params).all():
             self.diverged = True
             return False
         eval_loss = self.obj.loss(self.global_params, self.eval_batch)
@@ -457,10 +461,9 @@ class Simulation:
         if not self.diverged and final is not None and final > DIVERGENCE_FACTOR * self.reference_loss:
             self.diverged = True
 
-        if len(self._records) > self._recorded:  # shrink the buffer in place to the rows written
-            self._columns = []  # its column views would stop resize() from freeing the spare rows
-            self._records.resize(self._recorded)
-        records = self.trace.records = self._records
+        records = self.trace.records = self._records[:self._recorded]
+        # an entry (its budget rows) counts as applied if any of its fragments applied, else as dropped
+        hits = records["applied"].reshape(-1, self.config.fragments["budget"]).any(axis=1)
         sigma_bar, rho_max, rho_le_one = theory.trace_stats(records)
         audit = theory.audit_run(self.trace) if self.row.base == "adam" and len(records) else None
 
@@ -473,9 +476,9 @@ class Simulation:
             diverged=self.diverged,
             reference_loss=self.reference_loss,
             rounds_completed=self.round,
-            consumed_entries=self.consumed_entries,
-            applied_updates=self.applied_updates,
-            dropped_updates=self.dropped_updates,
+            consumed_entries=len(hits),
+            applied_updates=int(np.count_nonzero(hits)),
+            dropped_updates=int(np.count_nonzero(~hits)),
             sigma_bar=sigma_bar,
             rho_max=rho_max,
             rho_le_one_frac=rho_le_one,

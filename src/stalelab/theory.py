@@ -123,18 +123,20 @@ def audit_run(trace: Trace) -> dict:
     records = trace.records
     if len(records) == 0:
         raise ValueError("audit_run needs a non-empty trace")
-    applied = records[records["applied"]]
-    if np.isnan(applied["rho"]).any():
+    # the applied rows' columns one by one: a copy of whole records would double the trace in memory
+    applied = records["applied"]
+    rho = records["rho"][applied]
+    if np.isnan(rho).any():
         raise ValueError("trace lacks Adam ratio maxima; audit_run only covers the gated-Adam family")
 
     eta, gate = trace.outer.eta, trace.outer.gate
-    bound = (eta * applied["sigma"]) * applied["rho"]
-    violations = int(np.count_nonzero(applied["step_inf_norm"] > bound * (1.0 + STEP_BOUND_REL_TOL)))
+    bound = (eta * records["sigma"][applied]) * rho
+    violations = int(np.count_nonzero(records["step_inf_norm"][applied] > bound * (1.0 + STEP_BOUND_REL_TOL)))
 
     sigma_bar, rho_max, rho_le_one = trace_stats(records)
     report: dict = {
         "steps": len(records),
-        "applied_steps": len(applied),
+        "applied_steps": len(rho),
         "step_bound_violations": violations,
         "step_bound_rel_tol": STEP_BOUND_REL_TOL,
         "rho_max": rho_max,

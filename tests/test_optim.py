@@ -368,6 +368,49 @@ class TestOuterDispatch:
                 np.testing.assert_array_equal(column, np.concatenate(parts))
 
 
+class TestRoundKernel:
+    """E entries stacked in one outer_step call give the bytes of E one-entry calls."""
+
+    # per entry, the ages of its three selected fragments; tau_cut is 8
+    AGES = {
+        "live": [[1.0, 2.0, 0.0], [3.0, 1.0, 1.0], [0.0, 0.0, 5.0]],
+        "mixed": [[1.0, 9.0, 3.0], [9.0, 0.0, 2.0], [2.0, 2.0, 8.0]],  # split ages: some drop, some apply
+        "dropped": [[8.0, 9.0, 30.0]] * 3,
+    }
+
+    @pytest.mark.parametrize("frags", [[1, 2, 3], [0, 2, 3]], ids=["consecutive", "gathered"])
+    @pytest.mark.parametrize("placement", ["before", "after"])
+    @pytest.mark.parametrize("method", METHODS)
+    def test_stacked_entries_step_as_in_sequence(self, method, placement, frags):
+        cfg = OuterConfig.for_method(method, tau_cut=8.0, buffer_period=2, gate_placement=placement)
+        cutoff = METHOD_TABLE[method].weight == "cos_exp"  # the only weight that drops
+        rng = np.random.default_rng(17)
+        for entries in (1, 3):
+            for case, ages in self.AGES.items():
+                p, state = rng.standard_normal(14), OuterState.zeros([3, 5, 4, 2])
+                # the adam base reaches t = [3, 2, 1, 1] and delayed_nesterov the burst counts [1, 0, 1, 1],
+                # so over three entries fragment 1 bursts at the middle one, fragments 0, 2, 3 at the first
+                for warm in ([0], [0, 1], [0, 2], [1], [3]):
+                    outer_step(p, rng.standard_normal(14), [1.0] * len(warm), state, cfg, warm)
+                grads, ages = rng.standard_normal((entries, 14)), np.array(ages[:entries])
+                p_seq, seq_state, before = p.copy(), copy.deepcopy(state), np.empty((entries, 14))
+                together = outer_step(p, grads, ages, state, cfg, frags, before=before)
+                one_by_one = []
+                for e in range(entries):
+                    assert before[e].tobytes() == p_seq.tobytes()
+                    one_by_one.append(outer_step(p_seq, grads[e], ages[e], seq_state, cfg, frags))
+                assert p.tobytes() == p_seq.tobytes(), case
+                for name in ("m", "v", "t", "count"):
+                    assert getattr(state, name).tobytes() == getattr(seq_state, name).tobytes(), (case, name)
+                for column, parts in zip(together, zip(*one_by_one)):
+                    assert column.shape == (entries, 3) and column.tobytes() == np.array(parts).tobytes(), case
+                applied = together[0]
+                if cutoff:
+                    assert applied.all() == (case == "live") and applied.any() == (case != "dropped")
+                else:
+                    assert applied.all()
+
+
 class TestOuterConfigValidation:
     def test_beta1_one_rejected(self):
         with pytest.raises(ValueError, match="beta1"):

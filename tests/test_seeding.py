@@ -98,7 +98,9 @@ class TestSimulationTables:
         short, full = stepped(quad_config(rounds=1), 10), stepped(quad_config(rounds=10), 10)
         np.testing.assert_array_equal(short.global_params.view(np.uint64), full.global_params.view(np.uint64))
         assert short.losses == full.losses
-        assert [(e.worker, e.tau) for e in short.pending] == [(e.worker, e.tau) for e in full.pending]
+        in_flight = [{due: [(e.worker, e.produced_round, e.tau) for e in entries]
+                      for due, entries in sim.pending.items()} for sim in (short, full)]
+        assert in_flight[0] == in_flight[1] and in_flight[0]
 
     def test_tables_capped_by_rows_rehash_without_moving_a_bit(self, monkeypatch):
         full = stepped(quad_config(), 10)

@@ -1,8 +1,13 @@
+import json
+import sys
+
 import numpy as np
 import pytest
 
 import stalelab.simulator as sim_mod
+from stalelab import cli
 from stalelab.config import RunConfig
+from stalelab.harness import serialize_result
 from stalelab.objective import (
     Objective,
     QuadraticObjective,
@@ -203,6 +208,25 @@ class TestQuantization:
                 np.testing.assert_array_equal(dequantize_payload(qp, part).view(np.uint64),
                                               back.view(np.uint64))
 
+    def test_stacked_rows_quantize_as_if_alone(self):
+        rng = np.random.default_rng(29)
+        for dim, count in [(64, 32), (321, 8), (10, 3)]:
+            part = FragmentPartition.even_split(dim, count)
+            grads = rng.standard_normal((5, dim)) * 10.0 ** rng.integers(-6, 6, (5, 1))
+            grads[2, slice(*part.boundaries[1])] = 0.0  # one all-zero fragment
+            stacked = quantize_payload(grads, part)
+            alone = [quantize_payload(g, part) for g in grads]
+            zero = slice(*part.boundaries[1])
+            np.testing.assert_array_equal(stacked.codes, [q.codes for q in alone])
+            np.testing.assert_array_equal(stacked.scales.view(np.uint64),
+                                          np.array([q.scales for q in alone]).view(np.uint64))
+            assert stacked.scales[2, 1] == 0.0 and not stacked.codes[2, zero].any()
+            np.testing.assert_array_equal(dequantize_payload(stacked, part).view(np.uint64),
+                                          np.array([dequantize_payload(q, part) for q in alone]).view(np.uint64))
+            grads[3, -1] = np.nan
+            with pytest.raises(ValueError, match="non-finite"):
+                quantize_payload(grads, part)
+
     def test_empty_fragment_rejected(self):
         with pytest.raises(ValueError, match="non-empty"):
             FragmentPartition(boundaries=[(0, 2), (2, 2), (2, 4)], ages=np.zeros(3, dtype=np.int64))
@@ -375,14 +399,18 @@ class TestQuantizedRuns:
         assert not res.diverged
 
     def test_zero_quantization_error_matches_raw_bitwise(self, monkeypatch):
-        # force the quantize/dequantize pair to be lossless; the queue path
-        # must then reproduce the raw-mode run exactly
-        monkeypatch.setattr(sim_mod, "quantize_payload", lambda grad, part: grad.copy())
+        # force the quantize/dequantize pair to be lossless (float codes, unit
+        # scales); the queue path must then reproduce the raw-mode run exactly
+        def lossless(grad, part):
+            return sim_mod.QuantizedPayload(codes=grad.copy(), scales=np.ones(grad.shape[:-1] + (len(part),)))
+
+        monkeypatch.setattr(sim_mod, "quantize_payload", lossless)
         lossless = run_experiment(quad_config(quantize_queue=True, rounds=10))
         monkeypatch.undo()
         raw = run_experiment(quad_config(quantize_queue=False, rounds=10))
         assert lossless.losses == raw.losses
         assert lossless.final_loss == raw.final_loss
+        assert lossless.trace.records.tobytes() == raw.trace.records.tobytes()
 
     def test_quantization_perturbs_but_stays_close(self):
         quant = run_experiment(quad_config(quantize_queue=True, rounds=10))
@@ -425,6 +453,53 @@ class TestDivergenceHandling:
         assert res.consumed_entries == 0
         assert len(res.trace.records) == 0
         assert res.sigma_bar is None
+
+
+def run_hooked(config, hook):
+    """run_experiment with a profile or trace hook installed, as a profiler, tracer or debugger does."""
+    def tracer(frame, event, arg):
+        return tracer
+
+    install, previous = (sys.setprofile, sys.getprofile()) if hook == "profile" else (sys.settrace, sys.gettrace())
+    install(tracer)
+    try:
+        return run_experiment(config)
+    finally:
+        install(previous)
+
+
+class TestUnderInterpreterHooks:
+    # entries still in flight at the end, or a divergence in round 1: either
+    # way the trace buffer has spare rows when the run ends
+    CELLS = {
+        "completed": {"rounds": 5, "delay": {"kind": "fixed", "tau": 2}},
+        "diverged": {"method": "nesterov", "rounds": 10, "delay": {"kind": "fixed", "tau": 1},
+                     "outer": {"eta": 1e200}},
+    }
+
+    @pytest.mark.parametrize("hook", ["profile", "trace"])
+    @pytest.mark.parametrize("cell", sorted(CELLS))
+    def test_hooked_run_gives_the_unhooked_bytes(self, cell, hook):
+        config = quad_config(**self.CELLS[cell])
+        with np.errstate(over="ignore", invalid="ignore"):
+            plain = run_experiment(config)
+            hooked = run_hooked(config, hook)
+        assert plain.diverged == (plain.rounds_completed < config.rounds) == (cell == "diverged")
+        assert 0 < len(plain.trace.records) < config.rounds * config.workers
+        assert serialize_result(hooked) == serialize_result(plain)
+        assert hooked.trace.records.tobytes() == plain.trace.records.tobytes()
+
+    def test_cli_run_under_a_profile_hook(self, tmp_path, capsys):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(quad_raw(rounds=5, delay={"kind": "fixed", "tau": 1})), encoding="utf-8")
+        previous = sys.getprofile()
+        sys.setprofile(lambda *args: None)
+        try:
+            rc = cli.main(["run", "--config", str(path), "--out", str(tmp_path / "out")])
+        finally:
+            sys.setprofile(previous)
+        assert rc == 0
+        assert len(list((tmp_path / "out").glob("*.json"))) == 1
 
 
 class TestAllMethodsRun:
