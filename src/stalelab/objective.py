@@ -30,6 +30,11 @@ and returns K losses and a (K, dim) gradient. Each row is computed with
 the same numpy operations as a 1-D call, so stacking does not move a
 bit: products are `np.matmul` over stacks (never `np.einsum`, which sums
 in another order) and reductions run along the axis a 1-D call reduces.
+Following numpy's buffer convention, `loss_and_grad(..., out=buf)`
+writes the gradient into `buf` and returns it, and `draw_batches(...,
+out=buf)` draws a batch's inputs into `buf`, so the inner phase steps
+in one reused workspace. Writing in place keeps every operation and its
+operand order, so no bit moves.
 """
 
 from __future__ import annotations
@@ -85,17 +90,24 @@ class Objective:
     def draw_batch(self, rng: np.random.Generator, n: int):
         raise NotImplementedError
 
-    def draw_batches(self, rngs: list[np.random.Generator], n: int):
-        """One batch of n per generator, stacked along a leading axis."""
-        return np.stack([self.draw_batch(rng, n) for rng in rngs])
+    def draw_batches(self, rngs: list[np.random.Generator], n: int, out: np.ndarray | None = None):
+        """One batch of n per generator, stacked along a leading axis; the drawn part goes into out if given."""
+        return np.stack([self.draw_batch(rng, n) for rng in rngs], out=out)
+
+    def batch_buffer(self, k: int, n: int) -> np.ndarray | None:
+        """A reusable `draw_batches` out for the inner phase's K batches of n, or None if that
+        phase takes no drawn batch (linear-noise rows come from the stream memo)."""
+        return None
 
     def compact_batch(self, batch):
         """A batch that gives the same loss and gradient bits, for reuse."""
         return batch
 
-    def loss_and_grad(self, params: np.ndarray, batch) -> tuple[float | np.ndarray, np.ndarray]:
+    def loss_and_grad(self, params: np.ndarray, batch, out: np.ndarray | None = None
+                      ) -> tuple[float | np.ndarray, np.ndarray]:
         """Loss and gradient: a float and a (dim,) array for one vector,
-        K losses and a (K, dim) array for a stack."""
+        K losses and a (K, dim) array for a stack. The gradient is written
+        into out, and out returned, if given."""
         raise NotImplementedError
 
     def loss(self, params: np.ndarray, batch) -> float | np.ndarray:
@@ -127,14 +139,17 @@ class LinearNoiseObjective(Objective):
             return self.compact_batch(self.draw_batch(seeded_generator(state), n))
 
         params = ("noise", self.noise_scale, self.dim, n)
-        return np.stack([STREAM_MEMO.draw(params, state, mean_row, 8 * self.dim) for state in seeds])
+        return np.stack(STREAM_MEMO.draw(params, seeds, mean_row, 8 * self.dim))
 
-    def _add_noise(self, loss, grad, batch, point):
-        """Loss plus noise_mean . point and gradient plus noise_mean, for a batch."""
+    def _add_noise(self, loss, grad, batch, point, out):
+        """Loss plus noise_mean . point and gradient plus noise_mean (into out if given), for a batch."""
         if batch is None:
-            return loss, grad
+            if out is None:
+                return loss, grad
+            np.copyto(out, grad)  # a no-op where grad is out
+            return loss, out
         noise_mean = batch[..., 0, :] if batch.shape[-2] == 1 else batch.mean(axis=-2)
-        return loss + _dot(noise_mean, point), grad + noise_mean
+        return loss + _dot(noise_mean, point), np.add(grad, noise_mean, out=out)
 
 
 @dataclass(eq=False)
@@ -165,10 +180,10 @@ class QuadraticObjective(LinearNoiseObjective):
         rng = np.random.default_rng(seed)
         return self.init_scale * rng.standard_normal(self.dim)
 
-    def loss_and_grad(self, params, batch):
+    def loss_and_grad(self, params, batch, out=None):
         diff = params - self.minimizer
         a_diff = np.matmul(self.matrix, diff[..., None])[..., 0]  # bit-identical to matrix @ diff
-        return self._add_noise(0.5 * _dot(diff, a_diff), a_diff, batch, diff)
+        return self._add_noise(0.5 * _dot(diff, a_diff), a_diff, batch, diff, out)
 
     def population_grad(self, params):
         return self.matrix @ (params - self.minimizer)
@@ -190,15 +205,16 @@ class RosenbrockObjective(LinearNoiseObjective):
         rng = np.random.default_rng(seed)
         return self.init_scale * rng.standard_normal(self.dim)
 
-    def loss_and_grad(self, params, batch):
+    def loss_and_grad(self, params, batch, out=None):
         x = params
         head, tail = x[..., :-1], x[..., 1:]
         gap = tail - head**2
         loss = np.sum(100.0 * gap**2 + (1.0 - head) ** 2, axis=-1)
-        grad = np.zeros_like(x)
+        grad = np.empty_like(x) if out is None else out
+        grad[...] = 0.0  # the terms below add onto zeros
         grad[..., :-1] += -400.0 * head * gap - 2.0 * (1.0 - head)
         grad[..., 1:] += 200.0 * gap
-        return self._add_noise(loss, grad, batch, x)
+        return self._add_noise(loss, grad, batch, x, out)
 
 
 def valid_layer_sizes(sizes) -> bool:
@@ -230,6 +246,7 @@ class MlpRegressionObjective(Objective):
             pos = self._offsets[-1][2]
         rng = np.random.default_rng(derive_seed(self.teacher_seed, "mlp-teacher"))
         self.teacher_params = self._draw_params(rng, self.teacher_scale)
+        self._unpacked: dict[int, tuple] = {}  # id -> (buffer, shape, its views); see _views
         self._teacher_layers = self.unpack(self.teacher_params)  # views, unpacked once for every batch
 
     def _draw_params(self, rng: np.random.Generator, scale: float) -> np.ndarray:
@@ -239,68 +256,89 @@ class MlpRegressionObjective(Objective):
             chunks.append(np.zeros(fan_out))
         return np.concatenate(chunks)
 
-    def unpack(self, params: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-        """(weight, bias) views per layer: (..., fan_out, fan_in) and (..., fan_out)."""
+    def unpack(self, params: np.ndarray) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """(weight, bias, weight transpose) views per layer: (..., fan_out, fan_in), (..., fan_out)
+        and (..., fan_in, fan_out)."""
         lead = params.shape[:-1]
         layers = []
         for (w_start, b_start, b_end), (fan_in, fan_out) in zip(self._offsets, self._fans):
             w = params[..., w_start:b_start].reshape(*lead, fan_out, fan_in)
-            b = params[..., b_start:b_end]
-            layers.append((w, b))
+            layers.append((w, params[..., b_start:b_end], w.swapaxes(-1, -2)))
         return layers
+
+    def _views(self, buf: np.ndarray) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """`unpack(buf)`, unpacked once per buffer: the views of the last two buffers are kept,
+        so an inner phase's params and gradient buffers are unpacked at its first step only."""
+        kept = self._unpacked.get(id(buf))
+        if kept is not None and kept[0] is buf and kept[1] == buf.shape:
+            return kept[2]
+        views = self.unpack(buf)
+        if len(self._unpacked) >= 2:
+            del self._unpacked[next(iter(self._unpacked))]
+        self._unpacked[id(buf)] = (buf, buf.shape, views)
+        return views
 
     def init_params(self, seed: int) -> np.ndarray:
         rng = np.random.default_rng(seed)
         return self._draw_params(rng, self.init_scale)
 
     def _activations(self, layers, x: np.ndarray) -> list[np.ndarray]:
-        """Inputs of every layer, then the output: tanh hidden, linear last."""
+        """Inputs of every layer, then the output: tanh hidden, linear last; each layer's
+        bias add and tanh run in place on its fresh product."""
         acts = [x]
-        for i, (w, b) in enumerate(layers):
-            z = np.matmul(acts[-1], np.swapaxes(w, -1, -2)) + b[..., None, :]
-            acts.append(np.tanh(z) if i < len(layers) - 1 else z)
+        for i, (_, b, w_t) in enumerate(layers):
+            z = np.matmul(acts[-1], w_t)
+            z += b[..., None, :]
+            acts.append(np.tanh(z, out=z) if i < len(layers) - 1 else z)
         return acts
 
     def forward(self, params: np.ndarray, x: np.ndarray) -> np.ndarray:
-        return self._activations(self.unpack(params), x)[-1]
+        return self._activations(self._views(params), x)[-1]
 
     def draw_batch(self, rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarray]:
         x = rng.standard_normal((n, self.layer_sizes[0]))
         y = self._activations(self._teacher_layers, x)[-1]
         return x, y
 
-    def draw_batches(self, rngs: list[np.random.Generator], n: int) -> tuple[np.ndarray, np.ndarray]:
-        """Inputs from each generator; one teacher forward labels all their rows."""
-        x = np.stack([rng.standard_normal((n, self.layer_sizes[0])) for rng in rngs])
+    def draw_batches(self, rngs: list[np.random.Generator], n: int, out: np.ndarray | None = None
+                     ) -> tuple[np.ndarray, np.ndarray]:
+        """Inputs from each generator, into out if given; one teacher forward labels all their rows."""
+        x = self.batch_buffer(len(rngs), n) if out is None else out
+        for rng, rows in zip(rngs, x):
+            rng.standard_normal(out=rows)
         y = self._activations(self._teacher_layers, x.reshape(-1, x.shape[-1]))[-1]
         return x, y.reshape(len(rngs), n, -1)
 
+    def batch_buffer(self, k: int, n: int) -> np.ndarray:
+        return np.empty((k, n, self.layer_sizes[0]))
+
     def _loss(self, err: np.ndarray):
-        return 0.5 * np.sum(err * err, axis=(-2, -1)) / err.shape[-2]
+        return 0.5 * (err * err).sum(axis=(-2, -1)) / err.shape[-2]
 
     def loss(self, params, batch):
         x, y = _mlp_batch(batch)
         return self._loss(self.forward(params, x) - y)
 
-    def loss_and_grad(self, params, batch):
+    def loss_and_grad(self, params, batch, out=None):
         x, y = _mlp_batch(batch)
         n = x.shape[-2]
-        layers = self.unpack(params)
+        layers = self._views(params)
         acts = self._activations(layers, x)
-        err = acts[-1] - y
+        err = np.subtract(acts[-1], y, out=acts[-1])
         loss = self._loss(err)
 
-        grad = np.zeros_like(params)
-        lead = params.shape[:-1]
-        dz = err / n
+        grad = np.empty_like(params) if out is None else out  # every element is written below
+        grad_layers = self.unpack(grad) if out is None else self._views(out)
+        dz = np.divide(err, n, out=err)
         for i in reversed(range(len(layers))):
-            w, _ = layers[i]
-            w_start, b_start, b_end = self._offsets[i]
-            grad[..., w_start:b_start] = np.matmul(np.swapaxes(dz, -1, -2), acts[i]).reshape(*lead, -1)
-            grad[..., b_start:b_end] = dz.sum(axis=-2)
+            grad_w, grad_b, _ = grad_layers[i]
+            np.matmul(dz.swapaxes(-1, -2), acts[i], out=grad_w)
+            dz.sum(axis=-2, out=grad_b)
             if i > 0:
-                da = np.matmul(dz, w)
-                dz = da * (1.0 - acts[i] ** 2)  # tanh'(z) = 1 - tanh(z)^2
+                dz = np.matmul(dz, layers[i][0])
+                act = acts[i]
+                np.multiply(act, act, out=act)
+                dz *= np.subtract(1.0, act, out=act)  # tanh'(z) = 1 - tanh(z)^2
         return loss, grad
 
 
@@ -344,19 +382,21 @@ def batch_seeds(shards: list[Shard], rounds: range, inner_steps: int) -> np.ndar
         len(shards), len(rounds), inner_steps, 4)
 
 
-def sample_batch(obj: Objective, shards: list[Shard], seeds: np.ndarray, compact: bool = False):
+def sample_batch(obj: Objective, shards: list[Shard], seeds: np.ndarray, compact: bool = False,
+                 out: np.ndarray | None = None):
     """One batch per shard from its `batch_seeds` row, stacked in shard order.
 
     `seeds` is (K, 4), row k for shards[k]. Each shard keeps its own
     generator, so row k is the same bytes whatever the other shards are.
-    With compact, linear-noise rows come from the stream memo in `compact_batch` form.
+    With compact, linear-noise rows come from the stream memo in `compact_batch` form;
+    otherwise the batch is drawn by `draw_batches`, into out if given.
     """
     sizes = {shard.batch_size for shard in shards}
     if len(sizes) != 1:
         raise ValueError(f"shards must share one batch size, got {sorted(sizes)}")
     if compact and isinstance(obj, LinearNoiseObjective):
         return obj.draw_compact(seeds, sizes.pop())
-    return obj.draw_batches([seeded_generator(state) for state in seeds], sizes.pop())
+    return obj.draw_batches([seeded_generator(state) for state in seeds], sizes.pop(), out=out)
 
 
 def finite_diff_check(

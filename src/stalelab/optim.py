@@ -211,15 +211,33 @@ def inner_adamw_step(
     state: AdamMoments,
     cfg: InnerConfig,
 ) -> tuple[np.ndarray, AdamMoments]:
-    """Standard AdamW with bias correction and decoupled weight decay."""
+    """Standard AdamW with bias correction and decoupled weight decay, in place.
+
+    Updates params and the state's m, v and t, and returns them. Each
+    array takes the bits of the out-of-place formula
+    m = beta1*m + (1-beta1)*g, v = beta2*v + (1-beta2)*(g*g),
+    params = params*(1 - lr*wd) - lr*(m/(1-beta1**t)) / (sqrt(v/(1-beta2**t)) + eps):
+    every product and sum keeps its operands; two temporary arrays hold the terms.
+    """
     _check_shapes(params, grad)
-    t = state.t + 1
-    m = cfg.beta1 * state.m + (1.0 - cfg.beta1) * grad
-    v = cfg.beta2 * state.v + (1.0 - cfg.beta2) * (grad * grad)
-    m_hat = m / (1.0 - cfg.beta1**t)
-    v_hat = v / (1.0 - cfg.beta2**t)
-    new_params = params * (1.0 - cfg.lr * cfg.weight_decay) - cfg.lr * m_hat / (np.sqrt(v_hat) + cfg.epsilon)
-    return new_params, AdamMoments(m=m, v=v, t=t)
+    state.t += 1
+    m, v, t = state.m, state.v, state.t
+    term = np.multiply(grad, 1.0 - cfg.beta1)
+    m *= cfg.beta1
+    m += term
+    np.multiply(grad, grad, out=term)
+    term *= 1.0 - cfg.beta2
+    v *= cfg.beta2
+    v += term
+    step = np.divide(m, 1.0 - cfg.beta1**t, out=term)  # m_hat
+    step *= cfg.lr
+    denom = np.divide(v, 1.0 - cfg.beta2**t)  # v_hat
+    np.sqrt(denom, out=denom)
+    denom += cfg.epsilon
+    step /= denom
+    params *= 1.0 - cfg.lr * cfg.weight_decay
+    params -= step
+    return params, state
 
 
 # The weight on the gradient: the adam base weighs by cfg.gate, a momentum base by its row's weight.

@@ -154,14 +154,23 @@ class StreamMemo:
     def __init__(self, budget: int):
         self.budget, self.used, self.tables = budget, 0, {}
 
-    def draw(self, params: tuple, row: np.ndarray, draw, nbytes: int):
-        """draw(row), or the value the memo keeps for it."""
-        table, key = self.tables.setdefault(params, {}), row.tobytes()
-        if key not in table:
-            if self.used + len(key) + nbytes > self.budget:
-                return draw(row)
-            table[key], self.used = draw(row), self.used + len(key) + nbytes
-        return table[key]
+    def draw(self, params: tuple, rows: np.ndarray, draw, nbytes: int):
+        """draw(row) for one row, or a list of them for an (n, 4) stack of rows; each is the value
+        the memo keeps for its row where it keeps one. params' table is looked up once per call."""
+        table = self.tables.get(params)
+        if table is None:
+            table = self.tables[params] = {}
+        values = []
+        for row in rows if rows.ndim == 2 else rows[None]:
+            key = row.tobytes()
+            if key in table:
+                values.append(table[key])
+                continue
+            value = draw(row)
+            if self.used + len(key) + nbytes <= self.budget:
+                table[key], self.used = value, self.used + len(key) + nbytes
+            values.append(value)
+        return values if rows.ndim == 2 else values[0]
 
     def clear(self):
         self.tables, self.used = {}, 0

@@ -5,11 +5,14 @@ One outer round does, in order:
 1. every worker copies the current global params, runs H inner AdamW
    steps on its own shard, and enqueues the parameter delta
    (snapshot - worker_params) with an integer delay drawn from the
-   schedule. The K workers run as one stacked phase: their params and
-   AdamW moments are (K, dim) arrays, so each inner step is one batch
-   draw, one `loss_and_grad` and one AdamW call for all of them. Rows
-   never mix, and each row is the same bytes as a worker run alone. With
-   a quantized queue the K deltas are quantized in one call;
+   schedule. The K workers run as one stacked phase in one workspace:
+   their params, AdamW moments and gradient are (K, dim) arrays, and an
+   mlp's inputs a (K, n, d_in) one, allocated once per phase. Each inner
+   step is one batch draw, one `loss_and_grad` and one AdamW call for all
+   of them, and each writes its result into the workspace in place. Rows
+   never mix, and each row is the same bytes as a worker run alone. The
+   round's K delays are drawn with one `sample_delay` call. With a
+   quantized queue the K deltas are quantized in one call;
 2. the queue entries due this round (the queue is keyed by due round)
    are dequeued in sorted (worker id, produced round) order, stacked, and
    applied to the global params in that order by one outer step for the
@@ -122,10 +125,11 @@ def delay_seeds(schedule: DelaySchedule, workers: int, rounds: range) -> np.ndar
     return seed_table(schedule.seed, keys.reshape(-1, 2)).reshape(workers, len(rounds), 4)
 
 
-def sample_delay(schedule: DelaySchedule, seed: np.ndarray) -> int:
-    """Delay of one (worker, round) from its `delay_seeds` row, kept in the stream memo; order-free."""
+def sample_delay(schedule: DelaySchedule, seeds: np.ndarray) -> int | list[int]:
+    """Delay of one (worker, round) from its `delay_seeds` row, or a list of them from an (n, 4)
+    stack of rows (a round's workers); kept in the stream memo, order-free."""
     if schedule.kind == "fixed":
-        return schedule.tau
+        return schedule.tau if seeds.ndim == 1 else [schedule.tau] * len(seeds)
 
     def draw(row):
         rng = seeded_generator(row)
@@ -134,7 +138,7 @@ def sample_delay(schedule: DelaySchedule, seed: np.ndarray) -> int:
         # exponential; min before int(), so a draw that overflows to inf (a tiny rate) gives tau_max
         return int(min(schedule.tau_max, np.rint(rng.exponential(1.0 / schedule.rate))))
 
-    return STREAM_MEMO.draw(schedule, seed, draw, 8)  # the schedule holds every field the draw reads
+    return STREAM_MEMO.draw(schedule, seeds, draw, 8)  # the schedule holds every field the draw reads
 
 
 @dataclass
@@ -221,18 +225,23 @@ def run_inner_phase(
     `seeds` is the (K, H, 4) slice of `batch_seeds` for one round, row k
     for shards[k]; H is the number of inner steps. Returns the (K, dim)
     pseudo-gradients snapshot - params_after, row k for shards[k]. The
-    inner optimizer state is reset at every phase. Non-finite values
-    simply propagate into the returned deltas; the caller flags divergence.
+    phase runs in one workspace of its own: (K, dim) params, AdamW moments
+    and gradient, and the objective's batch buffer, each step writing them
+    in place; the returned deltas take over the params buffer. The inner
+    optimizer state is reset at every phase. Non-finite values simply
+    propagate into the returned deltas; the caller flags divergence.
     """
-    if seeds.ndim != 3 or seeds.shape[0] != len(shards) or seeds.shape[1] < 1:
+    if not shards or seeds.ndim != 3 or seeds.shape[0] != len(shards) or seeds.shape[1] < 1:
         raise ValueError(f"need (K={len(shards)}, H >= 1, 4) batch seeds, got {seeds.shape}")
     params = np.tile(global_snapshot, (len(shards), 1))
     state = AdamMoments.zeros(params.shape)
+    grad = np.empty_like(params)
+    inputs = obj.batch_buffer(len(shards), shards[0].batch_size)
     for step in range(seeds.shape[1]):
-        batch = sample_batch(obj, shards, seeds[:, step], compact=True)
-        _, grad = obj.loss_and_grad(params, batch)
-        params, state = inner_adamw_step(params, grad, state, inner_cfg)
-    return global_snapshot - params
+        batch = sample_batch(obj, shards, seeds[:, step], compact=True, out=inputs)
+        _, step_grad = obj.loss_and_grad(params, batch, out=grad)
+        inner_adamw_step(params, step_grad, state, inner_cfg)
+    return np.subtract(global_snapshot, params, out=params)
 
 
 # One trace row per (queue entry, selected fragment), in application order.
@@ -417,8 +426,8 @@ class Simulation:
             payloads = [QuantizedPayload(c, sc) for c, sc in zip(stacked.codes, stacked.scales)]
         else:
             payloads = deltas
-        for shard, payload in zip(shards, payloads):
-            tau = sample_delay(self.delay, self._delay_seeds[shard.worker_id, i])
+        taus = sample_delay(self.delay, self._delay_seeds[ids, i])
+        for shard, payload, tau in zip(shards, payloads, taus):
             entry = QueueEntry(worker=shard.worker_id, produced_round=r, tau=tau, payload=payload)
             self.pending.setdefault(r + tau, []).append(entry)
 

@@ -264,6 +264,83 @@ class TestStacked:
         np.testing.assert_array_equal(bits(loss), bits(0.5 * float(diff @ (obj.matrix @ diff))))
 
 
+def reference_mlp_loss_and_grad(obj, params, batch):
+    """The mlp loss and gradient written out of place: a fresh array for every product and term."""
+    x, y = batch
+    layers = [(w, b) for w, b, _ in obj.unpack(params)]
+    acts = [x]
+    for i, (w, b) in enumerate(layers):
+        z = np.matmul(acts[-1], np.swapaxes(w, -1, -2)) + b[..., None, :]
+        acts.append(np.tanh(z) if i < len(layers) - 1 else z)
+    err = acts[-1] - y
+    n = x.shape[-2]
+    grad = np.zeros_like(params)
+    lead = params.shape[:-1]
+    dz = err / n
+    for i in reversed(range(len(layers))):
+        w_start, b_start, b_end = obj._offsets[i]
+        grad[..., w_start:b_start] = np.matmul(np.swapaxes(dz, -1, -2), acts[i]).reshape(*lead, -1)
+        grad[..., b_start:b_end] = dz.sum(axis=-2)
+        if i > 0:
+            dz = np.matmul(dz, layers[i][0]) * (1.0 - acts[i] ** 2)
+    return 0.5 * np.sum(err * err, axis=(-2, -1)) / n, grad
+
+
+class TestOutBuffer:
+    """loss_and_grad(..., out=buf) and draw_batches(..., out=buf) write in place and keep the bits."""
+
+    @pytest.mark.parametrize("stacked", [False, True], ids=["1d", "stacked"])
+    @pytest.mark.parametrize("kind", sorted(KINDS))
+    def test_gradient_written_into_out_equals_a_fresh_one(self, kind, stacked):
+        obj = make_objective(KINDS[kind])
+        shards = [Shard.for_worker(3, w, batch_size=16) for w in range(4)]
+        params = np.stack([obj.init_params(40 + k) for k in range(len(shards))])
+        batch = draw(obj, shards, 1, 0)
+        if not stacked:
+            params, batch = params[0], row(batch, 0)
+        batches = [batch, None] if kind in ("quadratic", "rosenbrock_sum") else [batch]
+        for batch in batches:
+            want_loss, want_grad = obj.loss_and_grad(params, batch)
+            for _ in range(2):  # a reused buffer is overwritten whole
+                buf = np.full_like(params, np.nan)
+                loss, grad = obj.loss_and_grad(params, batch, out=buf)
+                assert grad is buf
+                np.testing.assert_array_equal(bits(loss), bits(want_loss))
+                np.testing.assert_array_equal(bits(grad), bits(want_grad))
+
+    @pytest.mark.parametrize("stacked", [False, True], ids=["1d", "stacked"])
+    @pytest.mark.parametrize("kind", ["mlp_regression", "mlp_deep"])
+    def test_mlp_keeps_the_bits_of_the_out_of_place_formula(self, kind, stacked):
+        obj = make_objective(KINDS[kind])
+        shards = [Shard.for_worker(3, w, batch_size=16) for w in range(4)]
+        params = np.stack([obj.init_params(40 + k) for k in range(len(shards))])
+        batch = draw(obj, shards, 1, 0)
+        if not stacked:
+            params, batch = params[0], row(batch, 0)
+        want_loss, want_grad = reference_mlp_loss_and_grad(obj, params, batch)
+        buf = np.empty_like(params)
+        for got_loss, got_grad in (obj.loss_and_grad(params, batch), obj.loss_and_grad(params, batch, out=buf)):
+            np.testing.assert_array_equal(bits(got_loss), bits(want_loss))
+            np.testing.assert_array_equal(bits(got_grad), bits(want_grad))
+        np.testing.assert_array_equal(bits(obj.loss(params, batch)), bits(want_loss))
+
+    @pytest.mark.parametrize("kind", ["mlp_regression", "mlp_deep"])
+    def test_batch_inputs_drawn_into_out_equal_fresh_ones(self, kind):
+        obj = make_objective(KINDS[kind])
+        shards = [Shard.for_worker(3, w, batch_size=16) for w in range(4)]
+        seeds = batch_seeds(shards, range(2), 3)
+        buf = obj.batch_buffer(len(shards), 16)
+        for step in range(3):
+            want = sample_batch(obj, shards, seeds[:, 1, step])
+            got = sample_batch(obj, shards, seeds[:, 1, step], compact=True, out=buf)
+            assert got[0] is buf
+            for g, w in zip(got, want, strict=True):
+                np.testing.assert_array_equal(bits(g), bits(w))
+
+    def test_linear_noise_objectives_take_no_batch_buffer(self, quad):
+        assert quad.batch_buffer(4, 16) is None
+
+
 class TestLoss:
     @pytest.mark.parametrize("kind", sorted(KINDS))
     def test_loss_is_the_loss_of_loss_and_grad(self, kind):

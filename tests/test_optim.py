@@ -305,6 +305,27 @@ class TestInnerAdamW:
         assert p[0] == pytest.approx(4.0 * (1 - cfg.lr * 0.1), abs=1e-15)
 
 
+    def test_in_place_step_keeps_the_out_of_place_bits(self):
+        rng = np.random.default_rng(12)
+        cfg = InnerConfig(lr=1e-2, weight_decay=0.1)
+        params = rng.standard_normal((3, 7))
+        state = AdamMoments.zeros(params.shape)
+        want_p, want_m, want_v = params.copy(), np.zeros((3, 7)), np.zeros((3, 7))
+        for t in range(1, 11):
+            grad = rng.standard_normal((3, 7))
+            kept = grad.copy()
+            p, s = inner_adamw_step(params, grad, state, cfg)
+            assert p is params and s is state and s.t == t
+            np.testing.assert_array_equal(grad, kept)
+            want_m = cfg.beta1 * want_m + (1.0 - cfg.beta1) * grad
+            want_v = cfg.beta2 * want_v + (1.0 - cfg.beta2) * (grad * grad)
+            m_hat = want_m / (1.0 - cfg.beta1**t)
+            v_hat = want_v / (1.0 - cfg.beta2**t)
+            want_p = want_p * (1.0 - cfg.lr * cfg.weight_decay) - cfg.lr * m_hat / (np.sqrt(v_hat) + cfg.epsilon)
+            for got, want in ((params, want_p), (state.m, want_m), (state.v, want_v)):
+                np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
 class TestMethodTable:
     def test_rows_take_known_values(self):
         for row in METHOD_TABLE.values():

@@ -244,8 +244,11 @@ class _ConstantObjective(Objective):
     def draw_batch(self, rng, n):
         return None
 
-    def loss_and_grad(self, params, batch):
-        return 0.0, np.zeros_like(params)
+    def loss_and_grad(self, params, batch, out=None):
+        if out is None:
+            return 0.0, np.zeros_like(params)
+        out[...] = 0.0
+        return 0.0, out
 
 
 def inner_phase(obj, shards, snapshot, inner_steps, round_idx):
@@ -276,7 +279,7 @@ class TestInnerPhase:
         delta = inner_phase(obj, [shard], snapshot, 1, 3)
         (batch,) = sample_batch(obj, [shard], batch_seeds([shard], range(3, 4), 1)[:, 0, 0])
         _, grad = obj.loss_and_grad(snapshot, batch)
-        stepped, _ = inner_adamw_step(snapshot, grad, AdamMoments.zeros(8), InnerConfig())
+        stepped, _ = inner_adamw_step(snapshot.copy(), grad, AdamMoments.zeros(8), InnerConfig())
         np.testing.assert_array_equal(delta, (snapshot - stepped)[None])
 
     def test_delta_shape_matches_params(self):
@@ -308,6 +311,64 @@ class TestInnerPhase:
         for k, shard in enumerate(shards):
             alone = inner_phase(obj, [shard], snapshot, 5, 2)
             np.testing.assert_array_equal(stacked[k].view(np.uint64), alone[0].view(np.uint64))
+
+
+def reference_phase(obj, shards, seeds, snapshot, cfg):
+    """The inner phase written out of place: fresh batch, gradient and AdamW arrays at every step."""
+    params = np.tile(snapshot, (len(shards), 1))
+    m, v = np.zeros_like(params), np.zeros_like(params)
+    for t in range(1, seeds.shape[1] + 1):
+        batch = sample_batch(obj, shards, seeds[:, t - 1], compact=True)
+        _, grad = obj.loss_and_grad(params, batch)
+        m = cfg.beta1 * m + (1.0 - cfg.beta1) * grad
+        v = cfg.beta2 * v + (1.0 - cfg.beta2) * (grad * grad)
+        m_hat = m / (1.0 - cfg.beta1**t)
+        v_hat = v / (1.0 - cfg.beta2**t)
+        params = params * (1.0 - cfg.lr * cfg.weight_decay) - cfg.lr * m_hat / (np.sqrt(v_hat) + cfg.epsilon)
+    return snapshot - params
+
+
+class TestInnerWorkspace:
+    """The phase steps in one reused workspace and gives the bits of an out-of-place loop."""
+
+    SPECS = {
+        "quadratic": {"kind": "quadratic", "dimension": 12, "spectrum_lo": 0.5, "spectrum_hi": 4.0,
+                      "rotation_seed": 5, "noise_scale": 0.05},
+        "rosenbrock_sum": {"kind": "rosenbrock_sum", "dimension": 6, "noise_scale": 0.05, "init_scale": 0.3},
+        # two hidden layers, so the backward pass forms tanh' of a hidden layer in place
+        "mlp_regression": {"kind": "mlp_regression", "layer_sizes": [4, 8, 8, 1], "teacher_seed": 3,
+                           "teacher_scale": 0.5, "init_scale": 0.5},
+    }
+    CFG = InnerConfig(lr=1e-2, weight_decay=0.1)
+
+    @pytest.mark.parametrize("kind", sorted(SPECS))
+    def test_phase_matches_an_out_of_place_reference_loop(self, kind):
+        obj = make_objective(self.SPECS[kind])
+        shards = [Shard.for_worker(9, w, 16) for w in range(3)]
+        seeds = batch_seeds(shards, range(4, 6), 5)
+        snapshot = obj.init_params(3)
+        kept = snapshot.copy()
+        first = run_inner_phase(obj, shards, seeds[:, 0], snapshot, self.CFG)
+        np.testing.assert_array_equal(snapshot.view(np.uint64), kept.view(np.uint64))  # not mutated
+        want = reference_phase(obj, shards, seeds[:, 0], kept, self.CFG)
+        assert first.shape == (3, obj.dim)
+        np.testing.assert_array_equal(first.view(np.uint64), want.view(np.uint64))
+        assert np.any(first != 0.0)
+
+        held = first.copy()
+        second = run_inner_phase(obj, shards, seeds[:, 1], snapshot, self.CFG)
+        assert not np.shares_memory(first, second)
+        np.testing.assert_array_equal(first.view(np.uint64), held.view(np.uint64))  # a queued delta stays put
+        want = reference_phase(obj, shards, seeds[:, 1], kept, self.CFG)
+        np.testing.assert_array_equal(second.view(np.uint64), want.view(np.uint64))
+
+    @pytest.mark.parametrize("kind", sorted(SPECS))
+    def test_mixed_batch_sizes_raise(self, kind):
+        obj = make_objective(self.SPECS[kind])
+        shards = [Shard.for_worker(9, 0, 16), Shard.for_worker(9, 1, 8)]
+        seeds = batch_seeds(shards, range(1), 2)[:, 0]
+        with pytest.raises(ValueError, match="one batch size"):
+            run_inner_phase(obj, shards, seeds, obj.init_params(3), self.CFG)
 
 
 class TestQueueSemantics:
@@ -431,8 +492,8 @@ class TestDivergenceHandling:
 
     def test_non_finite_terminates_early(self):
         class ExplodingObjective(QuadraticObjective):
-            def loss_and_grad(self, params, batch):
-                loss, grad = super().loss_and_grad(params, batch)
+            def loss_and_grad(self, params, batch, out=None):
+                loss, grad = super().loss_and_grad(params, batch, out)
                 if np.max(np.abs(params)) > 5.0:
                     return np.nan, grad * np.nan
                 return loss, grad

@@ -82,6 +82,21 @@ def test_delay_schedules_sharing_a_seed_draw_their_own_delays(first, second):
     assert delays(**second) == cold != warm_first
 
 
+@pytest.mark.parametrize("spec", [{"kind": "fixed", "tau": 5}, {"kind": "uniform_int", "lo": 0, "hi": 16},
+                                  {"kind": "exponential", "rate": 0.1, "tau_max": 48}],
+                         ids=lambda spec: spec["kind"])
+def test_a_round_of_delays_drawn_in_one_call_equals_one_call_per_worker(spec):
+    sched = DelaySchedule(seed=99, **spec)
+    seeds = delay_seeds(sched, 4, range(30))
+    STREAM_MEMO.clear()
+    alone = [[sample_delay(sched, seeds[w, r]) for w in range(4)] for r in range(30)]
+    used = STREAM_MEMO.used
+    STREAM_MEMO.clear()
+    assert [sample_delay(sched, seeds[:, r]) for r in range(30)] == alone
+    assert STREAM_MEMO.used == used
+    assert all(isinstance(tau, int) for taus in alone for tau in taus)
+
+
 @pytest.mark.parametrize("change", [{"noise_scale": 0.5}, {"batch_size": 16}, {"dimension": 13}])
 def test_quadratics_that_differ_do_not_share_noise_rows(change):
     def rows(spec, batch_size=8):
@@ -125,6 +140,8 @@ def test_memo_draws_each_kept_row_once():
         assert [memo.draw(("p",), row, draw, 8) for row in rows] == [int(r.sum()) for r in rows]
     assert calls == [0, 4, 8, 12, 16, 12, 16]  # three rows kept, two drawn again
     assert memo.used == memo.budget
+    assert memo.draw(("p",), rows, draw, 8) == [int(r.sum()) for r in rows]  # a stack: one value per row
+    assert calls[-2:] == [12, 16]
     memo.draw(("q",), rows[0], draw, 8)
     assert calls[-1] == 0  # another params tuple has its own table
 
