@@ -9,7 +9,7 @@ sweeps to byte-identical result files.
 """
 
 from .config import ConfigError, RunConfig, config_hash, expand_sweep
-from .gate import StalenessGate, cosine_gate, effective_age, gate_curve, staleness_weight
+from .gate import StalenessGate, cosine_gate, gate_curve, staleness_weight
 from .objective import (
     MlpRegressionObjective,
     Objective,
@@ -23,6 +23,7 @@ from .objective import (
 )
 from .optim import (
     AdamMoments,
+    Fragments,
     InnerConfig,
     OuterConfig,
     OuterState,
@@ -32,7 +33,6 @@ from .optim import (
 )
 from .simulator import (
     DelaySchedule,
-    FragmentPartition,
     QueueEntry,
     RunResult,
     Simulation,

@@ -26,7 +26,6 @@ __all__ = [
     "StalenessGate",
     "cosine_gate",
     "staleness_weight",
-    "effective_age",
     "gate_curve",
 ]
 
@@ -81,13 +80,6 @@ def staleness_weight(tau: float, gate: StalenessGate) -> float:
     if gamma == 0.0:
         return 0.0
     return gamma * math.exp(-gate.alpha * tau)
-
-
-def effective_age(tau: float, fragment_age: float) -> float:
-    """Age used to gate a fragment: max of network delay and sync age."""
-    if tau < 0.0 or fragment_age < 0.0:
-        raise ValueError(f"ages must be >= 0, got ({tau}, {fragment_age})")
-    return max(tau, fragment_age)
 
 
 def gate_curve(gate: StalenessGate, taus: np.ndarray) -> np.ndarray:

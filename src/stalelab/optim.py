@@ -3,8 +3,8 @@
 A method is one row of METHOD_TABLE: the base kernel that takes the step,
 the staleness weight on the gradient, the age it is weighted by, and an
 optional pre-mix of the delta. One run keeps one OuterState over the full
-parameter vector, and `outer_step` applies one pseudo-gradient to the
-selected fragments of it in place, each fragment weighted by its own age.
+vector and its Fragments, and `outer_step` applies one pseudo-gradient to
+the selected fragments of it in place, each weighted by its own age.
 Every per-fragment scalar (weight, bias correction, step factor) is a
 Python float, broadcast over its fragment's elements, so a fragment steps
 to the same bytes whether it is stepped alone or with its siblings.
@@ -26,6 +26,7 @@ __all__ = [
     "MethodRow",
     "method_row",
     "AdamMoments",
+    "Fragments",
     "OuterState",
     "OuterConfig",
     "InnerConfig",
@@ -52,33 +53,77 @@ class AdamMoments:
         return cls(m=np.zeros(shape), v=np.zeros(shape), t=0)
 
 
-@dataclass
-class OuterState:
-    """One run's outer-optimizer state over the full parameter vector.
+class Fragments:
+    """Non-empty fragments covering [0, dim) in order, and their sync ages.
 
-    Fragment f covers [starts[f], starts[f] + sizes[f]). The adam base keeps
-    its moments in m and v; the momentum bases keep the velocity in m, and
-    delayed_nesterov its burst buffer (the sum of the gradients since the
-    last burst) in v. Per fragment, t counts applied Adam updates (a dropped
-    update leaves it alone) and count the gradients in the burst buffer.
-    `plans` keeps the gather plan of each fragment selection seen (see _plan),
-    and `corrections` the Adam bias corrections by t (see _corrections).
+    Fragment f covers [starts[f], starts[f] + sizes[f]) and ages[f] counts the
+    rounds since it last synced. `picks` caches each ages state's selection
+    (see pick); the ages cycle, so a run meets few states.
     """
 
-    starts: np.ndarray
-    sizes: np.ndarray
+    def __init__(self, sizes):
+        self.sizes = np.asarray(sizes, dtype=np.int64)
+        if not self.sizes.size or self.sizes.min() <= 0:
+            raise ValueError(f"need one or more fragments, each non-empty, got sizes {self.sizes.tolist()}")
+        self.starts = np.cumsum(self.sizes) - self.sizes
+        self.ages = np.zeros(len(self.sizes), dtype=np.int64)
+        self.picks: dict[bytes, tuple] = {}
+
+    @classmethod
+    def even_split(cls, dim: int, count: int) -> "Fragments":
+        return cls(np.diff(np.linspace(0, dim, count + 1).astype(int)))
+
+    def __len__(self) -> int:
+        return len(self.sizes)
+
+    def select(self, ids) -> tuple:
+        """Gather plan of ascending fragment ids: (ids, sizes, element index, counter index, reduceat offsets).
+        Consecutive ids are addressed by slices, with no gather."""
+        ids = list(ids)
+        sizes = self.sizes[ids]
+        offsets = np.cumsum(sizes) - sizes
+        if ids == list(range(ids[0], ids[-1] + 1)):
+            start = int(self.starts[ids[0]])
+            return ids, sizes, slice(start, start + int(sizes.sum())), slice(ids[0], ids[-1] + 1), offsets
+        index = np.repeat(self.starts[ids] - offsets, sizes) + np.arange(int(sizes.sum()))
+        return ids, sizes, index, ids, offsets
+
+    def pick(self, ids) -> tuple:
+        """Select ids at the current ages; cache and return (plan, their ages as floats, the next ages),
+        in which the selected fragments reset to 0 and the rest grow by 1."""
+        after = self.ages + 1
+        after[ids] = 0
+        picked = self.picks[self.ages.tobytes()] = self.select(ids), self.ages[ids].astype(np.float64), after
+        return picked
+
+
+@dataclass
+class OuterState:
+    """One run's outer-optimizer state over the full parameter vector: all it carries between rounds.
+
+    The adam base keeps its moments in m and v; the momentum bases keep the
+    velocity in m, and delayed_nesterov its burst buffer (the sum of the
+    gradients since the last burst) in v. Per fragment, t counts applied Adam
+    updates (a dropped update leaves it alone) and count the gradients in the
+    burst buffer. `corrections` holds the Adam bias corrections by t (see
+    _corrections). The eager pre-mix keeps each worker's last delta in
+    prev_own and last round's mean delta in prev_avg.
+    """
+
+    fragments: Fragments
     m: np.ndarray
     v: np.ndarray
     t: np.ndarray
     count: np.ndarray
-    plans: dict = field(default_factory=dict)
     corrections: dict = field(default_factory=dict)
+    prev_own: dict[int, np.ndarray] = field(default_factory=dict)
+    prev_avg: np.ndarray | None = None
 
     @classmethod
     def zeros(cls, sizes) -> "OuterState":
-        sizes = np.asarray(sizes, dtype=np.int64)
-        dim, n = int(sizes.sum()), len(sizes)
-        return cls(starts=np.cumsum(sizes) - sizes, sizes=sizes, m=np.zeros(dim), v=np.zeros(dim),
+        fragments = Fragments(sizes)
+        dim, n = int(fragments.sizes.sum()), len(fragments)
+        return cls(fragments, m=np.zeros(dim), v=np.zeros(dim),
                    t=np.zeros(n, dtype=np.int64), count=np.zeros(n, dtype=np.int64))
 
 
@@ -262,30 +307,19 @@ def _corrections(state: OuterState, cfg: OuterConfig, t: np.ndarray) -> np.ndarr
         return state.corrections[betas][:, t]
 
 
-def _plan(state: OuterState, frags) -> tuple:
-    """Gather plan of the fragments frags: (sizes, element index, counter index, reduceat offsets)."""
-    sizes = state.sizes[frags]
-    offsets = np.cumsum(sizes) - sizes
-    if frags == list(range(frags[0], frags[-1] + 1)):  # consecutive fragments: slices, no gather
-        start = int(state.starts[frags[0]])
-        return sizes, slice(start, start + int(sizes.sum())), slice(frags[0], frags[-1] + 1), offsets
-    index = np.repeat(state.starts[frags] - offsets, sizes) + np.arange(int(sizes.sum()))
-    return sizes, index, frags, offsets
-
-
 def outer_step(params, grad, ages, state: OuterState, cfg: OuterConfig, frags, *, before=None):
-    """Apply a round's pseudo-gradients, in order, to the fragments `frags` of params and state, in place.
+    """Apply a round's pseudo-gradients, in order, to the selected fragments of params and state, in place.
 
     grad is one pseudo-gradient (dim,) or E of them stacked (E, dim), applied
-    in row order; frags are ascending fragment ids and ages[e][i] (ages[i]
-    for a 1-D grad) is the age fragment frags[i] is weighted by in entry e.
+    in row order; frags is a Fragments.select plan and ages[e][i] (ages[i]
+    for a 1-D grad) the age its i-th fragment is weighted by in entry e.
     Returns per (entry, fragment) arrays (applied, sigma, rho, step_inf_norm),
-    each (E, len(frags)), or (len(frags),) for a 1-D grad: sigma is the
-    weight used (1.0 for an unweighted method), rho the max bias-corrected
-    Adam ratio |m_hat|/(sqrt(v_hat)+eps) (NaN outside the adam base and where
-    dropped), and step_inf_norm the inf-norm of the fragment's update before
-    it was added to the params. If `before` is an (E, dim) array, row e
-    receives the params entry e was applied to.
+    each (E, n), or (n,) for a 1-D grad: sigma is the weight used (1.0 for
+    an unweighted method), rho the max bias-corrected Adam ratio
+    |m_hat|/(sqrt(v_hat)+eps) (NaN outside the adam base and where dropped),
+    and step_inf_norm the inf-norm of the fragment's update before it was
+    added to the params. If `before` is an (E, dim) array, row e receives
+    the params entry e was applied to.
 
     Only the adam base drops: a fragment at weight 0 keeps its params,
     moments and t untouched. A momentum base always steps. With placement
@@ -300,8 +334,8 @@ def outer_step(params, grad, ages, state: OuterState, cfg: OuterConfig, frags, *
     grads = grad if grad.ndim == 2 else grad[None]
     if params.shape != grads.shape[1:]:
         raise ValueError(f"shape mismatch: params {params.shape} vs grad {grad.shape}")
-    n = len(frags)
-    ages = np.asarray(ages, dtype=np.float64).reshape(len(grads), n)
+    ids, sizes, index, slot, offsets = frags
+    ages = np.asarray(ages, dtype=np.float64).reshape(len(grads), len(ids))
     row = METHOD_TABLE[cfg.method]
     weigh = _WEIGHTS["gate" if row.base == "adam" else row.weight]
     flat = ages.ravel().tolist()
@@ -311,10 +345,6 @@ def outer_step(params, grad, ages, state: OuterState, cfg: OuterConfig, frags, *
     sigma = np.array([weights[age] for age in flat]).reshape(ages.shape)
     dropped = row.base == "adam" and 0.0 in weights.values()
     applied = sigma != 0.0 if dropped else np.ones(sigma.shape, dtype=bool)
-    key = tuple(frags)
-    if key not in state.plans:
-        state.plans[key] = _plan(state, list(frags))
-    sizes, index, slot, offsets = state.plans[key]
     keep = np.repeat(applied, sizes, axis=1) if dropped else None  # the elements that step
     g = grads[:, index]
     elem_sigma = np.repeat(sigma, sizes, axis=1)

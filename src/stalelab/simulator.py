@@ -17,9 +17,10 @@ One outer round does, in order:
    are dequeued in sorted (worker id, produced round) order, stacked, and
    applied to the global params in that order by one outer step for the
    round over its selected fragments, each fragment of each entry weighted
-   by its own age. The outer state is one `OuterState` over the full
-   vector, and the trace gets one `ApplyRecord` row per (entry, selected
-   fragment), written one column at a time per round;
+   by its own age. One `OuterState` holds the outer state: the fragments
+   and their ages, the optimizer state and the eager history. The trace
+   gets one `ApplyRecord` row per (entry, selected fragment), written one
+   column at a time per round;
 3. fragment ages reset to 0 where selected, else grow by 1;
 4. the global params are evaluated on a fixed held-out batch.
 
@@ -53,6 +54,7 @@ from .objective import (
 )
 from .optim import (
     AdamMoments,
+    Fragments,
     InnerConfig,
     OuterConfig,
     OuterState,
@@ -69,7 +71,6 @@ if TYPE_CHECKING:
 
 __all__ = [
     "DelaySchedule",
-    "FragmentPartition",
     "QueueEntry",
     "QuantizedPayload",
     "ApplyRecord",
@@ -141,39 +142,12 @@ def sample_delay(schedule: DelaySchedule, seeds: np.ndarray) -> int | list[int]:
     return STREAM_MEMO.draw(schedule, seeds, draw, 8)  # the schedule holds every field the draw reads
 
 
-@dataclass
-class FragmentPartition:
-    """Disjoint index ranges covering [0, dim) plus per-fragment sync ages."""
-
-    boundaries: list[tuple[int, int]]
-    ages: np.ndarray
-    starts: np.ndarray = field(init=False, repr=False)
-    sizes: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self):
-        if any(end <= start for start, end in self.boundaries):
-            raise ValueError(f"fragments must be non-empty, got {self.boundaries}")
-        self.starts = np.array([start for start, _ in self.boundaries])
-        self.sizes = np.array([end - start for start, end in self.boundaries])
-
-    @classmethod
-    def even_split(cls, dim: int, count: int) -> "FragmentPartition":
-        if not (1 <= count <= dim):
-            raise ValueError(f"fragment count must be in [1, {dim}], got {count}")
-        edges = np.linspace(0, dim, count + 1).astype(int)
-        boundaries = [(int(edges[i]), int(edges[i + 1])) for i in range(count)]
-        return cls(boundaries=boundaries, ages=np.zeros(count, dtype=np.int64))
-
-    def __len__(self) -> int:
-        return len(self.boundaries)
-
-
-def select_fragments(partition: FragmentPartition, budget: int) -> list[int]:
+def select_fragments(fragments: Fragments, budget: int) -> list[int]:
     """Oldest-first fragment selection, ties broken by fragment id."""
-    count = len(partition)
+    count = len(fragments)
     if not (1 <= budget <= count):
         raise ValueError(f"budget must be in [1, {count}], got {budget}")
-    oldest = np.argsort(-partition.ages, kind="stable")[:budget]  # stable: lower id first on ties
+    oldest = np.argsort(-fragments.ages, kind="stable")[:budget]  # stable: lower id first on ties
     return np.sort(oldest).tolist()
 
 
@@ -191,7 +165,7 @@ class QueueEntry:
     payload: np.ndarray | QuantizedPayload
 
 
-def quantize_payload(grad: np.ndarray, partition: FragmentPartition) -> QuantizedPayload:
+def quantize_payload(grad: np.ndarray, fragments: Fragments) -> QuantizedPayload:
     """Symmetric per-fragment int8 quantization, scale = maxabs/127, of a (dim,) or (K, dim) payload.
 
     All-zero fragments get scale 0 and zero codes; the max-magnitude
@@ -202,15 +176,15 @@ def quantize_payload(grad: np.ndarray, partition: FragmentPartition) -> Quantize
     if not np.isfinite(grad).all():
         raise ValueError("cannot quantize a non-finite payload")
     abs_grad = np.abs(grad)
-    scales = np.maximum.reduceat(abs_grad, partition.starts, axis=-1) / 127.0
+    scales = np.maximum.reduceat(abs_grad, fragments.starts, axis=-1) / 127.0
     # an all-zero fragment keeps scale 0; dividing its zeros by 1 gives code 0
-    divisor = np.repeat(np.where(scales > 0.0, scales, 1.0), partition.sizes, axis=-1)
+    divisor = np.repeat(np.where(scales > 0.0, scales, 1.0), fragments.sizes, axis=-1)
     q = np.sign(grad) * np.floor(abs_grad / divisor + 0.5)  # round half away from zero
     return QuantizedPayload(codes=np.clip(q, -127, 127).astype(np.int8), scales=scales)
 
 
-def dequantize_payload(payload: QuantizedPayload, partition: FragmentPartition) -> np.ndarray:
-    return payload.codes.astype(np.float64) * np.repeat(payload.scales, partition.sizes, axis=-1)
+def dequantize_payload(payload: QuantizedPayload, fragments: Fragments) -> np.ndarray:
+    return payload.codes.astype(np.float64) * np.repeat(payload.scales, fragments.sizes, axis=-1)
 
 
 def run_inner_phase(
@@ -317,15 +291,13 @@ class Simulation:
         dim = self.obj.dim
         master = config.master_seed
         self.global_params = self.obj.init_params(derive_seed(master, "init"))
-        self.partition = FragmentPartition.even_split(dim, config.fragments["count"])
-        self.outer_state = OuterState.zeros(self.partition.sizes)
+        self.outer_state = OuterState.zeros(Fragments.even_split(dim, config.fragments["count"]).sizes)
         self.workers = [Shard.for_worker(master, w, config.batch_size) for w in range(config.workers)]
         self.delay = DelaySchedule(seed=derive_seed(master, "delay"), **config.delay)
         eval_rng = np.random.default_rng(derive_seed(master, "eval"))
         self.eval_batch = self.obj.compact_batch(self.obj.draw_batch(eval_rng, config.eval_batch_size))
         self.reference_loss = init_reference_loss(self.obj, self.eval_batch)
         self.pending: dict[int, list[QueueEntry]] = {}  # entries in flight, by the round they come due
-        self._selections: dict[bytes, tuple] = {}  # fragment ages -> (selected ids, their ages, next ages)
         self.round = 0
         # batch and delay seed tables of the rounds in _seed_rounds; run_round hashes them
         self._seed_rounds = range(0)
@@ -340,16 +312,13 @@ class Simulation:
         if self.obj.kind == "quadratic":
             self.trace.l_smooth = self.obj.smoothness
             self.trace.f_gap = float(self.obj.loss(self.global_params, None))
-        # eager mixing history: last applied delta per worker, last round's mean delta
-        self._prev_own: dict[int, np.ndarray] = {}
-        self._prev_avg: np.ndarray | None = None
 
     def _due_grads(self, due: list[QueueEntry]) -> np.ndarray:
         """The due entries' pseudo-gradients, stacked (E, dim)."""
         if self.config.quantize_queue:
             stacked = QuantizedPayload(np.array([e.payload.codes for e in due]),
                                        np.array([e.payload.scales for e in due]))
-            return dequantize_payload(stacked, self.partition)
+            return dequantize_payload(stacked, self.outer_state.fragments)
         return np.array([e.payload for e in due])
 
     def _trace_rows(self, entries: int) -> np.ndarray:
@@ -374,28 +343,28 @@ class Simulation:
         self._batch_seeds = batch_seeds(self.workers, self._seed_rounds, cfg.inner_steps)
         self._delay_seeds = delay_seeds(self.delay, len(self.workers), self._seed_rounds)
 
-    def _apply(self, r: int, due: list[QueueEntry], selected: list[int], selected_ages: np.ndarray) -> None:
-        """Apply round r's due entries, in order, with one outer step, and write their trace rows."""
-        cfg = self.config
+    def _apply(self, r: int, due: list[QueueEntry], plan: tuple, selected_ages: np.ndarray) -> None:
+        """Apply round r's due entries, in order, with one outer step over `plan`, and write their trace rows."""
+        cfg, state = self.config, self.outer_state
         grads = self._due_grads(due)
         delta_norm_sq = _norms_sq(grads)
         if self.row.premix == "eager":
             own, grads = grads, grads.copy()
             for j, entry in enumerate(due):
-                if entry.worker in self._prev_own and self._prev_avg is not None:
-                    grads[j] = eager_step(own[j], self._prev_own[entry.worker], self._prev_avg, cfg.workers)
-                self._prev_own[entry.worker] = own[j]
-            self._prev_avg = np.mean(own, axis=0)
+                if entry.worker in state.prev_own and state.prev_avg is not None:
+                    grads[j] = eager_step(own[j], state.prev_own[entry.worker], state.prev_avg, cfg.workers)
+                state.prev_own[entry.worker] = own[j]
+            state.prev_avg = np.mean(own, axis=0)
         taus = np.array([[e.tau] for e in due], dtype=np.float64)
-        # a fragment-aged method weighs each fragment by effective_age(tau, fragment age)
-        ages = np.maximum(taus, selected_ages) if self.row.age == "fragment" else taus.repeat(len(selected), 1)
+        # a fragment-aged method weighs each fragment by max(tau, rounds since the fragment last synced)
+        ages = np.maximum(taus, selected_ages) if self.row.age == "fragment" else taus.repeat(len(plan[0]), 1)
         before = np.empty(grads.shape) if self.trace.exact_grad else None
         applied, sigma, rho, norm = outer_step(
-            self.global_params, grads, ages, self.outer_state, cfg.outer, selected, before=before)
+            self.global_params, grads, ages, state, cfg.outer, plan, before=before)
         grad_norm_sq = (np.nan if before is None
                         else _norms_sq(np.array([self.obj.population_grad(p) for p in before])))
         info = np.array([(e.worker, e.produced_round) for e in due])
-        values = (r, info[:, :1], info[:, 1:], taus, ages, selected, applied, sigma, rho, norm,
+        values = (r, info[:, :1], info[:, 1:], taus, ages, plan[0], applied, sigma, rho, norm,
                   grad_norm_sq, delta_norm_sq)  # in ApplyRecord field order, each broadcast to (E, budget)
         rows = self._trace_rows(len(due))
         for name, value in zip(ApplyRecord.names, values):
@@ -422,7 +391,7 @@ class Simulation:
             self.diverged = True
             return False
         if cfg.quantize_queue:
-            stacked = quantize_payload(deltas, self.partition)
+            stacked = quantize_payload(deltas, self.outer_state.fragments)
             payloads = [QuantizedPayload(c, sc) for c, sc in zip(stacked.codes, stacked.scales)]
         else:
             payloads = deltas
@@ -431,18 +400,16 @@ class Simulation:
             entry = QueueEntry(worker=shard.worker_id, produced_round=r, tau=tau, payload=payload)
             self.pending.setdefault(r + tau, []).append(entry)
 
-        # the selection, its ages and the next ages are a function of the fragment ages, which cycle
-        ages = self.partition.ages
-        if ages.tobytes() not in self._selections:
-            selected = select_fragments(self.partition, cfg.fragments["budget"])
-            after = ages + 1
-            after[selected] = 0
-            self._selections[ages.tobytes()] = selected, ages[selected].astype(np.float64), after
-        selected, selected_ages, after = self._selections[ages.tobytes()]
+        # the selection is a function of the fragment ages, so it is made once per ages state
+        fragments = self.outer_state.fragments
+        picked = fragments.picks.get(fragments.ages.tobytes())
+        if picked is None:
+            picked = fragments.pick(select_fragments(fragments, cfg.fragments["budget"]))
+        plan, selected_ages, after = picked
         due = sorted(self.pending.pop(r, ()), key=lambda e: (e.worker, e.produced_round))
         if due:
-            self._apply(r, due, selected, selected_ages)
-        ages[:] = after
+            self._apply(r, due, plan, selected_ages)
+        fragments.ages[:] = after
 
         if not np.isfinite(self.global_params).all():
             self.diverged = True

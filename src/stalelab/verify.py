@@ -18,8 +18,8 @@ from .config import RunConfig
 from .gate import StalenessGate, gate_curve, staleness_weight
 from .harness import serialize_result
 from .objective import MlpRegressionObjective, QuadraticObjective, finite_diff_check
-from .optim import OuterConfig, OuterState, outer_step
-from .simulator import FragmentPartition, dequantize_payload, quantize_payload, run_experiment
+from .optim import Fragments, OuterConfig, OuterState, outer_step
+from .simulator import dequantize_payload, quantize_payload, run_experiment
 from .theory import audit_run
 
 __all__ = ["run_all_checks", "ALL_CHECKS"]
@@ -69,9 +69,10 @@ def check_adam_reduction(seed=7, dim=16):
     grads = [rng.standard_normal(dim) for _ in range(100)]
     cfg = OuterConfig.for_method("cgad")
     state = OuterState.zeros([dim])
+    whole = state.fragments.select([0])
     p = params.copy()
     for g in grads:
-        outer_step(p, g, [0.0], state, cfg, [0])
+        outer_step(p, g, [0.0], state, cfg, whole)
     ref = reference_adam(params, grads, cfg.eta, cfg.beta1, cfg.beta2, cfg.epsilon)
     if not np.array_equal(p, ref):
         return False, f"100 tau=0 steps drifted from plain Adam by {np.max(np.abs(p - ref))}"
@@ -83,11 +84,12 @@ def check_drop_totality():
     cfg = OuterConfig.for_method("cgad")
     p = rng.standard_normal(8)
     state = OuterState.zeros([4, 4])
-    outer_step(p, rng.standard_normal(8), [0.0, 0.0], state, cfg, [0, 1])
+    first, both = state.fragments.select([0]), state.fragments.select([0, 1])
+    outer_step(p, rng.standard_normal(8), [0.0, 0.0], state, cfg, both)
     p_ref, state_ref = p.copy(), copy.deepcopy(state)
 
     # fragment 0 is past tau_cut and drops while fragment 1 steps
-    applied, *_ = outer_step(p, rng.standard_normal(8), [33.0, 0.0], state, cfg, [0, 1])
+    applied, *_ = outer_step(p, rng.standard_normal(8), [33.0, 0.0], state, cfg, both)
     kept = all(a[:4].tobytes() == b[:4].tobytes()
                for a, b in ((p, p_ref), (state.m, state_ref.m), (state.v, state_ref.v)))
     if applied[0] or not kept or state.t[0] != state_ref.t[0]:
@@ -95,8 +97,8 @@ def check_drop_totality():
     if not applied[1] or np.array_equal(p[4:], p_ref[4:]) or state.t[1] != state_ref.t[1] + 1:
         return False, "the fragment beside a dropped one did not step"
     fresh = rng.standard_normal(8)
-    outer_step(p, fresh, [0.0], state, cfg, [0])
-    outer_step(p_ref, fresh, [0.0], state_ref, cfg, [0])
+    outer_step(p, fresh, [0.0], state, cfg, first)
+    outer_step(p_ref, fresh, [0.0], state_ref, cfg, first)
     if not (np.array_equal(p[:4], p_ref[:4]) and state.t[0] == state_ref.t[0]
             and np.array_equal(state.m[:4], state_ref.m[:4]) and np.array_equal(state.v[:4], state_ref.v[:4])):
         return False, "a step after a drop differs from the no-drop step"
@@ -144,15 +146,15 @@ def check_step_norm_audit():
 
 def check_quantization(seed=23, trials=1000, exponents=(-3, 3)):
     rng = np.random.default_rng(seed)
-    partition = FragmentPartition.even_split(64, 4)
+    fragments = Fragments.even_split(64, 4)
     for trial in range(trials):
         grad = rng.standard_normal(64) * 10.0 ** rng.integers(*exponents)
-        qp = quantize_payload(grad, partition)
-        err = np.abs(dequantize_payload(qp, partition) - grad)
-        if np.any(err > np.repeat(qp.scales, partition.sizes) / 2.0 + 1e-15):
+        qp = quantize_payload(grad, fragments)
+        err = np.abs(dequantize_payload(qp, fragments) - grad)
+        if np.any(err > np.repeat(qp.scales, fragments.sizes) / 2.0 + 1e-15):
             return False, f"round-trip error {np.max(err)} above half a scale on trial {trial}"
     for exact in (np.zeros(64), np.array([127.0, -64.0, 3.0, -127.0])):  # all zero; scale 1.0 exactly
-        single = FragmentPartition.even_split(exact.size, 1)
+        single = Fragments.even_split(exact.size, 1)
         if np.any(dequantize_payload(quantize_payload(exact, single), single) != exact):
             return False, f"{exact} did not round-trip exactly"
     return True, f"{trials} random payloads within half a scale per element; zero and +-127 endpoint exact"

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from stalelab.gate import (
     StalenessGate,
     cosine_gate,
-    effective_age,
     gate_curve,
     staleness_weight,
 )
@@ -86,23 +85,6 @@ class TestStalenessWeight:
         with pytest.raises(ValueError, match="finite"):
             StalenessGate(INF, 4.0)  # sigma(0) would be nan, not 1
         StalenessGate(0.0, INF)  # degenerate but legal
-
-
-class TestEffectiveAge:
-    def test_network_delay_dominates(self):
-        assert effective_age(4.0, 0.0) == 4.0
-
-    def test_sync_age_dominates(self):
-        assert effective_age(0.0, 7.0) == 7.0
-
-    def test_tie(self):
-        assert effective_age(3.0, 3.0) == 3.0
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            effective_age(-1.0, 0.0)
-        with pytest.raises(ValueError):
-            effective_age(0.0, -2.0)
 
 
 @pytest.mark.parametrize("alpha", [0.025, 0.05, 0.1, 0.2, 0.4])

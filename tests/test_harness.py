@@ -636,7 +636,8 @@ class TestVerifySuite:
 
         def leaky_outer_step(params, grad, ages, state, cfg, frags):
             applied, *rest = optim_mod.outer_step(params, grad, ages, state, cfg, frags)
-            state.t[np.asarray(frags)[~applied]] += 1  # the mutation
+            ids = np.asarray(frags[0])  # the plan's fragment ids
+            state.t[ids[~applied]] += 1  # the mutation
             return (applied, *rest)
 
         monkeypatch.setattr(verify_mod, "outer_step", leaky_outer_step)
@@ -658,8 +659,8 @@ class TestVerifySuite:
     def test_lossy_quantizer_fails_half_scale_bound(self, monkeypatch):
         import stalelab.simulator as sim_mod
 
-        def lossy_quantize(grad, partition):
-            qp = sim_mod.quantize_payload(grad, partition)
+        def lossy_quantize(grad, fragments):
+            qp = sim_mod.quantize_payload(grad, fragments)
             qp.codes -= np.sign(qp.codes)  # the mutation: every nonzero code one step toward 0
             return qp
 

@@ -28,7 +28,7 @@ INNER_FIRST_STEP = -0.00029999999700000004
 
 def step(params, grad, tau, state, cfg):
     """One-fragment outer step, in place: that fragment's (applied, sigma, rho, step_inf_norm)."""
-    applied, sigma, rho, norm = outer_step(params, grad, [tau], state, cfg, [0])
+    applied, sigma, rho, norm = outer_step(params, grad, [tau], state, cfg, state.fragments.select([0]))
     return applied[0], sigma[0], rho[0], norm[0]
 
 
@@ -373,15 +373,16 @@ class TestOuterDispatch:
         p = rng.standard_normal(12)
         state = OuterState.zeros([3, 5, 4])
         for frags in ([0], [0, 1], [0, 2], [1]):
-            outer_step(p, rng.standard_normal(12), [1.0] * len(frags), state, cfg, frags)
+            outer_step(p, rng.standard_normal(12), [1.0] * len(frags), state, cfg, state.fragments.select(frags))
         assert state.t.tolist() == ([3, 2, 1] if METHOD_TABLE[method].base == "adam" else [0, 0, 0])
         assert state.count.tolist() == ([1, 0, 1] if method == "delayed_nesterov" else [0, 0, 0])
         for frags, ages in (([0, 1, 2], [0.0, 9.0, 3.0]), ([0, 1, 2], [1.0, 0.0, 2.0]),
                             ([0, 2], [2.0, 5.0])):
             g = rng.standard_normal(12)
             p_alone, alone = p.copy(), copy.deepcopy(state)
-            together = outer_step(p, g, ages, state, cfg, frags)
-            one_by_one = [outer_step(p_alone, g, [age], alone, cfg, [f]) for f, age in zip(frags, ages)]
+            together = outer_step(p, g, ages, state, cfg, state.fragments.select(frags))
+            one_by_one = [outer_step(p_alone, g, [age], alone, cfg, alone.fragments.select([f]))
+                          for f, age in zip(frags, ages)]
             assert p.tobytes() == p_alone.tobytes()
             for name in ("m", "v", "t", "count"):
                 assert getattr(state, name).tobytes() == getattr(alone, name).tobytes(), name
@@ -412,14 +413,15 @@ class TestRoundKernel:
                 # the adam base reaches t = [3, 2, 1, 1] and delayed_nesterov the burst counts [1, 0, 1, 1],
                 # so over three entries fragment 1 bursts at the middle one, fragments 0, 2, 3 at the first
                 for warm in ([0], [0, 1], [0, 2], [1], [3]):
-                    outer_step(p, rng.standard_normal(14), [1.0] * len(warm), state, cfg, warm)
+                    outer_step(p, rng.standard_normal(14), [1.0] * len(warm), state, cfg, state.fragments.select(warm))
                 grads, ages = rng.standard_normal((entries, 14)), np.array(ages[:entries])
                 p_seq, seq_state, before = p.copy(), copy.deepcopy(state), np.empty((entries, 14))
-                together = outer_step(p, grads, ages, state, cfg, frags, before=before)
+                plan = state.fragments.select(frags)
+                together = outer_step(p, grads, ages, state, cfg, plan, before=before)
                 one_by_one = []
                 for e in range(entries):
                     assert before[e].tobytes() == p_seq.tobytes()
-                    one_by_one.append(outer_step(p_seq, grads[e], ages[e], seq_state, cfg, frags))
+                    one_by_one.append(outer_step(p_seq, grads[e], ages[e], seq_state, cfg, plan))
                 assert p.tobytes() == p_seq.tobytes(), case
                 for name in ("m", "v", "t", "count"):
                     assert getattr(state, name).tobytes() == getattr(seq_state, name).tobytes(), (case, name)

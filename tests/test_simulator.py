@@ -1,3 +1,4 @@
+import copy
 import json
 import sys
 
@@ -16,10 +17,9 @@ from stalelab.objective import (
     make_objective,
     sample_batch,
 )
-from stalelab.optim import AdamMoments, InnerConfig, inner_adamw_step
+from stalelab.optim import METHODS, AdamMoments, Fragments, InnerConfig, inner_adamw_step
 from stalelab.simulator import (
     DelaySchedule,
-    FragmentPartition,
     Simulation,
     delay_seeds,
     dequantize_payload,
@@ -121,19 +121,18 @@ class TestSampleDelay:
 
 class TestFragments:
     def test_even_split_covers_dimension(self):
-        part = FragmentPartition.even_split(10, 3)
-        spans = [e - s for s, e in part.boundaries]
-        assert sum(spans) == 10
-        assert part.boundaries[0][0] == 0 and part.boundaries[-1][1] == 10
-        for (_s, e), (s2, _e2) in zip(part.boundaries, part.boundaries[1:]):
-            assert e == s2
+        part = Fragments.even_split(10, 3)
+        ends = part.starts + part.sizes
+        assert part.sizes.sum() == 10 and part.sizes.min() > 0
+        assert part.starts[0] == 0 and ends[-1] == 10
+        assert part.starts[1:].tolist() == ends[:-1].tolist()
 
     def test_full_budget_selects_everything(self):
-        part = FragmentPartition.even_split(16, 4)
+        part = Fragments.even_split(16, 4)
         assert select_fragments(part, 4) == [0, 1, 2, 3]
 
     def test_budget_one_round_robins(self):
-        part = FragmentPartition.even_split(16, 4)
+        part = Fragments.even_split(16, 4)
         order = []
         for _ in range(8):
             sel = select_fragments(part, 1)
@@ -145,7 +144,7 @@ class TestFragments:
 
     def test_oldest_first_mean_selection_age(self):
         # 3-of-14 budget: a fragment waits |F|/K_f - 1 ~ 3.67 rounds on average
-        part = FragmentPartition.even_split(140, 14)
+        part = Fragments.even_split(140, 14)
         ages_at_selection = []
         for r in range(100):
             sel = select_fragments(part, 3)
@@ -157,7 +156,7 @@ class TestFragments:
         assert set(ages_at_selection) == {3, 4}
 
     def test_budget_validated(self):
-        part = FragmentPartition.even_split(16, 4)
+        part = Fragments.even_split(16, 4)
         with pytest.raises(ValueError):
             select_fragments(part, 0)
         with pytest.raises(ValueError):
@@ -167,7 +166,7 @@ class TestFragments:
         rng = np.random.default_rng(31)
         for _ in range(3000):
             count = int(rng.integers(1, 33))
-            part = FragmentPartition.even_split(64, count)
+            part = Fragments.even_split(64, count)
             part.ages[:] = rng.integers(0, 4, count)  # few distinct ages, so many ties
             budget = int(rng.integers(1, count + 1))
             order = sorted(range(count), key=lambda f: (-int(part.ages[f]), f))
@@ -176,7 +175,7 @@ class TestFragments:
 
 class TestQuantization:
     def test_rejects_non_finite(self):
-        part = FragmentPartition.even_split(4, 1)
+        part = Fragments.even_split(4, 1)
         with pytest.raises(ValueError):
             quantize_payload(np.array([1.0, np.nan, 0.0, 0.0]), part)
 
@@ -184,7 +183,8 @@ class TestQuantization:
         def loop_quantize(grad, part):  # reference: one fragment at a time
             codes = np.zeros(grad.shape, dtype=np.int8)
             scales = np.zeros(len(part))
-            for f, (start, end) in enumerate(part.boundaries):
+            bounds = list(zip(part.starts, part.starts + part.sizes))
+            for f, (start, end) in enumerate(bounds):
                 seg = grad[start:end]
                 maxabs = float(np.max(np.abs(seg)))
                 if maxabs == 0.0:
@@ -192,15 +192,15 @@ class TestQuantization:
                 scales[f] = maxabs / 127.0
                 q = np.sign(seg) * np.floor(np.abs(seg) / scales[f] + 0.5)
                 codes[start:end] = np.clip(q, -127, 127).astype(np.int8)
-            back = np.concatenate([codes[s:e] * scales[f] for f, (s, e) in enumerate(part.boundaries)])
+            back = np.concatenate([codes[s:e] * scales[f] for f, (s, e) in enumerate(bounds)])
             return codes, scales, back
 
         rng = np.random.default_rng(23)
         for dim, count in [(64, 32), (321, 8), (13, 13), (10, 3)]:
-            part = FragmentPartition.even_split(dim, count)
+            part = Fragments.even_split(dim, count)
             for _ in range(200):
                 grad = rng.standard_normal(dim) * 10.0 ** rng.integers(-6, 6)
-                grad[part.boundaries[0][0]:part.boundaries[0][1]] = 0.0  # one all-zero fragment
+                grad[:part.sizes[0]] = 0.0  # one all-zero fragment
                 qp = quantize_payload(grad, part)
                 codes, scales, back = loop_quantize(grad, part)
                 np.testing.assert_array_equal(qp.codes, codes)
@@ -211,12 +211,12 @@ class TestQuantization:
     def test_stacked_rows_quantize_as_if_alone(self):
         rng = np.random.default_rng(29)
         for dim, count in [(64, 32), (321, 8), (10, 3)]:
-            part = FragmentPartition.even_split(dim, count)
+            part = Fragments.even_split(dim, count)
             grads = rng.standard_normal((5, dim)) * 10.0 ** rng.integers(-6, 6, (5, 1))
-            grads[2, slice(*part.boundaries[1])] = 0.0  # one all-zero fragment
+            zero = slice(part.starts[1], part.starts[1] + part.sizes[1])
+            grads[2, zero] = 0.0  # one all-zero fragment
             stacked = quantize_payload(grads, part)
             alone = [quantize_payload(g, part) for g in grads]
-            zero = slice(*part.boundaries[1])
             np.testing.assert_array_equal(stacked.codes, [q.codes for q in alone])
             np.testing.assert_array_equal(stacked.scales.view(np.uint64),
                                           np.array([q.scales for q in alone]).view(np.uint64))
@@ -229,7 +229,7 @@ class TestQuantization:
 
     def test_empty_fragment_rejected(self):
         with pytest.raises(ValueError, match="non-empty"):
-            FragmentPartition(boundaries=[(0, 2), (2, 2), (2, 4)], ages=np.zeros(3, dtype=np.int64))
+            Fragments([2, 0, 2])
 
 
 class _ConstantObjective(Objective):
@@ -416,41 +416,81 @@ class TestFragmentBookkeeping:
     def test_ages_reset_iff_selected(self):
         cfg = quad_config(fragments={"count": 4, "budget": 2}, rounds=1)
         sim = Simulation(cfg)
+        ages = sim.outer_state.fragments.ages
         for r in range(10):
-            before = sim.partition.ages.copy()
-            selected = select_fragments(sim.partition, 2)
+            before = ages.copy()
+            selected = select_fragments(sim.outer_state.fragments, 2)
             sim.run_round()
             for f in range(4):
                 if f in selected:
-                    assert sim.partition.ages[f] == 0
+                    assert ages[f] == 0
                 else:
-                    assert sim.partition.ages[f] == before[f] + 1
+                    assert ages[f] == before[f] + 1
 
     def test_partial_sync_touches_only_selected_fragments(self):
         cfg = quad_config(fragments={"count": 4, "budget": 1}, rounds=1)
         sim = Simulation(cfg)
         before = sim.global_params.copy()
         sim.run_round()
-        start, end = sim.partition.boundaries[0]  # round 0 selects fragment 0
+        fragments = sim.outer_state.fragments
+        start, end = fragments.starts[0], fragments.starts[0] + fragments.sizes[0]  # round 0 selects fragment 0
         changed = np.flatnonzero(sim.global_params != before)
         assert changed.size > 0
         assert changed.min() >= start and changed.max() < end
 
-    def test_pa_cgad_full_budget_bit_identical_to_cgad(self):
+    @pytest.mark.parametrize("delay", [{"kind": "fixed", "tau": 3}, {"kind": "uniform_int", "lo": 0, "hi": 5},
+                                       {"kind": "exponential", "rate": 0.25, "tau_max": 16}],
+                             ids=lambda delay: delay["kind"])
+    def test_pa_cgad_full_budget_bit_identical_to_cgad(self, delay):
+        # at a full budget every sync age is 0, so max(tau, sync age) is tau in every trace row
         frag = {"count": 4, "budget": 4}
-        res_pa = run_experiment(quad_config(method="pa_cgad", fragments=frag, rounds=25,
-                                            delay={"kind": "uniform_int", "lo": 0, "hi": 5}))
-        res_cg = run_experiment(quad_config(method="cgad", fragments=frag, rounds=25,
-                                            delay={"kind": "uniform_int", "lo": 0, "hi": 5}))
+        res_pa = run_experiment(quad_config(method="pa_cgad", fragments=frag, rounds=25, delay=delay))
+        res_cg = run_experiment(quad_config(method="cgad", fragments=frag, rounds=25, delay=delay))
+        assert len(res_cg.trace.records) > 0
         assert res_pa.losses == res_cg.losses
         assert res_pa.final_loss == res_cg.final_loss
+        assert res_pa.trace.records.tobytes() == res_cg.trace.records.tobytes()
 
     def test_pa_cgad_gates_by_fragment_age_under_partial_sync(self):
-        cfg = quad_config(method="pa_cgad", fragments={"count": 4, "budget": 1}, rounds=8)
-        res = run_experiment(cfg)
-        records = res.trace.records
+        count, budget = 4, 1
+        cfg = quad_config(method="pa_cgad", fragments={"count": count, "budget": budget}, rounds=16,
+                          delay={"kind": "uniform_int", "lo": 0, "hi": 5})
+        records = run_experiment(cfg).trace.records
+        # each round's sync ages by a plain oldest-first loop, ties to the lower id
+        ages, sync_ages = [0] * count, []
+        for _ in range(cfg.rounds):
+            chosen = sorted(sorted(range(count), key=lambda f: (-ages[f], f))[:budget])
+            sync_ages.append(dict((f, ages[f]) for f in chosen))
+            ages = [0 if f in chosen else age + 1 for f, age in enumerate(ages)]
+        assert len(records) > 0
+        for rec in records:
+            sync = sync_ages[rec["round"]]
+            assert int(rec["fragment"]) in sync
+            assert rec["age"] == max(rec["tau"], sync[int(rec["fragment"])])
         assert np.any(records["age"] > records["tau"]), \
             "partial sync must raise some effective ages above the network delay"
+        assert np.any(records["age"] == records["tau"]), "a delay above the sync age must gate by the delay"
+
+
+class TestHandoff:
+    """The outer state, the queue and the params are all a run carries between rounds."""
+
+    @pytest.mark.parametrize("quantize", [False, True])
+    @pytest.mark.parametrize("method", METHODS)
+    def test_a_fresh_simulation_continues_a_run(self, method, quantize):
+        cfg = quad_config(method=method, workers=3, inner_steps=2, rounds=22, quantize_queue=quantize,
+                          fragments={"count": 5, "budget": 2}, delay={"kind": "uniform_int", "lo": 0, "hi": 4})
+        sim = Simulation(cfg)
+        for _ in range(11):
+            assert sim.run_round()
+        fresh = Simulation(cfg)
+        fresh.global_params = copy.deepcopy(sim.global_params)
+        fresh.outer_state = copy.deepcopy(sim.outer_state)
+        fresh.pending = copy.deepcopy(sim.pending)
+        fresh.round = sim.round
+        for _ in range(11):
+            assert sim.run_round() and fresh.run_round()
+        assert fresh.losses == sim.losses[11:]
 
 
 class TestQuantizedRuns:
