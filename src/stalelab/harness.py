@@ -3,13 +3,20 @@
 A result file is named `<config_hash[:16]>_s<seed>.json` and contains the
 full resolved config, so it is self-describing and byte-identical across
 reruns of the same build; it is renamed into place once written in full.
-Sweeps are resumable: a cell is skipped when its file parses and holds the
-cell's config hash and seed, else re-run. A pool child that dies breaks the
-pool and fails every cell still in it; those cells are resubmitted once to a
-fresh pool of the same size, and a cell that breaks that pool too is tried
-alone in a single-worker pool, so only a cell that kills its own pool stays
-an error (and a rerun resumes it). The summary is always recomputed from the
-files on disk, never from in-process state.
+Sweeps are resumable: a cell is skipped when its file parses, holds exactly
+the keys this build writes, and holds the cell's config hash, seed and
+resolved config; any other file is re-run and the reason logged.
+
+A sweep runs its cells in bundles (see `_bundles`): the cells of one batch
+stream run in one process, round-major (`simulator.run_lockstep`), and
+draw each round's batches once between them; every cell gives the bytes
+it gives alone, and its file is written as it ends. A pool child that
+dies breaks the pool and fails every cell of the bundles still in it;
+those cells are resubmitted once, one cell per bundle, to a fresh pool of
+the same size, and a cell that breaks that pool too is tried alone in a
+single-worker pool, so only a cell that kills its own pool stays an error
+(and a rerun resumes it). The summary is always recomputed from the files
+on disk, never from in-process state.
 """
 
 from __future__ import annotations
@@ -24,8 +31,16 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ConfigError, RunConfig, expand_sweep
-from .simulator import DelaySchedule, RunResult, run_experiment
+from .config import ConfigError, RunConfig, canonical_json, expand_sweep
+from .simulator import (
+    DelaySchedule,
+    RoundBatches,
+    RunResult,
+    Simulation,
+    run_experiment,
+    run_lockstep,
+    shares_round_batches,
+)
 
 JOBS_ENV_VAR = "STALE_LAB_JOBS"
 
@@ -142,18 +157,48 @@ def write_summary_csv(rows: list[SummaryRow], path: str | Path):
             ])
 
 
-def _run_cell(resolved: dict, out_dir: str) -> str | None:
-    """Child-process entry: run one cell, write its file, return an error or None."""
-    try:
-        config = RunConfig.from_dict(resolved)
-        run_to_file(config, out_dir)
-        return None
-    except Exception as exc:  # noqa: BLE001 - a cell failure must not kill the sweep
-        return f"{type(exc).__name__}: {exc}"
+def _failure(exc: Exception) -> str:
+    return f"{type(exc).__name__}: {exc}"
+
+
+def _run_cell(cells: list[dict], out_dir: str) -> list[str | None]:
+    """Child-process entry: run a bundle of resolved cells, write each cell's file as it ends,
+    and return one error or None per cell; a cell failure fails only that cell.
+
+    A lone cell runs through `run_to_file`. The cells of a larger bundle run in
+    lockstep (`run_lockstep`) and share one `RoundBatches` slot.
+    """
+    errors: list[str | None] = [None] * len(cells)
+    if len(cells) == 1:
+        try:
+            run_to_file(RunConfig.from_dict(cells[0]), out_dir)
+        except Exception as exc:  # noqa: BLE001 - a cell failure must not kill the sweep
+            errors[0] = _failure(exc)
+        return errors
+    slot, sims, where = RoundBatches(), [], []
+    for i, resolved in enumerate(cells):
+        try:
+            sims.append(Simulation(RunConfig.from_dict(resolved), slot))
+            where.append(i)
+        except Exception as exc:  # noqa: BLE001
+            errors[i] = _failure(exc)
+    for j, outcome in run_lockstep(sims):
+        if isinstance(outcome, Exception):
+            errors[where[j]] = _failure(outcome)
+            continue
+        try:
+            save_result(outcome, out_dir)
+        except Exception as exc:  # noqa: BLE001
+            errors[where[j]] = _failure(exc)
+    return errors
 
 
 def _load_result(path: Path, cfg: RunConfig) -> tuple[dict | None, str]:
-    """A cell's parsed result file, or None and why it cannot stand for the cell."""
+    """A cell's parsed result file, or None and why it cannot stand for the cell.
+
+    A file stands for its cell only if it holds exactly the keys this build
+    writes and its config is the cell's resolved config.
+    """
     try:
         res = json.loads(path.read_text(encoding="utf-8"))
     except FileNotFoundError:
@@ -162,6 +207,12 @@ def _load_result(path: Path, cfg: RunConfig) -> tuple[dict | None, str]:
         return None, f"unreadable ({type(exc).__name__}: {exc})"
     if not isinstance(res, dict) or (res.get("config_hash"), res.get("seed")) != (cfg.hash, cfg.master_seed):
         return None, "it does not hold this cell's config hash and seed"
+    keys = set(RunResult.json_keys())
+    if set(res) != keys:
+        missing, extra = sorted(keys - set(res)), sorted(set(res) - keys)
+        return None, f"its keys are not this build's (missing {missing}, extra {extra})"
+    if canonical_json(res["config"]) != canonical_json(cfg.resolved):
+        return None, "its config is not this cell's resolved config"
     return res, ""
 
 
@@ -188,23 +239,52 @@ def resolve_jobs(cli_jobs: int | None, spec_jobs: int | None) -> int:
     return jobs
 
 
-def _pool_pass(cells: list, out: Path, workers: int) -> tuple[list[str], list]:
-    """Run cells in one process pool.
+def _bundles(cells: list, jobs: int) -> list[list]:
+    """The (desc, cfg) cells as bundles, each to run in one process in lockstep.
+
+    Cells that read the same batch stream (the resolved objective, master
+    seed, workers, batch size and inner steps) form a group where
+    `shares_round_batches` allows; any other cell is a bundle alone. Each
+    group is split into min(jobs, len(group)) bundles of near-equal size, so
+    a pool stays balanced. Bundles keep the order of their first cells.
+    """
+    groups: dict[tuple, list] = {}
+    bundles = []
+    for desc, cfg in cells:
+        if not shares_round_batches(cfg):
+            bundles.append([(desc, cfg)])
+            continue
+        key = (canonical_json(cfg.objective), cfg.master_seed, cfg.workers, cfg.batch_size, cfg.inner_steps)
+        if key not in groups:
+            bundles.append(groups.setdefault(key, []))
+        groups[key].append((desc, cfg))
+    split = []
+    for group in bundles:
+        n = min(jobs, len(group))
+        split += [group[len(group) * i // n:len(group) * (i + 1) // n] for i in range(n)]
+    return split
+
+
+def _bundle_errors(bundle: list, errors: list[str | None]) -> list[str]:
+    return [f"cell {desc['assignment']}: {err}" for (desc, _), err in zip(bundle, errors) if err]
+
+
+def _pool_pass(bundles: list[list], out: Path, workers: int) -> tuple[list[str], list]:
+    """Run bundles of cells in one process pool.
 
     Returns (per-cell error messages, the (desc, cfg) cells a dead pool
-    child failed: its own and every one still queued behind it).
+    child failed: those of its own bundle and of every bundle still queued
+    behind it).
     """
     errors, broken = [], []
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = [(desc, cfg, pool.submit(_run_cell, cfg.resolved, str(out))) for desc, cfg in cells]
-        for desc, cfg, fut in futures:
+        futures = [(bundle, pool.submit(_run_cell, [cfg.resolved for _, cfg in bundle], str(out)))
+                   for bundle in bundles]
+        for bundle, fut in futures:
             try:
-                err = fut.result()
+                errors += _bundle_errors(bundle, fut.result())
             except BrokenProcessPool:
-                broken.append((desc, cfg))
-                continue
-            if err:
-                errors.append(f"cell {desc['assignment']}: {err}")
+                broken += bundle
     return errors, broken
 
 
@@ -236,28 +316,27 @@ def run_sweep(
         if reason:
             log(f"sweep: re-running {path.name}: {reason}")
         todo.append((desc, cfg))
+    bundles = _bundles(todo, jobs)
     log(f"sweep: {len(cells)} cells, {len(cells) - len(todo)} already done, "
-        f"{len(todo)} to run, jobs={jobs}")
+        f"{len(todo)} to run in {len(bundles)} bundle{'' if len(bundles) == 1 else 's'}, jobs={jobs}")
 
     errors: list[str] = []
     if todo:
         if jobs == 1:
-            for desc, cfg in todo:
-                err = _run_cell(cfg.resolved, str(out))
-                if err:
-                    errors.append(f"cell {desc['assignment']}: {err}")
+            for bundle in bundles:
+                errors += _bundle_errors(bundle, _run_cell([cfg.resolved for _, cfg in bundle], str(out)))
         else:
-            errors, broken = _pool_pass(todo, out, jobs)
+            errors, broken = _pool_pass(bundles, out, jobs)
             if broken:
                 # the cell that killed the pool was running, so it is among the first
                 # failed cells; run those last, and the ones queued behind it finish
-                # before it can break the fresh pool
-                log(f"sweep: a pool child died; resubmitting {len(broken)} cells to a fresh pool")
-                more, broken = _pool_pass(broken[::-1], out, jobs)
+                # before it can break the fresh pool; each runs as a bundle alone
+                log(f"sweep: a pool child died; resubmitting {len(broken)} cells one at a time to a fresh pool")
+                more, broken = _pool_pass([[cell] for cell in broken[::-1]], out, jobs)
                 errors += more
             for cell in broken:  # isolate the cell that keeps breaking its pool
                 log(f"sweep: retrying cell {cell[0]['assignment']} alone after its pool broke twice")
-                more, still = _pool_pass([cell], out, 1)
+                more, still = _pool_pass([[cell]], out, 1)
                 errors += more + [f"cell {desc['assignment']}: BrokenProcessPool: its pool child died"
                                   for desc, _ in still]
     for msg in errors:

@@ -24,6 +24,11 @@ One outer round does, in order:
 3. fragment ages reset to 0 where selected, else grow by 1;
 4. the global params are evaluated on a fixed held-out batch.
 
+Runs that read the same batch stream can step in lockstep
+(`run_lockstep`): round-major, sharing one `RoundBatches` slot that holds
+one round of drawn batches, so the round is drawn once for all of them.
+`run` and the lockstep driver end a run with the same `result` tail.
+
 Everything is seeded through `derive_seed`, so a run is a deterministic
 function of its config: same config, same bytes out. The generator of
 each batch and each delay draw is built from a seed table that the run
@@ -38,6 +43,7 @@ flat; that is the protocol, not a bug.
 from __future__ import annotations
 
 import time
+from collections.abc import Iterator
 from dataclasses import dataclass, field, fields
 from typing import TYPE_CHECKING, ClassVar
 
@@ -45,6 +51,7 @@ import numpy as np
 
 from . import theory
 from .objective import (
+    _OBJECTIVES,
     Objective,
     Shard,
     batch_seeds,
@@ -64,7 +71,7 @@ from .optim import (
     outer_step,
 )
 from .schema import check_fields, key
-from .seeding import STREAM_MEMO, derive_seed, seed_table, seeded_generator
+from .seeding import STREAM_MEMO, STREAM_MEMO_BYTES, derive_seed, seed_table, seeded_generator
 
 if TYPE_CHECKING:
     from .config import RunConfig
@@ -77,6 +84,9 @@ __all__ = [
     "Trace",
     "RunResult",
     "Simulation",
+    "RoundBatches",
+    "shares_round_batches",
+    "run_lockstep",
     "delay_seeds",
     "sample_delay",
     "select_fragments",
@@ -187,12 +197,48 @@ def dequantize_payload(payload: QuantizedPayload, fragments: Fragments) -> np.nd
     return payload.codes.astype(np.float64) * np.repeat(payload.scales, fragments.sizes, axis=-1)
 
 
+def shares_round_batches(config: RunConfig) -> bool:
+    """Whether a run can take its batches from a `RoundBatches` slot: its inner phase draws a
+    batch per step (linear-noise rows come from the stream memo instead), and one round of
+    them, K x H batches, fits in STREAM_MEMO_BYTES."""
+    nbytes = _OBJECTIVES[config.objective["kind"]].drawn_batch_nbytes(config.objective, config.batch_size)
+    return nbytes is not None and config.workers * config.inner_steps * nbytes <= STREAM_MEMO_BYTES
+
+
+class RoundBatches:
+    """A one-round slot of drawn inner-phase batches, shared by the runs of a lockstep bundle.
+
+    It is keyed by every value the draw reads: the objective's `draw_params`,
+    the batch size and the round's (K, H, 4) seed rows. The first run to reach
+    a round draws its H batches into read-only arrays, and a run with the same
+    key takes them; another key replaces them, so the slot never holds more
+    than one round.
+    """
+
+    def __init__(self):
+        self.key, self.batches = None, []
+
+    def take(self, obj: Objective, shards: list[Shard], seeds: np.ndarray) -> list:
+        """The H batches of the round whose (K, H, 4) seed rows are `seeds`, drawn once per key."""
+        key = (obj.draw_params(), shards[0].batch_size, seeds.tobytes())
+        if key != self.key:
+            self.key, self.batches = None, []  # let the last round go before drawing the next
+            for step in range(seeds.shape[1]):
+                batch = sample_batch(obj, shards, seeds[:, step], compact=True)
+                for part in batch:
+                    part.flags.writeable = False
+                self.batches.append(batch)
+            self.key = key
+        return self.batches
+
+
 def run_inner_phase(
     obj: Objective,
     shards: list[Shard],
     seeds: np.ndarray,
     global_snapshot: np.ndarray,
     inner_cfg: InnerConfig,
+    slot: RoundBatches | None = None,
 ) -> np.ndarray:
     """H inner AdamW steps per shard's worker, from fresh copies of the global params.
 
@@ -201,18 +247,21 @@ def run_inner_phase(
     pseudo-gradients snapshot - params_after, row k for shards[k]. The
     phase runs in one workspace of its own: (K, dim) params, AdamW moments
     and gradient, and the objective's batch buffer, each step writing them
-    in place; the returned deltas take over the params buffer. The inner
-    optimizer state is reset at every phase. Non-finite values simply
-    propagate into the returned deltas; the caller flags divergence.
+    in place; the returned deltas take over the params buffer. With a
+    `slot`, the round's batches come from it instead of one draw per step
+    (the same bytes). The inner optimizer state is reset at every phase.
+    Non-finite values simply propagate into the returned deltas; the caller
+    flags divergence.
     """
     if not shards or seeds.ndim != 3 or seeds.shape[0] != len(shards) or seeds.shape[1] < 1:
         raise ValueError(f"need (K={len(shards)}, H >= 1, 4) batch seeds, got {seeds.shape}")
     params = np.tile(global_snapshot, (len(shards), 1))
     state = AdamMoments.zeros(params.shape)
     grad = np.empty_like(params)
-    inputs = obj.batch_buffer(len(shards), shards[0].batch_size)
+    batches = slot.take(obj, shards, seeds) if slot is not None else None
+    inputs = None if batches else obj.batch_buffer(len(shards), shards[0].batch_size)
     for step in range(seeds.shape[1]):
-        batch = sample_batch(obj, shards, seeds[:, step], compact=True, out=inputs)
+        batch = batches[step] if batches else sample_batch(obj, shards, seeds[:, step], compact=True, out=inputs)
         _, step_grad = obj.loss_and_grad(params, batch, out=grad)
         inner_adamw_step(params, step_grad, state, inner_cfg)
     return np.subtract(global_snapshot, params, out=params)
@@ -276,16 +325,26 @@ class RunResult:
     wall_time_s: float = 0.0
     trace: Trace | None = None
 
+    @classmethod
+    def json_keys(cls) -> list[str]:
+        """The keys `to_json_dict` writes: every field but wall time and trace."""
+        return [f.name for f in fields(cls) if f.name not in ("wall_time_s", "trace")]
+
     def to_json_dict(self) -> dict:
-        """Every field but wall time and trace; each value is already a JSON built-in."""
-        return {f.name: getattr(self, f.name) for f in fields(self) if f.name not in ("wall_time_s", "trace")}
+        """Every field in `json_keys`; each value is already a JSON built-in."""
+        return {name: getattr(self, name) for name in self.json_keys()}
 
 
 class Simulation:
-    """One deterministic run; see the module docstring for the protocol."""
+    """One deterministic run; see the module docstring for the protocol.
 
-    def __init__(self, config: RunConfig):
+    A run handed a `RoundBatches` slot takes its batches from it, where
+    `shares_round_batches` allows; its bytes are the same either way.
+    """
+
+    def __init__(self, config: RunConfig, slot: RoundBatches | None = None):
         self.config = config
+        self.slot = slot if slot is not None and shares_round_batches(config) else None
         self.row = method_row(config.method)
         self.obj = make_objective(config.objective)
         dim = self.obj.dim
@@ -386,7 +445,8 @@ class Simulation:
             self._hash_seed_tables(r)
         i = r - self._seed_rounds.start
         ids = [shard.worker_id for shard in shards]
-        deltas = run_inner_phase(self.obj, shards, self._batch_seeds[ids, i], self.global_params, cfg.inner)
+        deltas = run_inner_phase(self.obj, shards, self._batch_seeds[ids, i], self.global_params, cfg.inner,
+                                 self.slot)
         if not np.isfinite(deltas).all():
             self.diverged = True
             return False
@@ -422,13 +482,20 @@ class Simulation:
         self.round += 1
         return True
 
-    def run(self) -> RunResult:
-        start = time.perf_counter()
-        for _ in range(self.config.rounds):
-            if not self.run_round():
-                break
-        wall = time.perf_counter() - start
+    @property
+    def done(self) -> bool:
+        """Whether the run has diverged or reached config.rounds."""
+        return self.diverged or self.round >= self.config.rounds
 
+    def run(self) -> RunResult:
+        """Step from the current round to config.rounds (or divergence) and return the result."""
+        start = time.perf_counter()
+        while not self.done:
+            self.run_round()
+        return self.result(time.perf_counter() - start)
+
+    def result(self, wall: float) -> RunResult:
+        """The result of the rounds run so far, `wall` seconds of them; the 5x rule may flag the run."""
         if self.diverged:
             final = self.losses[-1] if self.losses else None
         else:
@@ -462,6 +529,33 @@ class Simulation:
             wall_time_s=wall,
             trace=self.trace,
         )
+
+
+def run_lockstep(sims: list[Simulation]) -> Iterator[tuple[int, RunResult | Exception]]:
+    """Run sims round-major: every live run steps round r before any steps round r + 1.
+
+    Yields (index into sims, RunResult) as each run ends, or (index, the
+    exception) for a run that raised, which ends only that run. Runs handed
+    one `RoundBatches` slot draw each round's batches once between them.
+    """
+    walls = [0.0] * len(sims)
+    live = list(range(len(sims)))
+    while live:
+        stepping = []
+        for i in live:
+            sim, start = sims[i], time.perf_counter()
+            try:
+                if not sim.done:
+                    sim.run_round()
+                walls[i] += time.perf_counter() - start
+                outcome = sim.result(walls[i]) if sim.done else None
+            except Exception as exc:  # noqa: BLE001 - one run's failure must not end the others
+                outcome = exc
+            if outcome is None:
+                stepping.append(i)
+            else:
+                yield i, outcome
+        live = stepping
 
 
 def run_experiment(config: RunConfig) -> RunResult:

@@ -361,12 +361,21 @@ class TestSweeps:
         for name, blob in keep.items():
             assert (tmp_path / name).read_bytes() == blob
 
-    @pytest.mark.parametrize("damage", ["truncated", "foreign"])
+    @pytest.mark.parametrize("damage", ["truncated", "foreign", "missing-keys", "extra-key", "edited-config"])
     def test_run_sweep_reruns_an_unusable_file(self, tmp_path, damage):
         run_sweep(sweep_spec(), tmp_path, jobs=1, log=lambda *_: None)
         victim, other = sorted(tmp_path.glob("*_s*.json"))[:2]
         intact = victim.read_bytes()
-        victim.write_bytes(intact[:len(intact) // 2] if damage == "truncated" else other.read_bytes())
+        result = json.loads(intact)
+        if damage == "missing-keys":  # as an older build might have left it
+            result = {"config_hash": result["config_hash"], "seed": result["seed"]}
+        elif damage == "extra-key":
+            result["result_version"] = 2
+        elif damage == "edited-config":
+            result["config"]["rounds"] += 1
+        damaged = {"truncated": intact[:len(intact) // 2], "foreign": other.read_bytes()}.get(
+            damage, json.dumps(result).encode("utf-8"))
+        victim.write_bytes(damaged)
         log = []
         rows, errors = run_sweep(sweep_spec(), tmp_path, jobs=1, log=log.append)
         assert errors == []
@@ -390,11 +399,11 @@ class TestSweeps:
         real = harness_mod._run_cell
         calls = {"n": 0}
 
-        def flaky(resolved, out_dir):
+        def flaky(cells, out_dir):
             calls["n"] += 1
             if calls["n"] == 1:
-                return "RuntimeError: synthetic cell failure"
-            return real(resolved, out_dir)
+                return ["RuntimeError: synthetic cell failure"]
+            return real(cells, out_dir)
 
         monkeypatch.setattr(harness_mod, "_run_cell", flaky)
         spec = sweep_spec()

@@ -549,6 +549,17 @@ class TestDivergenceHandling:
         assert res.rounds_completed < 60
         assert res.final_loss is None or np.isfinite(res.final_loss)
 
+    def test_run_after_manual_rounds_gives_the_bytes_of_a_plain_run(self):
+        cfg = quad_config(rounds=8, delay={"kind": "uniform_int", "lo": 0, "hi": 3})
+        plain = run_experiment(cfg)
+        sim = Simulation(cfg)
+        for _ in range(3):
+            assert sim.run_round()
+        res = sim.run()
+        assert res.rounds_completed == cfg.rounds
+        assert serialize_result(res) == serialize_result(plain)
+        assert res.trace.records.tobytes() == plain.trace.records.tobytes()
+
     def test_in_flight_entries_are_discarded(self):
         res = run_experiment(quad_config(rounds=5, delay={"kind": "fixed", "tau": 8}))
         assert res.consumed_entries == 0

@@ -151,9 +151,9 @@ def test_trace_grows_when_a_run_is_stepped_past_its_rounds():
            "delay": {"kind": "uniform_int", "lo": 0, "hi": 3}, "fragments": {"count": 4, "budget": 2}}
     whole = Simulation(RunConfig.from_dict({**raw, "rounds": 15})).run()
     stepped = Simulation(RunConfig.from_dict({**raw, "rounds": 3}))
-    for _ in range(12):
+    for _ in range(15):
         assert stepped.run_round()
-    result = stepped.run()
+    result = stepped.run()  # past config.rounds already, so it steps no further
     assert result.losses == whole.losses
     assert len(result.trace.records) == 2 * result.consumed_entries
     assert result.trace.records.tobytes() == whole.trace.records.tobytes()
