@@ -27,7 +27,12 @@ One outer round does, in order:
 Runs that read the same batch stream can step in lockstep
 (`run_lockstep`): round-major, sharing one `RoundBatches` slot that holds
 one round of drawn batches, so the round is drawn once for all of them.
-`run` and the lockstep driver end a run with the same `result` tail.
+The B runs of a round whose inner phases read the same inputs besides
+their global params run them as one stacked phase: a (B*K, dim)
+workspace, each step's batch repeated B times along the leading axis.
+Rows still never mix, so each run gets the bytes it gets alone, and each
+run's deltas are an array of its own. `run` and the lockstep driver end a
+run with the same `result` tail.
 
 Everything is seeded through `derive_seed`, so a run is a deterministic
 function of its config: same config, same bytes out. The generator of
@@ -42,6 +47,7 @@ flat; that is the protocol, not a bug.
 
 from __future__ import annotations
 
+import json
 import time
 from collections.abc import Iterator
 from dataclasses import dataclass, field, fields
@@ -236,35 +242,50 @@ def run_inner_phase(
     obj: Objective,
     shards: list[Shard],
     seeds: np.ndarray,
-    global_snapshot: np.ndarray,
+    snapshots: np.ndarray,
     inner_cfg: InnerConfig,
     slot: RoundBatches | None = None,
-) -> np.ndarray:
-    """H inner AdamW steps per shard's worker, from fresh copies of the global params.
+) -> list[np.ndarray]:
+    """H inner AdamW steps per shard's worker for each of B runs, from fresh copies of their global params.
 
     `seeds` is the (K, H, 4) slice of `batch_seeds` for one round, row k
-    for shards[k]; H is the number of inner steps. Returns the (K, dim)
-    pseudo-gradients snapshot - params_after, row k for shards[k]. The
-    phase runs in one workspace of its own: (K, dim) params, AdamW moments
-    and gradient, and the objective's batch buffer, each step writing them
-    in place; the returned deltas take over the params buffer. With a
-    `slot`, the round's batches come from it instead of one draw per step
-    (the same bytes). The inner optimizer state is reset at every phase.
-    Non-finite values simply propagate into the returned deltas; the caller
-    flags divergence.
+    for shards[k]; H is the number of inner steps. `snapshots` is (B, dim):
+    the global params of B runs that read these batches (B = 1 for a run
+    alone). Returns each run's (K, dim) pseudo-gradients snapshot -
+    params_after, row k for shards[k], each an array of its own. The phase
+    runs in one workspace of its own: (B*K, dim) params, AdamW moments and
+    gradient, and the objective's batch buffer, each step writing them in
+    place and reading its batch repeated B times. Rows never mix, so each
+    run's deltas are the bytes of its phase alone. With a `slot`, the
+    round's batches come from it instead of one draw per step (the same
+    bytes). The inner optimizer state is reset at every phase. Non-finite
+    values simply propagate into the returned deltas; the caller flags
+    divergence.
     """
     if not shards or seeds.ndim != 3 or seeds.shape[0] != len(shards) or seeds.shape[1] < 1:
         raise ValueError(f"need (K={len(shards)}, H >= 1, 4) batch seeds, got {seeds.shape}")
-    params = np.tile(global_snapshot, (len(shards), 1))
+    if snapshots.ndim != 2 or not len(snapshots):
+        raise ValueError(f"need (B >= 1, dim) snapshots, got {snapshots.shape}")
+    params = np.repeat(snapshots, len(shards), axis=0)
     state = AdamMoments.zeros(params.shape)
     grad = np.empty_like(params)
     batches = slot.take(obj, shards, seeds) if slot is not None else None
     inputs = None if batches else obj.batch_buffer(len(shards), shards[0].batch_size)
     for step in range(seeds.shape[1]):
         batch = batches[step] if batches else sample_batch(obj, shards, seeds[:, step], compact=True, out=inputs)
-        _, step_grad = obj.loss_and_grad(params, batch, out=grad)
+        _, step_grad = obj.loss_and_grad(params, _repeated(batch, len(snapshots)), out=grad)
         inner_adamw_step(params, step_grad, state, inner_cfg)
-    return np.subtract(global_snapshot, params, out=params)
+    runs = params.reshape(len(snapshots), len(shards), -1)
+    return [np.subtract(snapshot, rows) for snapshot, rows in zip(snapshots, runs)]
+
+
+def _repeated(batch, copies: int):
+    """A stacked batch (an array or a tuple of them) repeated along its leading axis; itself at one copy."""
+    if copies == 1:
+        return batch
+    if isinstance(batch, tuple):
+        return tuple(np.concatenate([part] * copies) for part in batch)
+    return np.concatenate([batch] * copies)
 
 
 # One trace row per (queue entry, selected fragment), in application order.
@@ -358,8 +379,8 @@ class Simulation:
         self.reference_loss = init_reference_loss(self.obj, self.eval_batch)
         self.pending: dict[int, list[QueueEntry]] = {}  # entries in flight, by the round they come due
         self.round = 0
-        # batch and delay seed tables of the rounds in _seed_rounds; run_round hashes them
-        self._seed_rounds = range(0)
+        # batch and delay seed tables of the rounds in _batch_rounds and _delay_rounds, hashed when read
+        self._batch_rounds = self._delay_rounds = range(0)
         self._batch_seeds: np.ndarray | None = None
         self._delay_seeds: np.ndarray | None = None
         self.diverged = False
@@ -392,15 +413,20 @@ class Simulation:
         self._recorded = stop
         return self._records[start:stop].reshape(entries, n)
 
-    def _hash_seed_tables(self, r: int) -> None:
-        """Seed tables from round r on: the rest of the configured run, capped
-        at SEED_TABLE_ROWS batch seeds, and at least round r itself (a run can
-        be stepped past config.rounds)."""
-        cfg = self.config
-        per_round = len(self.workers) * cfg.inner_steps
-        self._seed_rounds = range(r, r + max(1, min(cfg.rounds - r, SEED_TABLE_ROWS // per_round)))
-        self._batch_seeds = batch_seeds(self.workers, self._seed_rounds, cfg.inner_steps)
-        self._delay_seeds = delay_seeds(self.delay, len(self.workers), self._seed_rounds)
+    def _table_rounds(self) -> range:
+        """Rounds of a seed table hashed at this round: the rest of the configured
+        run, capped at SEED_TABLE_ROWS batch seeds, and at least this round itself
+        (a run can be stepped past config.rounds)."""
+        cfg, r = self.config, self.round
+        return range(r, r + max(1, min(cfg.rounds - r, SEED_TABLE_ROWS // (cfg.workers * cfg.inner_steps))))
+
+    def round_batch_seeds(self) -> np.ndarray:
+        """This round's (K, H, 4) batch seed rows. The table is hashed when a round it does not
+        cover is read, so a run whose lockstep group reads another run's rows hashes none."""
+        if self.round not in self._batch_rounds:
+            self._batch_rounds = self._table_rounds()
+            self._batch_seeds = batch_seeds(self.workers, self._batch_rounds, self.config.inner_steps)
+        return self._batch_seeds[:, self.round - self._batch_rounds.start]
 
     def _apply(self, r: int, due: list[QueueEntry], plan: tuple, selected_ages: np.ndarray) -> None:
         """Apply round r's due entries, in order, with one outer step over `plan`, and write their trace rows."""
@@ -429,11 +455,12 @@ class Simulation:
         for name, value in zip(ApplyRecord.names, values):
             rows[name] = value
 
-    def run_round(self, workers: list[Shard] | None = None) -> bool:
+    def run_round(self, workers: list[Shard] | None = None, deltas: np.ndarray | None = None) -> bool:
         """Execute one outer round; False once the run has diverged.
 
         `workers` overrides the stacking order only (same shards); results
-        must not depend on it.
+        must not depend on it. `deltas` is the round's inner phase where a
+        lockstep group already ran it (see `run_lockstep`); None runs it here.
         """
         if self.diverged:
             return False
@@ -441,12 +468,10 @@ class Simulation:
         r = self.round
 
         shards = workers if workers is not None else self.workers
-        if r not in self._seed_rounds:
-            self._hash_seed_tables(r)
-        i = r - self._seed_rounds.start
         ids = [shard.worker_id for shard in shards]
-        deltas = run_inner_phase(self.obj, shards, self._batch_seeds[ids, i], self.global_params, cfg.inner,
-                                 self.slot)
+        if deltas is None:
+            (deltas,) = run_inner_phase(self.obj, shards, self.round_batch_seeds()[ids], self.global_params[None],
+                                        cfg.inner, self.slot)
         if not np.isfinite(deltas).all():
             self.diverged = True
             return False
@@ -455,7 +480,10 @@ class Simulation:
             payloads = [QuantizedPayload(c, sc) for c, sc in zip(stacked.codes, stacked.scales)]
         else:
             payloads = deltas
-        taus = sample_delay(self.delay, self._delay_seeds[ids, i])
+        if r not in self._delay_rounds:
+            self._delay_rounds = self._table_rounds()
+            self._delay_seeds = delay_seeds(self.delay, len(self.workers), self._delay_rounds)
+        taus = sample_delay(self.delay, self._delay_seeds[ids, r - self._delay_rounds.start])
         for shard, payload, tau in zip(shards, payloads, taus):
             entry = QueueEntry(worker=shard.worker_id, produced_round=r, tau=tau, payload=payload)
             self.pending.setdefault(r + tau, []).append(entry)
@@ -537,16 +565,40 @@ def run_lockstep(sims: list[Simulation]) -> Iterator[tuple[int, RunResult | Exce
     Yields (index into sims, RunResult) as each run ends, or (index, the
     exception) for a run that raised, which ends only that run. Runs handed
     one `RoundBatches` slot draw each round's batches once between them.
+    Each round, the live runs whose inner phases read the same inputs
+    besides their global params (the resolved objective and inner config,
+    the shards, so the batch size and seeds, the inner steps and the round)
+    form a group, and a group of two or more runs its phase as one stacked
+    call on its first run's seed rows and slot. If that call raises, the
+    group's runs step their phases alone for the round, so a failure stays
+    with its run.
     """
     walls = [0.0] * len(sims)
+    phase_inputs = [json.dumps([sim.config.resolved[name] for name in ("objective", "inner", "inner_steps")],
+                               sort_keys=True) for sim in sims]
     live = list(range(len(sims)))
     while live:
+        groups: dict[tuple, list[int]] = {}
+        for i in live:
+            if not sims[i].done:
+                groups.setdefault((phase_inputs[i], tuple(sims[i].workers), sims[i].round), []).append(i)
+        deltas = {}
+        for group in (group for group in groups.values() if len(group) > 1):
+            lead, start = sims[group[0]], time.perf_counter()
+            try:
+                snapshots = np.array([sims[i].global_params for i in group])
+                deltas.update(zip(group, run_inner_phase(lead.obj, lead.workers, lead.round_batch_seeds(),
+                                                         snapshots, lead.config.inner, lead.slot)))
+            except Exception:  # noqa: BLE001 - the group's runs step alone below, so a failure stays with its run
+                pass
+            for i in group:
+                walls[i] += (time.perf_counter() - start) / len(group)
         stepping = []
         for i in live:
             sim, start = sims[i], time.perf_counter()
             try:
                 if not sim.done:
-                    sim.run_round()
+                    sim.run_round(deltas=deltas.pop(i, None))
                 walls[i] += time.perf_counter() - start
                 outcome = sim.result(walls[i]) if sim.done else None
             except Exception as exc:  # noqa: BLE001 - one run's failure must not end the others

@@ -1,8 +1,9 @@
 """Lockstep bundles: sweep cells that read one batch stream run round-major in
-one process and draw each round's batches once between them.
+one process, draw each round's batches once between them, and step the inner
+phases of a round's cells that read the same inputs as one stacked phase.
 
 A bundle must give every cell the bytes it gives alone, fail only the cell
-that fails, and really share its draws.
+that fails, and really share its draws and its phases.
 """
 
 import multiprocessing
@@ -15,6 +16,7 @@ import stalelab.harness as harness_mod
 import stalelab.simulator as sim_mod
 from stalelab.config import RunConfig, expand_sweep
 from stalelab.harness import _bundles, _run_cell, result_filename, run_sweep, serialize_result
+from stalelab.objective import MlpRegressionObjective, mlp_dim
 from stalelab.optim import METHODS
 from stalelab.simulator import RoundBatches, Simulation, run_experiment, run_lockstep, shares_round_batches
 
@@ -44,6 +46,15 @@ def alone(config):
     return serialize_result(result), result.trace.records.tobytes()
 
 
+def assert_alone_bytes(sims, configs):
+    """Run sims in lockstep; each config's result JSON and trace rows must be its bytes alone."""
+    outcomes = dict(run_lockstep(sims))
+    assert sorted(outcomes) == list(range(len(configs)))
+    for i, config in enumerate(configs):
+        result = outcomes[i]
+        assert (serialize_result(result), result.trace.records.tobytes()) == alone(config), i
+
+
 @pytest.mark.parametrize("quantize", [False, True])
 def test_a_bundle_gives_every_cell_its_bytes_alone(quantize):
     frags = {"count": 3, "budget": 2}
@@ -70,9 +81,9 @@ def test_cells_step_round_major(monkeypatch):
     steps = []
     real = Simulation.run_round
 
-    def record(self, workers=None):
+    def record(self, workers=None, deltas=None):
         steps.append((self.config.method, self.round))
-        return real(self, workers)
+        return real(self, workers, deltas)
 
     monkeypatch.setattr(Simulation, "run_round", record)
     configs = [mlp_config(method="cgad", rounds=3), mlp_config(method="adam", rounds=5)]
@@ -99,14 +110,142 @@ def test_a_bundle_draws_each_round_once(tmp_path, monkeypatch):
         assert (tmp_path / result_filename(config.hash, config.master_seed)).read_text() == alone(config)[0]
 
 
+def test_a_bundle_steps_each_round_as_one_stacked_phase(tmp_path, monkeypatch):
+    calls = {"loss_and_grad": [], "inner_adamw_step": []}
+    real_grad, real_step = MlpRegressionObjective.loss_and_grad, sim_mod.inner_adamw_step
+
+    def counted_grad(self, params, batch, out=None):
+        calls["loss_and_grad"].append(params.shape)
+        return real_grad(self, params, batch, out)
+
+    def counted_step(params, grad, state, cfg):
+        calls["inner_adamw_step"].append(params.shape)
+        return real_step(params, grad, state, cfg)
+
+    monkeypatch.setattr(MlpRegressionObjective, "loss_and_grad", counted_grad)
+    monkeypatch.setattr(sim_mod, "inner_adamw_step", counted_step)
+    configs = [mlp_config(method=method) for method in ("cgad", "nesterov", "adam")]
+    assert _run_cell([config.resolved for config in configs], str(tmp_path)) == [None] * 3
+    cfg = configs[0]
+    stacked = (3 * cfg.workers, mlp_dim(MLP["layer_sizes"]))
+    for name, shapes in calls.items():  # not 3 * rounds * inner_steps calls on (K, dim) stacks
+        assert shapes == [stacked] * (cfg.rounds * cfg.inner_steps), name
+    monkeypatch.undo()
+    for config in configs:
+        assert (tmp_path / result_filename(config.hash, config.master_seed)).read_text() == alone(config)[0]
+
+
+@pytest.mark.parametrize("varied", ["inner", "rounds"])
+def test_a_stack_reads_each_cell_own_inner_config_and_rounds(varied):
+    inners = [{}, {}, {"lr": 1e-2}, {"weight_decay": 0.1}, {"beta1": 0.8, "beta2": 0.99}, {"lr": 1e-2}]
+    if varied == "inner":
+        configs = [mlp_config(method=method, inner=inner, rounds=5)
+                   for method, inner in zip(("cgad", "adam", "cgad", "nesterov", "adam", "nesterov"), inners)]
+    else:
+        configs = [mlp_config(method=method, rounds=rounds, inner={"lr": 1e-2})
+                   for method, rounds in (("cgad", 2), ("adam", 6), ("nesterov", 4), ("cgad", 5))]
+    slot = RoundBatches()
+    assert_alone_bytes([Simulation(config, slot) for config in configs], configs)
+
+
+def test_linear_noise_runs_stack_too(monkeypatch):
+    stacks, real = [], sim_mod.run_inner_phase
+
+    def phase(obj, shards, seeds, snapshots, inner_cfg, slot=None):
+        stacks.append(len(snapshots))
+        return real(obj, shards, seeds, snapshots, inner_cfg, slot)
+
+    monkeypatch.setattr(sim_mod, "run_inner_phase", phase)
+    quadratic = {"kind": "quadratic", "dimension": 8, "spectrum_lo": 0.5, "spectrum_hi": 2.0, "rotation_seed": 1}
+    configs = [mlp_config(objective=quadratic, method=method, quantize_queue=quantize)
+               for method, quantize in (("cgad", False), ("adam", True), ("nesterov", False))]
+    assert_alone_bytes([Simulation(config) for config in configs], configs)
+    rounds = configs[0].rounds
+    assert stacks == [3] * rounds + [1] * (3 * rounds)  # the lockstep stacks, then each run alone
+
+
+def test_runs_at_different_rounds_do_not_share_a_stack():
+    configs = [mlp_config(method=method, rounds=6, inner={"lr": 1e-2}) for method in ("cgad", "adam", "nesterov")]
+    slot = RoundBatches()
+    sims = [Simulation(config, slot) for config in configs]
+    for _ in range(2):
+        assert sims[1].run_round()
+    assert_alone_bytes(sims, configs)
+
+
+def test_only_the_run_a_stack_reads_hashes_batch_seeds():
+    configs = [mlp_config(method=method) for method in ("cgad", "nesterov", "adam")]
+    sims = [Simulation(config, RoundBatches()) for config in configs]
+    list(run_lockstep(sims))
+    assert sims[0]._batch_seeds is not None
+    assert sims[1]._batch_seeds is None and sims[2]._batch_seeds is None
+    assert all(sim._delay_seeds is not None for sim in sims)
+
+
+def test_cells_of_a_stack_hold_their_own_payloads():
+    configs = [mlp_config(method=method, rounds=4, delay={"kind": "fixed", "tau": 16})
+               for method in ("cgad", "nesterov", "adam")]
+    sims = [Simulation(config, RoundBatches()) for config in configs]
+    list(run_lockstep(sims))
+    payloads = [[entry.payload for entries in sim.pending.values() for entry in entries] for sim in sims]
+    assert all(len(held) == 4 * configs[0].workers for held in payloads)
+    for a in range(len(sims)):
+        for b in range(a + 1, len(sims)):
+            assert not any(np.shares_memory(x, y) for x in payloads[a] for y in payloads[b]), (a, b)
+
+    def owner(array):
+        while array.base is not None:
+            array = array.base
+        return array
+
+    # a payload row views its own round's (K, dim) deltas, not a slice of the stack's (B*K, dim) workspace
+    owners = {id(owner(x)): owner(x) for held in payloads for x in held}
+    assert len(owners) == 4 * len(sims)
+    assert all(o.shape == (configs[0].workers, sims[0].obj.dim) for o in owners.values())
+
+
+def test_a_raising_stacked_phase_steps_its_runs_alone(monkeypatch):
+    configs = [mlp_config(method=method) for method in ("cgad", "nesterov", "adam")]
+    sims = [Simulation(config, RoundBatches()) for config in configs]
+    doomed, stepping = sims[1], []
+    real_round, real_phase = Simulation.run_round, sim_mod.run_inner_phase
+    phases = []
+
+    def tracked_round(self, workers=None, deltas=None):
+        stepping.append(self)
+        try:
+            return real_round(self, workers, deltas)
+        finally:
+            stepping.pop()
+
+    def phase(obj, shards, seeds, snapshots, inner_cfg, slot=None):
+        r = stepping[-1].round if stepping else sims[0].round  # a stack runs outside run_round
+        phases.append((r, len(snapshots)))
+        if r == 2 and (not stepping or stepping[-1] is doomed):
+            raise RuntimeError("synthetic failure of round 2's inner phase")
+        return real_phase(obj, shards, seeds, snapshots, inner_cfg, slot)
+
+    monkeypatch.setattr(Simulation, "run_round", tracked_round)
+    monkeypatch.setattr(sim_mod, "run_inner_phase", phase)
+    outcomes = dict(run_lockstep(sims))
+    monkeypatch.undo()
+    assert str(outcomes[1]) == "synthetic failure of round 2's inner phase"
+    # the stack of round 2 raised, so each run stepped alone; after that the two left stack again
+    assert phases[:3] == [(0, 3), (1, 3), (2, 3)] and phases[3:6] == [(2, 1)] * 3
+    assert phases[6:] == [(r, 2) for r in range(3, configs[0].rounds)]
+    for i in (0, 2):
+        result = outcomes[i]
+        assert (serialize_result(result), result.trace.records.tobytes()) == alone(configs[i])
+
+
 def test_a_raising_cell_fails_only_itself(tmp_path, monkeypatch):
     configs = [mlp_config(method=method) for method in ("cgad", "nesterov", "adam")]
     real = Simulation.run_round
 
-    def fail_nesterov_in_round_2(self, workers=None):
+    def fail_nesterov_in_round_2(self, workers=None, deltas=None):
         if self.config.method == "nesterov" and self.round == 2:
             raise RuntimeError("synthetic failure in round 2")
-        return real(self, workers)
+        return real(self, workers, deltas)
 
     monkeypatch.setattr(Simulation, "run_round", fail_nesterov_in_round_2)
     cells = [config.resolved for config in configs] + [{**configs[0].resolved, "rounds": -1}]
@@ -170,10 +309,10 @@ def test_dead_bundle_child_fails_only_its_cell_and_a_rerun_resumes(tmp_path, mon
     doomed = cells[0][1]
     real_round = Simulation.run_round
 
-    def crash_on_doomed(self, workers=None):
+    def crash_on_doomed(self, workers=None, deltas=None):
         if (self.config.hash, self.config.master_seed) == (doomed.hash, doomed.master_seed) and self.round == 2:
             os._exit(3)  # the child dies without raising, mid-bundle
-        return real_round(self, workers)
+        return real_round(self, workers, deltas)
 
     real_pass = harness_mod._pool_pass
     passes = []

@@ -106,7 +106,7 @@ class TestSimulationTables:
         full = stepped(quad_config(), 10)
         monkeypatch.setattr(sim_mod, "SEED_TABLE_ROWS", 3 * 2 * 4)  # three rounds per table
         windowed = stepped(quad_config(), 10)
-        assert windowed._seed_rounds == range(9, 10)
+        assert windowed._batch_rounds == windowed._delay_rounds == range(9, 10)
         np.testing.assert_array_equal(windowed.global_params.view(np.uint64), full.global_params.view(np.uint64))
         assert windowed.losses == full.losses
 

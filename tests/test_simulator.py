@@ -254,7 +254,8 @@ class _ConstantObjective(Objective):
 def inner_phase(obj, shards, snapshot, inner_steps, round_idx):
     """run_inner_phase on the batch seeds of one round."""
     seeds = batch_seeds(shards, range(round_idx, round_idx + 1), inner_steps)[:, 0]
-    return run_inner_phase(obj, shards, seeds, snapshot, InnerConfig())
+    (delta,) = run_inner_phase(obj, shards, seeds, snapshot[None], InnerConfig())
+    return delta
 
 
 class TestInnerPhase:
@@ -268,9 +269,12 @@ class TestInnerPhase:
         shards = [Shard.for_worker(0, w, 4) for w in range(2)]
         seeds = batch_seeds(shards, range(1), 3)[:, 0]
         with pytest.raises(ValueError, match="batch seeds"):
-            run_inner_phase(obj, shards[:1], seeds, np.ones(6), InnerConfig())
+            run_inner_phase(obj, shards[:1], seeds, np.ones((1, 6)), InnerConfig())
         with pytest.raises(ValueError, match="batch seeds"):
-            run_inner_phase(obj, shards, seeds[:, :0], np.ones(6), InnerConfig())
+            run_inner_phase(obj, shards, seeds[:, :0], np.ones((1, 6)), InnerConfig())
+        for snapshots in (np.ones(6), np.ones((0, 6))):  # a (B >= 1, dim) stack of global params
+            with pytest.raises(ValueError, match="snapshots"):
+                run_inner_phase(obj, shards, seeds, snapshots, InnerConfig())
 
     def test_single_step_matches_direct_inner_update(self):
         obj = QuadraticObjective(dimension=8, spectrum_lo=0.5, spectrum_hi=3.0, rotation_seed=1)
@@ -348,7 +352,7 @@ class TestInnerWorkspace:
         seeds = batch_seeds(shards, range(4, 6), 5)
         snapshot = obj.init_params(3)
         kept = snapshot.copy()
-        first = run_inner_phase(obj, shards, seeds[:, 0], snapshot, self.CFG)
+        (first,) = run_inner_phase(obj, shards, seeds[:, 0], snapshot[None], self.CFG)
         np.testing.assert_array_equal(snapshot.view(np.uint64), kept.view(np.uint64))  # not mutated
         want = reference_phase(obj, shards, seeds[:, 0], kept, self.CFG)
         assert first.shape == (3, obj.dim)
@@ -356,7 +360,7 @@ class TestInnerWorkspace:
         assert np.any(first != 0.0)
 
         held = first.copy()
-        second = run_inner_phase(obj, shards, seeds[:, 1], snapshot, self.CFG)
+        (second,) = run_inner_phase(obj, shards, seeds[:, 1], snapshot[None], self.CFG)
         assert not np.shares_memory(first, second)
         np.testing.assert_array_equal(first.view(np.uint64), held.view(np.uint64))  # a queued delta stays put
         want = reference_phase(obj, shards, seeds[:, 1], kept, self.CFG)
@@ -368,7 +372,7 @@ class TestInnerWorkspace:
         shards = [Shard.for_worker(9, 0, 16), Shard.for_worker(9, 1, 8)]
         seeds = batch_seeds(shards, range(1), 2)[:, 0]
         with pytest.raises(ValueError, match="one batch size"):
-            run_inner_phase(obj, shards, seeds, obj.init_params(3), self.CFG)
+            run_inner_phase(obj, shards, seeds, obj.init_params(3)[None], self.CFG)
 
 
 class TestQueueSemantics:
