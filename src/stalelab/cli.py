@@ -16,6 +16,16 @@ from .harness import format_summary_table, run_sweep, run_to_file
 from .verify import run_all_checks
 
 
+def _make_out_dir(out: str) -> bool:
+    """Create the output directory before any work is done; False, after saying why, if it cannot be."""
+    try:
+        Path(out).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # FileExistsError where a file has the name
+        print(f"error: cannot use output directory {out}: {exc}", file=sys.stderr)
+        return False
+    return True
+
+
 def _cmd_run(args) -> int:
     try:
         with open(args.config, "r", encoding="utf-8") as fh:
@@ -29,6 +39,8 @@ def _cmd_run(args) -> int:
         config = RunConfig.from_dict(raw)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    if not _make_out_dir(args.out):
         return 2
     result, path = run_to_file(config, args.out)
     status = "DIVERGED" if result.diverged else "ok"
@@ -44,6 +56,8 @@ def _cmd_sweep(args) -> int:
             spec = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         print(f"error: cannot read sweep {args.sweep}: {exc}", file=sys.stderr)
+        return 2
+    if not _make_out_dir(args.out):
         return 2
     try:
         rows, errors = run_sweep(spec, args.out, jobs=args.jobs)

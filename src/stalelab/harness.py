@@ -7,10 +7,11 @@ Sweeps are resumable: a cell is skipped when its file parses, holds exactly
 the keys this build writes, and holds the cell's config hash, seed and
 resolved config; any other file is re-run and the reason logged.
 
-A sweep runs its cells in bundles (see `_bundles`): the cells of one batch
-stream run in one process, round-major (`simulator.run_lockstep`), and
-draw each round's batches once between them; every cell gives the bytes
-it gives alone, and its file is written as it ends. A pool child that
+A sweep runs its cells in bundles (see `_bundles`): the cells whose inner
+phases read the same inputs run in one process, round-major
+(`simulator.run_lockstep`), and step each round's inner phases as one
+stacked phase that draws each batch once; every cell gives the bytes it
+gives alone, and its file is written as it ends. A pool child that
 dies breaks the pool and fails every cell of the bundles still in it;
 those cells are resubmitted once, one cell per bundle, to a fresh pool of
 the same size, and a cell that breaks that pool too is tried alone in a
@@ -32,15 +33,8 @@ from pathlib import Path
 import numpy as np
 
 from .config import ConfigError, RunConfig, canonical_json, expand_sweep
-from .simulator import (
-    DelaySchedule,
-    RoundBatches,
-    RunResult,
-    Simulation,
-    run_experiment,
-    run_lockstep,
-    shares_round_batches,
-)
+from .objective import _OBJECTIVES, LinearNoiseObjective
+from .simulator import DelaySchedule, RunResult, Simulation, phase_key, run_experiment, run_lockstep
 
 JOBS_ENV_VAR = "STALE_LAB_JOBS"
 
@@ -166,7 +160,7 @@ def _run_cell(cells: list[dict], out_dir: str) -> list[str | None]:
     and return one error or None per cell; a cell failure fails only that cell.
 
     A lone cell runs through `run_to_file`. The cells of a larger bundle run in
-    lockstep (`run_lockstep`) and share one `RoundBatches` slot.
+    lockstep (`run_lockstep`).
     """
     errors: list[str | None] = [None] * len(cells)
     if len(cells) == 1:
@@ -175,10 +169,10 @@ def _run_cell(cells: list[dict], out_dir: str) -> list[str | None]:
         except Exception as exc:  # noqa: BLE001 - a cell failure must not kill the sweep
             errors[0] = _failure(exc)
         return errors
-    slot, sims, where = RoundBatches(), [], []
+    sims, where = [], []
     for i, resolved in enumerate(cells):
         try:
-            sims.append(Simulation(RunConfig.from_dict(resolved), slot))
+            sims.append(Simulation(RunConfig.from_dict(resolved)))
             where.append(i)
         except Exception as exc:  # noqa: BLE001
             errors[i] = _failure(exc)
@@ -242,19 +236,21 @@ def resolve_jobs(cli_jobs: int | None, spec_jobs: int | None) -> int:
 def _bundles(cells: list, jobs: int) -> list[list]:
     """The (desc, cfg) cells as bundles, each to run in one process in lockstep.
 
-    Cells that read the same batch stream (the resolved objective, master
-    seed, workers, batch size and inner steps) form a group where
-    `shares_round_batches` allows; any other cell is a bundle alone. Each
-    group is split into min(jobs, len(group)) bundles of near-equal size, so
-    a pool stays balanced. Bundles keep the order of their first cells.
+    Cells with one `simulator.phase_key` form a group, the cells that
+    `run_lockstep` steps as one stacked phase each round; a linear-noise
+    (quadratic, Rosenbrock) cell is a bundle alone. Each group is split
+    into min(jobs, len(group)) bundles of near-equal size, so a pool stays
+    balanced. Bundles keep the order of their first cells.
     """
-    groups: dict[tuple, list] = {}
+    groups: dict[str, list] = {}
     bundles = []
     for desc, cfg in cells:
-        if not shares_round_batches(cfg):
+        if issubclass(_OBJECTIVES[cfg.objective["kind"]], LinearNoiseObjective):
+            # alone: its batch rows come from the stream memo, shared across bundles anyway, while
+            # a group would hold all its cells' traces at once (~570 KB each at 6,400 trace rows)
             bundles.append([(desc, cfg)])
             continue
-        key = (canonical_json(cfg.objective), cfg.master_seed, cfg.workers, cfg.batch_size, cfg.inner_steps)
+        key = phase_key(cfg)
         if key not in groups:
             bundles.append(groups.setdefault(key, []))
         groups[key].append((desc, cfg))

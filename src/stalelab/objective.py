@@ -22,9 +22,8 @@ the batch's mean noise vector; passing batch=None evaluates the
 noise-free population objective, and `compact_batch` reduces a batch
 that is reused (the eval batch) to that mean row; the inner phase takes
 its mean rows from `seeding.STREAM_MEMO`, while an mlp batch is drawn per
-step (or once per round for a lockstep bundle, `simulator.RoundBatches`,
-keyed by `draw_params`). Gradients are written by hand (no autodiff) and
-checked against central finite differences.
+step, once for every run of a stacked phase. Gradients are written by
+hand (no autodiff) and checked against central finite differences.
 
 `loss_and_grad` also takes K parameter vectors stacked as a (K, dim)
 array, with a batch per row stacked the same way (see `sample_batch`),
@@ -96,16 +95,6 @@ class Objective:
         """One batch of n per generator, stacked along a leading axis; the drawn part goes into out if given."""
         return np.stack([self.draw_batch(rng, n) for rng in rngs], out=out)
 
-    def draw_params(self) -> tuple:
-        """Every value a batch draw reads besides its seed row and its size."""
-        raise NotImplementedError
-
-    @classmethod
-    def drawn_batch_nbytes(cls, spec: dict, n: int) -> int | None:
-        """Bytes of one worker's inner-phase batch of n for a resolved spec of this kind, or None
-        where the inner phase draws no batch per step (linear-noise rows come from the stream memo)."""
-        return None
-
     def batch_buffer(self, k: int, n: int) -> np.ndarray | None:
         """A reusable `draw_batches` out for the inner phase's K batches of n, or None if that
         phase takes no drawn batch (linear-noise rows come from the stream memo)."""
@@ -140,9 +129,6 @@ class LinearNoiseObjective(Objective):
     def draw_batch(self, rng: np.random.Generator, n: int) -> np.ndarray:
         return self.noise_scale * rng.standard_normal((n, self.dim))
 
-    def draw_params(self) -> tuple:
-        return ("noise", self.noise_scale, self.dim)
-
     def compact_batch(self, batch: np.ndarray) -> np.ndarray:
         """The batch's mean row; the mean of one row is that row, so no bit moves."""
         return batch.mean(axis=-2, keepdims=True)
@@ -153,7 +139,7 @@ class LinearNoiseObjective(Objective):
         def mean_row(state):
             return self.compact_batch(self.draw_batch(seeded_generator(state), n))
 
-        params = (*self.draw_params(), n)
+        params = ("noise", self.noise_scale, self.dim, n)  # every value the draw reads besides the seed row
         return np.stack(STREAM_MEMO.draw(params, seeds, mean_row, 8 * self.dim))
 
     def _add_noise(self, loss, grad, batch, point, out):
@@ -314,14 +300,6 @@ class MlpRegressionObjective(Objective):
         x = rng.standard_normal((n, self.layer_sizes[0]))
         y = self._activations(self._teacher_layers, x)[-1]
         return x, y
-
-    def draw_params(self) -> tuple:
-        return ("mlp", tuple(self.layer_sizes), self.teacher_seed, self.teacher_scale)  # the teacher
-
-    @classmethod
-    def drawn_batch_nbytes(cls, spec: dict, n: int) -> int:
-        sizes = spec["layer_sizes"]
-        return 8 * n * (sizes[0] + sizes[-1])  # float64 inputs and labels
 
     def draw_batches(self, rngs: list[np.random.Generator], n: int, out: np.ndarray | None = None
                      ) -> tuple[np.ndarray, np.ndarray]:

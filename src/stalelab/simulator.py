@@ -24,15 +24,14 @@ One outer round does, in order:
 3. fragment ages reset to 0 where selected, else grow by 1;
 4. the global params are evaluated on a fixed held-out batch.
 
-Runs that read the same batch stream can step in lockstep
-(`run_lockstep`): round-major, sharing one `RoundBatches` slot that holds
-one round of drawn batches, so the round is drawn once for all of them.
-The B runs of a round whose inner phases read the same inputs besides
-their global params run them as one stacked phase: a (B*K, dim)
-workspace, each step's batch repeated B times along the leading axis.
-Rows still never mix, so each run gets the bytes it gets alone, and each
-run's deltas are an array of its own. `run` and the lockstep driver end a
-run with the same `result` tail.
+Runs can step in lockstep (`run_lockstep`): round-major, every live run
+stepping round r before any steps round r + 1. The B runs of a round whose
+inner phases read the same inputs besides their global params (one
+`phase_key`) run them as one stacked phase: a (B*K, dim) workspace, each
+step's batch drawn once and repeated B times along the leading axis. Rows
+still never mix, so each run gets the bytes it gets alone, and each run's
+deltas are an array of its own. `run` and the lockstep driver end a run
+with the same `result` tail.
 
 Everything is seeded through `derive_seed`, so a run is a deterministic
 function of its config: same config, same bytes out. The generator of
@@ -57,7 +56,6 @@ import numpy as np
 
 from . import theory
 from .objective import (
-    _OBJECTIVES,
     Objective,
     Shard,
     batch_seeds,
@@ -77,7 +75,7 @@ from .optim import (
     outer_step,
 )
 from .schema import check_fields, key
-from .seeding import STREAM_MEMO, STREAM_MEMO_BYTES, derive_seed, seed_table, seeded_generator
+from .seeding import STREAM_MEMO, derive_seed, seed_table, seeded_generator
 
 if TYPE_CHECKING:
     from .config import RunConfig
@@ -90,8 +88,7 @@ __all__ = [
     "Trace",
     "RunResult",
     "Simulation",
-    "RoundBatches",
-    "shares_round_batches",
+    "phase_key",
     "run_lockstep",
     "delay_seeds",
     "sample_delay",
@@ -203,39 +200,12 @@ def dequantize_payload(payload: QuantizedPayload, fragments: Fragments) -> np.nd
     return payload.codes.astype(np.float64) * np.repeat(payload.scales, fragments.sizes, axis=-1)
 
 
-def shares_round_batches(config: RunConfig) -> bool:
-    """Whether a run can take its batches from a `RoundBatches` slot: its inner phase draws a
-    batch per step (linear-noise rows come from the stream memo instead), and one round of
-    them, K x H batches, fits in STREAM_MEMO_BYTES."""
-    nbytes = _OBJECTIVES[config.objective["kind"]].drawn_batch_nbytes(config.objective, config.batch_size)
-    return nbytes is not None and config.workers * config.inner_steps * nbytes <= STREAM_MEMO_BYTES
-
-
-class RoundBatches:
-    """A one-round slot of drawn inner-phase batches, shared by the runs of a lockstep bundle.
-
-    It is keyed by every value the draw reads: the objective's `draw_params`,
-    the batch size and the round's (K, H, 4) seed rows. The first run to reach
-    a round draws its H batches into read-only arrays, and a run with the same
-    key takes them; another key replaces them, so the slot never holds more
-    than one round.
-    """
-
-    def __init__(self):
-        self.key, self.batches = None, []
-
-    def take(self, obj: Objective, shards: list[Shard], seeds: np.ndarray) -> list:
-        """The H batches of the round whose (K, H, 4) seed rows are `seeds`, drawn once per key."""
-        key = (obj.draw_params(), shards[0].batch_size, seeds.tobytes())
-        if key != self.key:
-            self.key, self.batches = None, []  # let the last round go before drawing the next
-            for step in range(seeds.shape[1]):
-                batch = sample_batch(obj, shards, seeds[:, step], compact=True)
-                for part in batch:
-                    part.flags.writeable = False
-                self.batches.append(batch)
-            self.key = key
-        return self.batches
+def phase_key(config: RunConfig) -> str:
+    """The config values a run's inner phase reads besides its global params and round: the resolved
+    objective, inner config and inner steps, and the shards' master seed, worker count and batch size.
+    Runs with one key at one round can step one stacked phase (`run_lockstep`)."""
+    names = ("objective", "inner", "inner_steps", "master_seed", "workers", "batch_size")
+    return json.dumps([config.resolved[name] for name in names], sort_keys=True)
 
 
 def run_inner_phase(
@@ -244,7 +214,6 @@ def run_inner_phase(
     seeds: np.ndarray,
     snapshots: np.ndarray,
     inner_cfg: InnerConfig,
-    slot: RoundBatches | None = None,
 ) -> list[np.ndarray]:
     """H inner AdamW steps per shard's worker for each of B runs, from fresh copies of their global params.
 
@@ -256,11 +225,9 @@ def run_inner_phase(
     runs in one workspace of its own: (B*K, dim) params, AdamW moments and
     gradient, and the objective's batch buffer, each step writing them in
     place and reading its batch repeated B times. Rows never mix, so each
-    run's deltas are the bytes of its phase alone. With a `slot`, the
-    round's batches come from it instead of one draw per step (the same
-    bytes). The inner optimizer state is reset at every phase. Non-finite
-    values simply propagate into the returned deltas; the caller flags
-    divergence.
+    run's deltas are the bytes of its phase alone. The inner optimizer
+    state is reset at every phase. Non-finite values simply propagate into
+    the returned deltas; the caller flags divergence.
     """
     if not shards or seeds.ndim != 3 or seeds.shape[0] != len(shards) or seeds.shape[1] < 1:
         raise ValueError(f"need (K={len(shards)}, H >= 1, 4) batch seeds, got {seeds.shape}")
@@ -269,10 +236,9 @@ def run_inner_phase(
     params = np.repeat(snapshots, len(shards), axis=0)
     state = AdamMoments.zeros(params.shape)
     grad = np.empty_like(params)
-    batches = slot.take(obj, shards, seeds) if slot is not None else None
-    inputs = None if batches else obj.batch_buffer(len(shards), shards[0].batch_size)
+    inputs = obj.batch_buffer(len(shards), shards[0].batch_size)
     for step in range(seeds.shape[1]):
-        batch = batches[step] if batches else sample_batch(obj, shards, seeds[:, step], compact=True, out=inputs)
+        batch = sample_batch(obj, shards, seeds[:, step], compact=True, out=inputs)
         _, step_grad = obj.loss_and_grad(params, _repeated(batch, len(snapshots)), out=grad)
         inner_adamw_step(params, step_grad, state, inner_cfg)
     runs = params.reshape(len(snapshots), len(shards), -1)
@@ -357,15 +323,10 @@ class RunResult:
 
 
 class Simulation:
-    """One deterministic run; see the module docstring for the protocol.
+    """One deterministic run; see the module docstring for the protocol."""
 
-    A run handed a `RoundBatches` slot takes its batches from it, where
-    `shares_round_batches` allows; its bytes are the same either way.
-    """
-
-    def __init__(self, config: RunConfig, slot: RoundBatches | None = None):
+    def __init__(self, config: RunConfig):
         self.config = config
-        self.slot = slot if slot is not None and shares_round_batches(config) else None
         self.row = method_row(config.method)
         self.obj = make_objective(config.objective)
         dim = self.obj.dim
@@ -471,7 +432,7 @@ class Simulation:
         ids = [shard.worker_id for shard in shards]
         if deltas is None:
             (deltas,) = run_inner_phase(self.obj, shards, self.round_batch_seeds()[ids], self.global_params[None],
-                                        cfg.inner, self.slot)
+                                        cfg.inner)
         if not np.isfinite(deltas).all():
             self.diverged = True
             return False
@@ -563,32 +524,29 @@ def run_lockstep(sims: list[Simulation]) -> Iterator[tuple[int, RunResult | Exce
     """Run sims round-major: every live run steps round r before any steps round r + 1.
 
     Yields (index into sims, RunResult) as each run ends, or (index, the
-    exception) for a run that raised, which ends only that run. Runs handed
-    one `RoundBatches` slot draw each round's batches once between them.
-    Each round, the live runs whose inner phases read the same inputs
-    besides their global params (the resolved objective and inner config,
-    the shards, so the batch size and seeds, the inner steps and the round)
-    form a group, and a group of two or more runs its phase as one stacked
-    call on its first run's seed rows and slot. If that call raises, the
-    group's runs step their phases alone for the round, so a failure stays
-    with its run.
+    exception) for a run that raised, which ends only that run. Each round,
+    the live runs with one `phase_key` at one round form a group, and a
+    group of two or more runs its phase as one stacked call on its first
+    run's seed rows, so it draws each step's batch once. If that call
+    raises, the group's runs step their phases alone for the round, so a
+    failure stays with its run. A stacked phase's time is split evenly
+    among its runs, so their wall times sum to the time spent on them.
     """
     walls = [0.0] * len(sims)
-    phase_inputs = [json.dumps([sim.config.resolved[name] for name in ("objective", "inner", "inner_steps")],
-                               sort_keys=True) for sim in sims]
+    keys = [phase_key(sim.config) for sim in sims]
     live = list(range(len(sims)))
     while live:
         groups: dict[tuple, list[int]] = {}
         for i in live:
             if not sims[i].done:
-                groups.setdefault((phase_inputs[i], tuple(sims[i].workers), sims[i].round), []).append(i)
+                groups.setdefault((keys[i], sims[i].round), []).append(i)
         deltas = {}
         for group in (group for group in groups.values() if len(group) > 1):
             lead, start = sims[group[0]], time.perf_counter()
             try:
                 snapshots = np.array([sims[i].global_params for i in group])
                 deltas.update(zip(group, run_inner_phase(lead.obj, lead.workers, lead.round_batch_seeds(),
-                                                         snapshots, lead.config.inner, lead.slot)))
+                                                         snapshots, lead.config.inner)))
             except Exception:  # noqa: BLE001 - the group's runs step alone below, so a failure stays with its run
                 pass
             for i in group:

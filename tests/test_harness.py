@@ -7,6 +7,7 @@ import os
 import numpy as np
 import pytest
 
+import stalelab.cli as cli_mod
 import stalelab.verify as verify_mod
 from stalelab.cli import main as cli_main
 from stalelab.config import (
@@ -527,6 +528,16 @@ class TestCli:
             assert cli_main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "res"), *extra]) == 2
             assert "config: expected a JSON object" in capsys.readouterr().err
 
+    def test_run_rejects_a_file_as_output_directory_before_running(self, tmp_path, capsys, monkeypatch):
+        cfg_path = self.write_config(tmp_path, quad_raw())
+        out = tmp_path / "afile"
+        out.write_text("kept")
+        ran = []
+        monkeypatch.setattr(cli_mod, "run_to_file", lambda *args: ran.append(args))
+        assert cli_main(["run", "--config", str(cfg_path), "--out", str(out)]) == 2
+        assert f"error: cannot use output directory {out}: " in capsys.readouterr().err
+        assert ran == [] and out.read_text() == "kept"
+
     def test_minimal_adam_run_trains(self, tmp_path):
         cfg_path = self.write_config(tmp_path, quad_raw(method="adam", rounds=40))
         cli_main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "res")])
@@ -568,6 +579,17 @@ class TestCli:
         assert rc == 0
         out = capsys.readouterr().out
         assert "summary.csv" in out and "cgad" in out and "nesterov" in out
+
+    def test_sweep_rejects_a_file_as_output_directory_before_running(self, tmp_path, capsys, monkeypatch):
+        spec_path = tmp_path / "sweep.json"
+        spec_path.write_text(json.dumps(sweep_spec()))
+        out = tmp_path / "afile"
+        out.write_text("kept")
+        ran = []
+        monkeypatch.setattr(cli_mod, "run_sweep", lambda *args, **kwargs: ran.append(args))
+        assert cli_main(["sweep", "--sweep", str(spec_path), "--out", str(out), "--jobs", "1"]) == 2
+        assert f"error: cannot use output directory {out}: " in capsys.readouterr().err
+        assert ran == [] and out.read_text() == "kept"
 
     @pytest.mark.parametrize("jobs,env,message", [
         (["--jobs", "0"], None, "--jobs: must be >= 1, got 0"),

@@ -1,6 +1,6 @@
-"""Lockstep bundles: sweep cells that read one batch stream run round-major in
-one process, draw each round's batches once between them, and step the inner
-phases of a round's cells that read the same inputs as one stacked phase.
+"""Lockstep bundles: sweep cells whose inner phases read the same inputs (one
+`phase_key`) run round-major in one process and step each round's inner
+phases as one stacked phase, which draws each batch once for all of them.
 
 A bundle must give every cell the bytes it gives alone, fail only the cell
 that fails, and really share its draws and its phases.
@@ -8,6 +8,7 @@ that fails, and really share its draws and its phases.
 
 import multiprocessing
 import os
+import time
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from stalelab.config import RunConfig, expand_sweep
 from stalelab.harness import _bundles, _run_cell, result_filename, run_sweep, serialize_result
 from stalelab.objective import MlpRegressionObjective, mlp_dim
 from stalelab.optim import METHODS
-from stalelab.simulator import RoundBatches, Simulation, run_experiment, run_lockstep, shares_round_batches
+from stalelab.simulator import Simulation, phase_key, run_experiment, run_lockstep
 
 MLP = {"kind": "mlp_regression", "layer_sizes": [4, 8, 8, 1], "teacher_seed": 3,
        "teacher_scale": 0.5, "init_scale": 0.5}
@@ -63,9 +64,8 @@ def test_a_bundle_gives_every_cell_its_bytes_alone(quantize):
     # goes non-finite mid-run, once its first entries apply
     configs.append(mlp_config(method="nesterov", quantize_queue=quantize, fragments=frags, rounds=8,
                               outer={"eta": 1e300}, delay=DELAYS[1]))
-    slot = RoundBatches()
-    sims = [Simulation(config, slot) for config in configs]
-    assert all(sim.slot is slot for sim in sims)
+    assert len({phase_key(config) for config in configs}) == 1  # one stack group
+    sims = [Simulation(config) for config in configs]
     with np.errstate(over="ignore", invalid="ignore"):
         outcomes = dict(run_lockstep(sims))
         expected = [alone(config) for config in configs]
@@ -87,7 +87,7 @@ def test_cells_step_round_major(monkeypatch):
 
     monkeypatch.setattr(Simulation, "run_round", record)
     configs = [mlp_config(method="cgad", rounds=3), mlp_config(method="adam", rounds=5)]
-    list(run_lockstep([Simulation(config, RoundBatches()) for config in configs]))
+    list(run_lockstep([Simulation(config) for config in configs]))
     assert steps == [("cgad", 0), ("adam", 0), ("cgad", 1), ("adam", 1), ("cgad", 2), ("adam", 2),
                      ("adam", 3), ("adam", 4)]
 
@@ -144,16 +144,15 @@ def test_a_stack_reads_each_cell_own_inner_config_and_rounds(varied):
     else:
         configs = [mlp_config(method=method, rounds=rounds, inner={"lr": 1e-2})
                    for method, rounds in (("cgad", 2), ("adam", 6), ("nesterov", 4), ("cgad", 5))]
-    slot = RoundBatches()
-    assert_alone_bytes([Simulation(config, slot) for config in configs], configs)
+    assert_alone_bytes([Simulation(config) for config in configs], configs)
 
 
 def test_linear_noise_runs_stack_too(monkeypatch):
     stacks, real = [], sim_mod.run_inner_phase
 
-    def phase(obj, shards, seeds, snapshots, inner_cfg, slot=None):
+    def phase(obj, shards, seeds, snapshots, inner_cfg):
         stacks.append(len(snapshots))
-        return real(obj, shards, seeds, snapshots, inner_cfg, slot)
+        return real(obj, shards, seeds, snapshots, inner_cfg)
 
     monkeypatch.setattr(sim_mod, "run_inner_phase", phase)
     quadratic = {"kind": "quadratic", "dimension": 8, "spectrum_lo": 0.5, "spectrum_hi": 2.0, "rotation_seed": 1}
@@ -166,8 +165,7 @@ def test_linear_noise_runs_stack_too(monkeypatch):
 
 def test_runs_at_different_rounds_do_not_share_a_stack():
     configs = [mlp_config(method=method, rounds=6, inner={"lr": 1e-2}) for method in ("cgad", "adam", "nesterov")]
-    slot = RoundBatches()
-    sims = [Simulation(config, slot) for config in configs]
+    sims = [Simulation(config) for config in configs]
     for _ in range(2):
         assert sims[1].run_round()
     assert_alone_bytes(sims, configs)
@@ -175,7 +173,7 @@ def test_runs_at_different_rounds_do_not_share_a_stack():
 
 def test_only_the_run_a_stack_reads_hashes_batch_seeds():
     configs = [mlp_config(method=method) for method in ("cgad", "nesterov", "adam")]
-    sims = [Simulation(config, RoundBatches()) for config in configs]
+    sims = [Simulation(config) for config in configs]
     list(run_lockstep(sims))
     assert sims[0]._batch_seeds is not None
     assert sims[1]._batch_seeds is None and sims[2]._batch_seeds is None
@@ -185,7 +183,7 @@ def test_only_the_run_a_stack_reads_hashes_batch_seeds():
 def test_cells_of_a_stack_hold_their_own_payloads():
     configs = [mlp_config(method=method, rounds=4, delay={"kind": "fixed", "tau": 16})
                for method in ("cgad", "nesterov", "adam")]
-    sims = [Simulation(config, RoundBatches()) for config in configs]
+    sims = [Simulation(config) for config in configs]
     list(run_lockstep(sims))
     payloads = [[entry.payload for entries in sim.pending.values() for entry in entries] for sim in sims]
     assert all(len(held) == 4 * configs[0].workers for held in payloads)
@@ -206,7 +204,7 @@ def test_cells_of_a_stack_hold_their_own_payloads():
 
 def test_a_raising_stacked_phase_steps_its_runs_alone(monkeypatch):
     configs = [mlp_config(method=method) for method in ("cgad", "nesterov", "adam")]
-    sims = [Simulation(config, RoundBatches()) for config in configs]
+    sims = [Simulation(config) for config in configs]
     doomed, stepping = sims[1], []
     real_round, real_phase = Simulation.run_round, sim_mod.run_inner_phase
     phases = []
@@ -218,12 +216,12 @@ def test_a_raising_stacked_phase_steps_its_runs_alone(monkeypatch):
         finally:
             stepping.pop()
 
-    def phase(obj, shards, seeds, snapshots, inner_cfg, slot=None):
+    def phase(obj, shards, seeds, snapshots, inner_cfg):
         r = stepping[-1].round if stepping else sims[0].round  # a stack runs outside run_round
         phases.append((r, len(snapshots)))
         if r == 2 and (not stepping or stepping[-1] is doomed):
             raise RuntimeError("synthetic failure of round 2's inner phase")
-        return real_phase(obj, shards, seeds, snapshots, inner_cfg, slot)
+        return real_phase(obj, shards, seeds, snapshots, inner_cfg)
 
     monkeypatch.setattr(Simulation, "run_round", tracked_round)
     monkeypatch.setattr(sim_mod, "run_inner_phase", phase)
@@ -268,37 +266,59 @@ def test_bundles_group_the_cells_of_one_batch_stream():
             cells, key=lambda cell: [c[1].master_seed for c in cells].index(cell[1].master_seed))
         assert all(len({cfg.master_seed for _, cfg in bundle}) == 1 for bundle in bundles)
 
-    # another objective, batch size, worker count or inner step count is another stream
+    # another objective, batch size, worker count, inner step count or inner config is another stack group
     varied = [(desc, RunConfig.from_dict({**cfg.resolved, **change}))
-              for (desc, cfg), change in zip(cells[:5], ({}, {"batch_size": 4}, {"workers": 3},
+              for (desc, cfg), change in zip(cells[:6], ({}, {"batch_size": 4}, {"workers": 3},
                                                          {"inner_steps": 2},
-                                                         {"objective": {**MLP, "teacher_seed": 4}}))]
-    assert [len(bundle) for bundle in _bundles(varied, 2)] == [1] * 5
+                                                         {"objective": {**MLP, "teacher_seed": 4}},
+                                                         {"inner": {**cells[0][1].resolved["inner"], "lr": 1e-2}}))]
+    assert [len(bundle) for bundle in _bundles(varied, 2)] == [1] * 6
 
 
-def test_cells_without_a_shareable_round_run_alone():
+def test_a_bundle_is_one_stack_group(tmp_path, monkeypatch):
+    stacks, real = [], sim_mod.run_inner_phase
+
+    def phase(obj, shards, seeds, snapshots, inner_cfg):
+        stacks.append(len(snapshots))
+        return real(obj, shards, seeds, snapshots, inner_cfg)
+
+    monkeypatch.setattr(sim_mod, "run_inner_phase", phase)
+    spec = {"version": 1, "base": mlp_raw(rounds=3),
+            "axes": {"method": ["cgad", "nesterov"], "inner.lr": [1e-3, 1e-2], "seed": [0, 1]}}
+    bundles = _bundles(expand_sweep(spec), 1)
+    assert sum(map(len, bundles)) == 8 and all(len(bundle) > 1 for bundle in bundles)
+    for bundle in bundles:
+        stacks.clear()
+        assert _run_cell([cfg.resolved for _, cfg in bundle], str(tmp_path)) == [None] * len(bundle)
+        assert stacks == [len(bundle)] * 3  # every cell of the bundle in one stack each round
+
+
+def test_linear_noise_cells_run_alone_and_wide_mlp_cells_bundle(tmp_path):
     quadratic = {"kind": "quadratic", "dimension": 8, "spectrum_lo": 0.5, "spectrum_hi": 2.0, "rotation_seed": 1}
-    wide = {**MLP, "layer_sizes": [512, 1]}  # 2 x 3 x 128 rows of 513 floats: past STREAM_MEMO_BYTES
-    for objective, batch_size in ((quadratic, 8), (wide, 128)):
-        spec = {"version": 1, "base": mlp_raw(objective=objective, batch_size=batch_size),
-                "axes": {"method": ["cgad", "nesterov"], "seed": [0]}}
-        cells = expand_sweep(spec)
-        assert not shares_round_batches(cells[0][1])
-        assert [len(bundle) for bundle in _bundles(cells, 2)] == [1, 1]
-        assert Simulation(cells[0][1], RoundBatches()).slot is None
-    assert shares_round_batches(mlp_config(objective={**MLP, "layer_sizes": [512, 1]}, batch_size=32))
+    spec = {"version": 1, "base": mlp_raw(objective=quadratic), "axes": {"method": ["cgad", "nesterov"], "seed": [0]}}
+    assert [len(bundle) for bundle in _bundles(expand_sweep(spec), 1)] == [1, 1]
+
+    wide = {**MLP, "layer_sizes": [512, 1]}  # a round's batches are 2 x 3 x 128 rows of 513 floats, ~3 MB
+    spec = {"version": 1, "base": mlp_raw(objective=wide, batch_size=128, rounds=3),
+            "axes": {"method": ["cgad", "nesterov"], "seed": [0]}}
+    (bundle,) = _bundles(expand_sweep(spec), 1)
+    assert len(bundle) == 2
+    assert _run_cell([cfg.resolved for _, cfg in bundle], str(tmp_path)) == [None, None]
+    for _, config in bundle:
+        assert (tmp_path / result_filename(config.hash, config.master_seed)).read_text() == alone(config)[0]
 
 
-def test_the_slot_keeps_one_round_of_read_only_batches():
-    config = mlp_config()
-    slot = RoundBatches()
-    sim = Simulation(config, slot)
-    sim.run_round()
-    first = slot.batches
-    assert len(first) == config.inner_steps
-    assert all(not part.flags.writeable for batch in first for part in batch)
-    sim.run_round()
-    assert slot.batches is not first and len(slot.batches) == config.inner_steps
+def test_a_bundle_splits_its_wall_time_among_its_cells():
+    configs = [mlp_config(method=method, rounds=8) for method in ("cgad", "nesterov", "adam")]
+    sims = [Simulation(config) for config in configs]
+    start = time.perf_counter()
+    results = [result for _, result in run_lockstep(sims)]
+    elapsed = time.perf_counter() - start
+    walls = [result.wall_time_s for result in results]
+    # the walls add up disjoint perf_counter intervals inside the loop, a stacked phase split evenly;
+    # charging each cell the whole phase would sum to well over the elapsed time
+    assert all(wall > 0.0 for wall in walls)
+    assert sum(walls) <= elapsed
 
 
 @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
