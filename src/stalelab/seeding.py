@@ -11,6 +11,12 @@ with numpy's `SeedSequence` arithmetic vectorized over rows, and
 `seeded_generator` builds the generator from one row. The draws are the
 same bytes as `default_rng`'s; only numpy's per-key Python hashing is
 skipped.
+
+`STREAM_MEMO` keeps, per process and within a byte budget, what cells of
+a sweep draw alike: a linear-noise batch's mean row and a delay by their
+seed-table row, and a run's eval batch with its reference loss by its
+eval seed, each also keyed by every config value its draw reads. A warm
+memo gives the bytes of a cold one.
 """
 
 from __future__ import annotations
@@ -148,15 +154,20 @@ STREAM_MEMO_BYTES = 1 << 20  # row bytes plus value bytes the stream memo keeps 
 
 
 class StreamMemo:
-    """Draws from seed-table rows, kept by (params, row bytes) while the kept bytes (32 per row
-    plus nbytes per value) fit the budget; params hold every value the draw reads besides the row."""
+    """Draws from seed rows, kept by (params, row bytes) while the kept bytes (the row's bytes
+    plus nbytes per value) fit the budget; params hold every value the draw reads besides the row.
+
+    A row is a seed-table row (a batch's mean noise row, a delay) or a run's eval seed as one
+    uint64 (its eval batch and reference loss, whose arrays the draw makes read-only, since every
+    cell with that key reads the same ones)."""
 
     def __init__(self, budget: int):
         self.budget, self.used, self.tables = budget, 0, {}
 
-    def draw(self, params: tuple, rows: np.ndarray, draw, nbytes: int):
-        """draw(row) for one row, or a list of them for an (n, 4) stack of rows; each is the value
-        the memo keeps for its row where it keeps one. params' table is looked up once per call."""
+    def draw(self, params: tuple, rows: np.ndarray, draw, nbytes):
+        """draw(row) for one row, or a list of them for an (n, ...) stack of rows; each is the value
+        the memo keeps for its row where it keeps one. nbytes is an int, or a function of the drawn
+        value. params' table is looked up once per call."""
         table = self.tables.get(params)
         if table is None:
             table = self.tables[params] = {}
@@ -167,8 +178,9 @@ class StreamMemo:
                 values.append(table[key])
                 continue
             value = draw(row)
-            if self.used + len(key) + nbytes <= self.budget:
-                table[key], self.used = value, self.used + len(key) + nbytes
+            size = len(key) + (nbytes(value) if callable(nbytes) else nbytes)
+            if self.used + size <= self.budget:
+                table[key], self.used = value, self.used + size
             values.append(value)
         return values if rows.ndim == 2 else values[0]
 

@@ -24,6 +24,12 @@ One outer round does, in order:
 3. fragment ages reset to 0 where selected, else grow by 1;
 4. the global params are evaluated on a fixed held-out batch.
 
+The eval batch and the reference loss (the mean loss of 32 fresh inits
+on it, which the divergence rule reads) depend only on the resolved
+objective, the eval batch size and the eval seed. A process draws each
+such pair once, read-only, in `seeding.STREAM_MEMO`, and every run with
+that key reads it.
+
 Runs can step in lockstep (`run_lockstep`): round-major, every live run
 stepping round r before any steps round r + 1. The B runs of a round whose
 inner phases read the same inputs besides their global params (one
@@ -254,6 +260,16 @@ def _repeated(batch, copies: int):
     return np.concatenate([batch] * copies)
 
 
+def _parts(batch) -> tuple:
+    """The arrays of a batch: itself, or the parts of a tuple."""
+    return batch if isinstance(batch, tuple) else (batch,)
+
+
+def _eval_nbytes(drawn: tuple) -> int:
+    """Bytes of a kept (eval batch, reference loss) pair."""
+    return sum(part.nbytes for part in _parts(drawn[0])) + 8
+
+
 # One trace row per (queue entry, selected fragment), in application order.
 # rho is NaN where there is no Adam ratio (a momentum base, or a dropped
 # update); grad_norm_sq is the squared norm of the exact population gradient
@@ -335,9 +351,11 @@ class Simulation:
         self.outer_state = OuterState.zeros(Fragments.even_split(dim, config.fragments["count"]).sizes)
         self.workers = [Shard.for_worker(master, w, config.batch_size) for w in range(config.workers)]
         self.delay = DelaySchedule(seed=derive_seed(master, "delay"), **config.delay)
-        eval_rng = np.random.default_rng(derive_seed(master, "eval"))
-        self.eval_batch = self.obj.compact_batch(self.obj.draw_batch(eval_rng, config.eval_batch_size))
-        self.reference_loss = init_reference_loss(self.obj, self.eval_batch)
+        # every value the eval pair reads, so the cells that share them share one read-only pair
+        eval_params = ("eval", json.dumps(config.objective, sort_keys=True), config.eval_batch_size)
+        eval_seed = np.array([derive_seed(master, "eval")], dtype=np.uint64)
+        self.eval_batch, self.reference_loss = STREAM_MEMO.draw(eval_params, eval_seed, self._draw_eval,
+                                                                _eval_nbytes)
         self.pending: dict[int, list[QueueEntry]] = {}  # entries in flight, by the round they come due
         self.round = 0
         # batch and delay seed tables of the rounds in _batch_rounds and _delay_rounds, hashed when read
@@ -353,6 +371,14 @@ class Simulation:
         if self.obj.kind == "quadratic":
             self.trace.l_smooth = self.obj.smoothness
             self.trace.f_gap = float(self.obj.loss(self.global_params, None))
+
+    def _draw_eval(self, seed: np.ndarray) -> tuple:
+        """The compact eval batch drawn from the one-word eval seed, made read-only, and its reference loss."""
+        rng = np.random.default_rng(int(seed[0]))
+        batch = self.obj.compact_batch(self.obj.draw_batch(rng, self.config.eval_batch_size))
+        for part in _parts(batch):
+            part.flags.writeable = False
+        return batch, init_reference_loss(self.obj, batch)
 
     def _due_grads(self, due: list[QueueEntry]) -> np.ndarray:
         """The due entries' pseudo-gradients, stacked (E, dim)."""
@@ -416,22 +442,19 @@ class Simulation:
         for name, value in zip(ApplyRecord.names, values):
             rows[name] = value
 
-    def run_round(self, workers: list[Shard] | None = None, deltas: np.ndarray | None = None) -> bool:
+    def run_round(self, deltas: np.ndarray | None = None) -> bool:
         """Execute one outer round; False once the run has diverged.
 
-        `workers` overrides the stacking order only (same shards); results
-        must not depend on it. `deltas` is the round's inner phase where a
-        lockstep group already ran it (see `run_lockstep`); None runs it here.
+        `deltas` is the round's inner phase where a lockstep group already
+        ran it (see `run_lockstep`); None runs it here.
         """
         if self.diverged:
             return False
         cfg = self.config
         r = self.round
 
-        shards = workers if workers is not None else self.workers
-        ids = [shard.worker_id for shard in shards]
         if deltas is None:
-            (deltas,) = run_inner_phase(self.obj, shards, self.round_batch_seeds()[ids], self.global_params[None],
+            (deltas,) = run_inner_phase(self.obj, self.workers, self.round_batch_seeds(), self.global_params[None],
                                         cfg.inner)
         if not np.isfinite(deltas).all():
             self.diverged = True
@@ -444,8 +467,9 @@ class Simulation:
         if r not in self._delay_rounds:
             self._delay_rounds = self._table_rounds()
             self._delay_seeds = delay_seeds(self.delay, len(self.workers), self._delay_rounds)
+        ids = [shard.worker_id for shard in self.workers]
         taus = sample_delay(self.delay, self._delay_seeds[ids, r - self._delay_rounds.start])
-        for shard, payload, tau in zip(shards, payloads, taus):
+        for shard, payload, tau in zip(self.workers, payloads, taus):
             entry = QueueEntry(worker=shard.worker_id, produced_round=r, tau=tau, payload=payload)
             self.pending.setdefault(r + tau, []).append(entry)
 

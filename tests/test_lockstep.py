@@ -81,9 +81,9 @@ def test_cells_step_round_major(monkeypatch):
     steps = []
     real = Simulation.run_round
 
-    def record(self, workers=None, deltas=None):
+    def record(self, deltas=None):
         steps.append((self.config.method, self.round))
-        return real(self, workers, deltas)
+        return real(self, deltas)
 
     monkeypatch.setattr(Simulation, "run_round", record)
     configs = [mlp_config(method="cgad", rounds=3), mlp_config(method="adam", rounds=5)]
@@ -209,10 +209,10 @@ def test_a_raising_stacked_phase_steps_its_runs_alone(monkeypatch):
     real_round, real_phase = Simulation.run_round, sim_mod.run_inner_phase
     phases = []
 
-    def tracked_round(self, workers=None, deltas=None):
+    def tracked_round(self, deltas=None):
         stepping.append(self)
         try:
-            return real_round(self, workers, deltas)
+            return real_round(self, deltas)
         finally:
             stepping.pop()
 
@@ -240,10 +240,10 @@ def test_a_raising_cell_fails_only_itself(tmp_path, monkeypatch):
     configs = [mlp_config(method=method) for method in ("cgad", "nesterov", "adam")]
     real = Simulation.run_round
 
-    def fail_nesterov_in_round_2(self, workers=None, deltas=None):
+    def fail_nesterov_in_round_2(self, deltas=None):
         if self.config.method == "nesterov" and self.round == 2:
             raise RuntimeError("synthetic failure in round 2")
-        return real(self, workers, deltas)
+        return real(self, deltas)
 
     monkeypatch.setattr(Simulation, "run_round", fail_nesterov_in_round_2)
     cells = [config.resolved for config in configs] + [{**configs[0].resolved, "rounds": -1}]
@@ -329,10 +329,10 @@ def test_dead_bundle_child_fails_only_its_cell_and_a_rerun_resumes(tmp_path, mon
     doomed = cells[0][1]
     real_round = Simulation.run_round
 
-    def crash_on_doomed(self, workers=None, deltas=None):
+    def crash_on_doomed(self, deltas=None):
         if (self.config.hash, self.config.master_seed) == (doomed.hash, doomed.master_seed) and self.round == 2:
             os._exit(3)  # the child dies without raising, mid-bundle
-        return real_round(self, workers, deltas)
+        return real_round(self, deltas)
 
     real_pass = harness_mod._pool_pass
     passes = []

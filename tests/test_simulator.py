@@ -400,9 +400,10 @@ class TestQueueSemantics:
     def test_worker_iteration_order_is_irrelevant(self):
         sim_a = Simulation(quad_config(delay={"kind": "uniform_int", "lo": 0, "hi": 5}))
         sim_b = Simulation(quad_config(delay={"kind": "uniform_int", "lo": 0, "hi": 5}))
+        sim_b.workers.reverse()
         for _ in range(12):
             sim_a.run_round()
-            sim_b.run_round(workers=list(reversed(sim_b.workers)))
+            sim_b.run_round()
         np.testing.assert_array_equal(sim_a.global_params, sim_b.global_params)
         assert sim_a.losses == sim_b.losses
 

@@ -11,11 +11,13 @@ import hashlib
 import numpy as np
 import pytest
 
+from stalelab import simulator as sim_mod
 from stalelab.config import RunConfig, expand_sweep
 from stalelab.harness import serialize_result
 from stalelab.objective import Shard, batch_seeds, make_objective, sample_batch
 from stalelab.seeding import STREAM_MEMO, StreamMemo
 from stalelab.simulator import DelaySchedule, Simulation, delay_seeds, run_experiment, sample_delay
+from test_acceptance import MLP_TASK, RANKING_BASE
 from test_golden_digests import EXTRA, PINS, cell_config
 
 # The fragment_matrix workload's sweep (benchmark/workloads.py) at 20 rounds.
@@ -35,6 +37,15 @@ FRAGMENT_SPEC = {
 }
 QUAD = {"kind": "quadratic", "dimension": 12, "spectrum_lo": 0.5, "spectrum_hi": 4.0,
         "rotation_seed": 5, "noise_scale": 0.05}
+# The acceptance ranking grid (the sweep_jobs2 workload's cells) at 4 rounds: the eval batch reads no round.
+RANKING_SPEC = {
+    "version": 1,
+    "base": {**RANKING_BASE, "rounds": 4},
+    "axes": {"method": ["cgad", "nesterov"],
+             "delay": [{"kind": "fixed", "tau": 0}, {"kind": "fixed", "tau": 16},
+                       {"kind": "uniform_int", "lo": 0, "hi": 16}],
+             "seed": [0, 1, 2]},
+}
 
 
 def digest(config: RunConfig) -> str:
@@ -157,3 +168,101 @@ def test_trace_grows_when_a_run_is_stepped_past_its_rounds():
     assert result.losses == whole.losses
     assert len(result.trace.records) == 2 * result.consumed_entries
     assert result.trace.records.tobytes() == whole.trace.records.tobytes()
+
+
+def eval_pair(sim: Simulation) -> tuple[bytes, float]:
+    batch = sim.eval_batch
+    return b"".join(part.tobytes() for part in (batch if isinstance(batch, tuple) else (batch,))), sim.reference_loss
+
+
+def eval_tables() -> dict:
+    return {params: table for params, table in STREAM_MEMO.tables.items() if isinstance(params, tuple) and params[0] == "eval"}
+
+
+@pytest.fixture
+def reference_calls(monkeypatch):
+    """The objectives `Simulation` computes a reference loss for, in call order."""
+    calls, real = [], sim_mod.init_reference_loss
+
+    def counted(obj, eval_batch):
+        calls.append(obj)
+        return real(obj, eval_batch)
+
+    monkeypatch.setattr(sim_mod, "init_reference_loss", counted)
+    return calls
+
+
+@pytest.mark.warm_stream_memo
+@pytest.mark.parametrize("spec", [RANKING_SPEC, FRAGMENT_SPEC], ids=["ranking", "fragment_matrix"])
+def test_every_sweep_cell_gives_its_cold_bytes_with_a_warm_memo(spec, reference_calls):
+    configs = [config for _, config in expand_sweep(spec)]
+    cold = []
+    for config in configs:
+        STREAM_MEMO.clear()
+        cold.append(digest(config))
+    STREAM_MEMO.clear()
+    del reference_calls[:]
+    assert [digest(config) for config in configs] == cold  # each cell after the first of its key reads the memo
+    assert [digest(config) for config in configs] == cold  # every cell reads the memo
+    keys = {(config.eval_batch_size, config.master_seed) for config in configs}
+    assert len(reference_calls) == len(keys)
+    assert sum(len(table) for table in eval_tables().values()) == len(keys)
+
+
+def test_cells_with_one_eval_key_compute_one_reference_loss(reference_calls):
+    configs = [config for cell, config in expand_sweep(RANKING_SPEC) if cell["seed_value"] == 1]
+    sims = [Simulation(config) for config in configs]
+    assert len(sims) == 6 and len(reference_calls) == 1
+    for sim in sims[1:]:
+        assert sim.eval_batch is sims[0].eval_batch and sim.reference_loss == sims[0].reference_loss
+
+
+@pytest.mark.parametrize("objective,change", [
+    (MLP_TASK, {"teacher_seed": 18}),
+    (MLP_TASK, {"init_scale": 0.5}),
+    (MLP_TASK, {"layer_sizes": [8, 16, 1]}),
+    (QUAD, {"noise_scale": 0.5}),
+    (QUAD, {"dimension": 13}),
+    (QUAD, {"eval_batch_size": 16}),
+    (QUAD, {"master_seed": 3}),
+], ids=lambda value: "-".join(value) if "kind" not in value else value["kind"])
+def test_cells_that_differ_in_what_the_eval_reads_share_nothing(objective, change, reference_calls):
+    def config(**overrides):
+        top = {k: v for k, v in overrides.items() if k in ("eval_batch_size", "master_seed")}
+        obj = {**objective, **{k: v for k, v in overrides.items() if k not in top}}
+        return RunConfig.from_dict({**RANKING_BASE, "objective": obj, "rounds": 2, "eval_batch_size": 32,
+                                    "method": "cgad", "delay": {"kind": "fixed", "tau": 0}, **top})
+
+    cold = eval_pair(Simulation(config(**change)))
+    STREAM_MEMO.clear()
+    first = eval_pair(Simulation(config()))
+    warm = eval_pair(Simulation(config(**change)))
+    assert warm == cold != first
+    assert len(reference_calls) == 3  # the warm memo gave the changed cell nothing
+    assert sum(len(table) for table in eval_tables().values()) == 2
+
+
+@pytest.mark.parametrize("objective", [MLP_TASK, QUAD], ids=lambda obj: obj["kind"])
+def test_a_kept_eval_batch_is_read_only(objective):
+    config = RunConfig.from_dict({**RANKING_BASE, "objective": objective, "rounds": 2, "method": "cgad",
+                                  "delay": {"kind": "fixed", "tau": 0}})
+    first, second = Simulation(config), Simulation(config)
+    batch = second.eval_batch
+    assert batch is first.eval_batch and eval_tables()
+    for part in batch if isinstance(batch, tuple) else (batch,):
+        with pytest.raises(ValueError, match="read-only"):
+            part[0, 0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            np.multiply(part, 2.0, out=part)
+
+
+def test_a_budget_too_small_for_the_eval_entry_keeps_nothing_and_moves_no_byte(monkeypatch, reference_calls):
+    _, config = expand_sweep(RANKING_SPEC)[-1]
+    assert config.delay["kind"] == "uniform_int"
+    want = digest(config)
+    monkeypatch.setattr(STREAM_MEMO, "budget", 18 * 1024)  # the ranking eval pair takes 18,440 bytes
+    STREAM_MEMO.clear()
+    del reference_calls[:]
+    assert [digest(config), digest(config)] == [want, want]
+    assert len(reference_calls) == 2 and not any(eval_tables().values())
+    assert 0 < STREAM_MEMO.used <= STREAM_MEMO.budget  # the delays still fit
