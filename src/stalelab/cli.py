@@ -1,4 +1,9 @@
-"""Command-line surface: run, sweep, gate-table, verify."""
+"""Command-line surface: run, sweep, gate-table, verify.
+
+A command loads only what it runs: the `verify` suite is imported by the
+`verify` command, and the process pool by a sweep at `--jobs` > 1 (see
+`harness`).
+"""
 
 from __future__ import annotations
 
@@ -13,7 +18,6 @@ from pathlib import Path
 from .config import ConfigError, RunConfig
 from .gate import StalenessGate, cosine_gate, staleness_weight
 from .harness import format_summary_table, run_sweep, run_to_file
-from .verify import run_all_checks
 
 
 def _make_out_dir(out: str) -> bool:
@@ -88,10 +92,16 @@ def _cmd_gate_table(args) -> int:
             return 2
         tau_max = int(tau_max)
 
+    try:  # before any row is printed, so a bad --out leaves no half table
+        table = open(args.out, "w", newline="", encoding="utf-8") if args.out else contextlib.nullcontext()
+    except OSError as exc:
+        print(f"error: cannot write table {args.out}: {exc}", file=sys.stderr)
+        return 2
+
     header = f"{'tau':>5} {'cosine':>12} {'exp':>12} {'sigma':>12} {'tau*sigma':>12} {'running_max':>12}"
     print(header)
     print("-" * len(header))
-    with open(args.out, "w", newline="", encoding="utf-8") if args.out else contextlib.nullcontext() as fh:
+    with table as fh:
         writer = csv.writer(fh) if fh else None
         if writer:
             writer.writerow(["tau", "cosine", "exp", "sigma", "tau_sigma", "running_max"])
@@ -113,6 +123,8 @@ def _cmd_gate_table(args) -> int:
 
 
 def _cmd_verify(_args) -> int:
+    from .verify import run_all_checks
+
     ok = run_all_checks()
     print("verify: ALL CHECKS PASSED" if ok else "verify: CHECKS FAILED")
     return 0 if ok else 1

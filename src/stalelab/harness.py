@@ -14,10 +14,13 @@ stacked phase that draws each batch once; every cell gives the bytes it
 gives alone, and its file is written as it ends. A pool child that
 dies breaks the pool and fails every cell of the bundles still in it;
 those cells are resubmitted once, one cell per bundle, to a fresh pool of
-the same size, and a cell that breaks that pool too is tried alone in a
-single-worker pool, so only a cell that kills its own pool stays an error
-(and a rerun resumes it). The summary is always recomputed from the files
-on disk, never from in-process state.
+at most `jobs` workers, and a cell that breaks that pool too is tried alone
+in a single-worker pool, so only a cell that kills its own pool stays an
+error (and a rerun resumes it). A pool starts no more workers than it has
+bundles, and the process pool modules (`concurrent.futures.process`,
+`multiprocessing`) load only when a sweep at jobs > 1 starts its first
+pool. The summary is always recomputed from the files on disk, never from
+in-process state.
 """
 
 from __future__ import annotations
@@ -25,8 +28,6 @@ from __future__ import annotations
 import csv
 import json
 import os
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -266,14 +267,16 @@ def _bundle_errors(bundle: list, errors: list[str | None]) -> list[str]:
 
 
 def _pool_pass(bundles: list[list], out: Path, workers: int) -> tuple[list[str], list]:
-    """Run bundles of cells in one process pool.
+    """Run bundles of cells in one process pool of min(workers, len(bundles)) processes.
 
     Returns (per-cell error messages, the (desc, cfg) cells a dead pool
     child failed: those of its own bundle and of every bundle still queued
     behind it).
     """
+    from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor  # here: most runs start no pool
+
     errors, broken = [], []
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    with ProcessPoolExecutor(max_workers=min(workers, len(bundles))) as pool:
         futures = [(bundle, pool.submit(_run_cell, [cfg.resolved for _, cfg in bundle], str(out)))
                    for bundle in bundles]
         for bundle, fut in futures:

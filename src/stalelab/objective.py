@@ -176,6 +176,7 @@ class QuadraticObjective(LinearNoiseObjective):
         self.matrix = 0.5 * (a + a.T)  # symmetrize away qr round-off
         self.minimizer = rng.standard_normal(self.dimension)
         self.smoothness = float(self.eigenvalues[-1])
+        _read_only(self.eigenvalues, self.matrix, self.minimizer)
 
     def init_params(self, seed: int) -> np.ndarray:
         rng = np.random.default_rng(seed)
@@ -246,9 +247,9 @@ class MlpRegressionObjective(Objective):
             self._offsets.append((pos, pos + fan_out * fan_in, pos + fan_out * fan_in + fan_out))
             pos = self._offsets[-1][2]
         rng = np.random.default_rng(derive_seed(self.teacher_seed, "mlp-teacher"))
-        self.teacher_params = self._draw_params(rng, self.teacher_scale)
+        self.teacher_params = _read_only(self._draw_params(rng, self.teacher_scale))
         self._unpacked: dict[int, tuple] = {}  # id -> (buffer, shape, its views); see _views
-        self._teacher_layers = self.unpack(self.teacher_params)  # views, unpacked once for every batch
+        self._teacher_layers = self.unpack(self.teacher_params)  # read-only views, unpacked once for every batch
 
     def _draw_params(self, rng: np.random.Generator, scale: float) -> np.ndarray:
         chunks = []
@@ -341,6 +342,13 @@ class MlpRegressionObjective(Objective):
                 np.multiply(act, act, out=act)
                 dz *= np.subtract(1.0, act, out=act)  # tanh'(z) = 1 - tanh(z)^2
         return loss, grad
+
+
+def _read_only(*arrays: np.ndarray) -> np.ndarray:
+    """Mark arrays read-only, so an objective shared by many runs cannot be written; returns the first."""
+    for array in arrays:
+        array.flags.writeable = False
+    return arrays[0]
 
 
 def _mlp_batch(batch) -> tuple[np.ndarray, np.ndarray]:

@@ -14,9 +14,10 @@ skipped.
 
 `STREAM_MEMO` keeps, per process and within a byte budget, what cells of
 a sweep draw alike: a linear-noise batch's mean row and a delay by their
-seed-table row, and a run's eval batch with its reference loss by its
-eval seed, each also keyed by every config value its draw reads. A warm
-memo gives the bytes of a cold one.
+seed-table row, a run's eval batch with its reference loss by its eval
+seed, and a run's objective by no row at all, each also keyed by every
+config value its draw reads. Each is built on the first cell that asks
+for it; a warm memo gives the bytes of a cold one.
 """
 
 from __future__ import annotations
@@ -157,9 +158,10 @@ class StreamMemo:
     """Draws from seed rows, kept by (params, row bytes) while the kept bytes (the row's bytes
     plus nbytes per value) fit the budget; params hold every value the draw reads besides the row.
 
-    A row is a seed-table row (a batch's mean noise row, a delay) or a run's eval seed as one
-    uint64 (its eval batch and reference loss, whose arrays the draw makes read-only, since every
-    cell with that key reads the same ones)."""
+    A row is a seed-table row (a batch's mean noise row, a delay), a run's eval seed as one
+    uint64 (its eval batch and reference loss), or empty (an objective, which its params alone
+    decide). The arrays of an eval pair or an objective are read-only, since every cell with
+    that key reads the same ones."""
 
     def __init__(self, budget: int):
         self.budget, self.used, self.tables = budget, 0, {}

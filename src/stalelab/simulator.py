@@ -24,11 +24,12 @@ One outer round does, in order:
 3. fragment ages reset to 0 where selected, else grow by 1;
 4. the global params are evaluated on a fixed held-out batch.
 
-The eval batch and the reference loss (the mean loss of 32 fresh inits
-on it, which the divergence rule reads) depend only on the resolved
-objective, the eval batch size and the eval seed. A process draws each
-such pair once, read-only, in `seeding.STREAM_MEMO`, and every run with
-that key reads it.
+A run's objective depends only on its resolved objective config, and its
+eval batch and reference loss (the mean loss of 32 fresh inits on it,
+which the divergence rule reads) only on that, the eval batch size and the
+eval seed. A process builds each objective and draws each such pair once,
+on the first run that asks for it, and keeps it read-only in
+`seeding.STREAM_MEMO`; every run with that key reads the same instance.
 
 Runs can step in lockstep (`run_lockstep`): round-major, every live run
 stepping round r before any steps round r + 1. The B runs of a round whose
@@ -265,6 +266,14 @@ def _parts(batch) -> tuple:
     return batch if isinstance(batch, tuple) else (batch,)
 
 
+_NO_ROW = np.zeros(0, dtype=np.uint8)  # the stream memo row of a draw its params alone decide
+
+
+def _array_nbytes(obj: Objective) -> int:
+    """Bytes of the arrays an objective holds (views of them excluded)."""
+    return sum(value.nbytes for value in vars(obj).values() if isinstance(value, np.ndarray))
+
+
 def _eval_nbytes(drawn: tuple) -> int:
     """Bytes of a kept (eval batch, reference loss) pair."""
     return sum(part.nbytes for part in _parts(drawn[0])) + 8
@@ -344,7 +353,10 @@ class Simulation:
     def __init__(self, config: RunConfig):
         self.config = config
         self.row = method_row(config.method)
-        self.obj = make_objective(config.objective)
+        # every value make_objective reads, so the cells that share them share one read-only objective
+        objective = json.dumps(config.objective, sort_keys=True)
+        self.obj = STREAM_MEMO.draw(("objective", objective), _NO_ROW, lambda _: make_objective(config.objective),
+                                    _array_nbytes)
         dim = self.obj.dim
         master = config.master_seed
         self.global_params = self.obj.init_params(derive_seed(master, "init"))
@@ -352,7 +364,7 @@ class Simulation:
         self.workers = [Shard.for_worker(master, w, config.batch_size) for w in range(config.workers)]
         self.delay = DelaySchedule(seed=derive_seed(master, "delay"), **config.delay)
         # every value the eval pair reads, so the cells that share them share one read-only pair
-        eval_params = ("eval", json.dumps(config.objective, sort_keys=True), config.eval_batch_size)
+        eval_params = ("eval", objective, config.eval_batch_size)
         eval_seed = np.array([derive_seed(master, "eval")], dtype=np.uint64)
         self.eval_batch, self.reference_loss = STREAM_MEMO.draw(eval_params, eval_seed, self._draw_eval,
                                                                 _eval_nbytes)

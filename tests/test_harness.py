@@ -3,10 +3,14 @@ import json
 import math
 import multiprocessing
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import stalelab
 import stalelab.cli as cli_mod
 import stalelab.verify as verify_mod
 from stalelab.cli import main as cli_main
@@ -394,6 +398,24 @@ class TestSweeps:
         parallel = {p.name: p.read_bytes() for p in parallel_dir.glob("*_s*.json")}
         assert serial == parallel
 
+    @pytest.mark.parametrize("seeds,jobs,sizes", [([0], 4, [1]), ([0, 1, 2], 2, [2])])
+    def test_a_pool_starts_no_more_workers_than_its_bundles(self, tmp_path, monkeypatch, seeds, jobs, sizes):
+        import concurrent.futures.process as pool_mod
+
+        started = []
+
+        class RecordedPool(pool_mod.ProcessPoolExecutor):
+            def __init__(self, max_workers=None, **kwargs):
+                started.append(max_workers)
+                super().__init__(max_workers=max_workers, **kwargs)
+
+        monkeypatch.setattr(pool_mod, "ProcessPoolExecutor", RecordedPool)
+        spec = sweep_spec()
+        spec["axes"] = {"seed": seeds}  # one quadratic cell per seed, each a bundle of its own
+        rows, errors = run_sweep(spec, tmp_path, jobs=jobs, log=lambda *_: None)
+        assert errors == [] and started == sizes
+        assert len(list(tmp_path.glob("*_s*.json"))) == len(seeds)
+
     def test_failed_cells_are_reported_and_marked_missing(self, tmp_path, monkeypatch):
         import stalelab.harness as harness_mod
 
@@ -633,6 +655,23 @@ class TestCli:
         assert cli_main(["gate-table", *argv]) == 2
         captured = capsys.readouterr()
         assert message in captured.err and captured.out == ""
+
+    @pytest.mark.parametrize("where", ["directory", "missing parent"])
+    def test_gate_table_unwritable_out_fails_before_printing(self, tmp_path, capsys, where):
+        out = tmp_path if where == "directory" else tmp_path / "missing" / "table.csv"
+        assert cli_main(["gate-table", "--alpha", "0.2", "--tau-max", "4", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: cannot write table {out}: ") and captured.out == ""
+        assert list(tmp_path.iterdir()) == []
+
+    def test_import_loads_no_process_pool_or_verify_suite(self):
+        probe = ("import sys, stalelab, stalelab.cli; "
+                 "print(sorted(m for m in sys.modules if m.split('.')[0] == 'multiprocessing' "
+                 "or m in ('concurrent.futures.process', 'stalelab.verify')))")
+        src = str(Path(stalelab.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+        done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True)
+        assert done.stdout.strip() == "[]"
 
     def test_gate_table_csv(self, tmp_path):
         out_csv = tmp_path / "table.csv"

@@ -266,3 +266,112 @@ def test_a_budget_too_small_for_the_eval_entry_keeps_nothing_and_moves_no_byte(m
     assert [digest(config), digest(config)] == [want, want]
     assert len(reference_calls) == 2 and not any(eval_tables().values())
     assert 0 < STREAM_MEMO.used <= STREAM_MEMO.budget  # the delays still fit
+
+
+@pytest.fixture
+def objective_calls(monkeypatch):
+    """The objective specs `Simulation` builds an objective for, in call order."""
+    calls, real = [], sim_mod.make_objective
+
+    def counted(spec):
+        calls.append(spec)
+        return real(spec)
+
+    monkeypatch.setattr(sim_mod, "make_objective", counted)
+    return calls
+
+
+def objective_tables() -> dict:
+    return {params: table for params, table in STREAM_MEMO.tables.items()
+            if isinstance(params, tuple) and params[0] == "objective"}
+
+
+def run_bytes(result) -> tuple[str, bytes]:
+    return serialize_result(result), result.trace.records.tobytes()
+
+
+@pytest.mark.parametrize("spec,seed", [(FRAGMENT_SPEC, None), (RANKING_SPEC, 1)], ids=["fragment_matrix", "ranking"])
+def test_cells_with_one_objective_build_it_once(spec, seed, objective_calls):
+    configs = [config for cell, config in expand_sweep(spec) if seed is None or cell["seed_value"] == seed]
+    sims = [Simulation(config) for config in configs]
+    assert len(sims) == (20 if seed is None else 6) and len(objective_calls) == 1
+    assert all(sim.obj is sims[0].obj for sim in sims)
+
+
+@pytest.mark.warm_stream_memo
+@pytest.mark.parametrize("spec", [RANKING_SPEC, FRAGMENT_SPEC], ids=["ranking", "fragment_matrix"])
+def test_a_shared_objective_gives_every_cell_its_cold_json_and_trace(spec, objective_calls):
+    configs = [config for _, config in expand_sweep(spec)]
+    cold = []
+    for config in configs:
+        STREAM_MEMO.clear()
+        cold.append(run_bytes(run_experiment(config)))
+    STREAM_MEMO.clear()
+    del objective_calls[:]
+    assert [run_bytes(run_experiment(config)) for config in configs] == cold
+    stepped = dict(sim_mod.run_lockstep([Simulation(config) for config in configs]))  # one instance, stacked
+    assert [run_bytes(stepped[i]) for i in range(len(configs))] == cold
+    assert len(objective_calls) == 1
+
+
+def objective_state(obj) -> dict:
+    """An objective's public attributes, arrays as bytes."""
+    return {name: value.tobytes() if isinstance(value, np.ndarray) else value
+            for name, value in vars(obj).items() if not name.startswith("_")}
+
+
+@pytest.mark.parametrize("objective,change", [
+    (QUAD, {"dimension": 13}),
+    (QUAD, {"spectrum_lo": 1.0}),
+    (QUAD, {"spectrum_hi": 3.0}),
+    (QUAD, {"rotation_seed": 6}),
+    (QUAD, {"noise_scale": 0.5}),
+    (QUAD, {"init_scale": 0.5}),
+    (MLP_TASK, {"layer_sizes": [8, 16, 1]}),
+    (MLP_TASK, {"teacher_seed": 18}),
+    (MLP_TASK, {"teacher_scale": 0.5}),
+    (MLP_TASK, {"init_scale": 0.5}),
+], ids=lambda value: "-".join(value) if "kind" not in value else value["kind"])
+def test_cells_that_differ_in_an_objective_key_share_no_objective(objective, change, objective_calls):
+    def config(**overrides):
+        return RunConfig.from_dict({**RANKING_BASE, "objective": {**objective, **overrides}, "rounds": 2,
+                                    "method": "cgad", "delay": {"kind": "fixed", "tau": 0}})
+
+    cold = Simulation(config(**change))
+    STREAM_MEMO.clear()
+    first = Simulation(config())
+    warm = Simulation(config(**change))
+    assert warm.obj is not first.obj
+    assert objective_state(warm.obj) == objective_state(cold.obj) != objective_state(first.obj)
+    assert warm.global_params.tobytes() == cold.global_params.tobytes()
+    assert len(objective_calls) == 3  # the warm memo gave the changed cell nothing
+    assert sum(len(table) for table in objective_tables().values()) == 2
+
+
+@pytest.mark.parametrize("objective", [MLP_TASK, QUAD], ids=lambda obj: obj["kind"])
+def test_a_kept_objective_is_read_only(objective):
+    config = RunConfig.from_dict({**RANKING_BASE, "objective": objective, "rounds": 2, "method": "cgad",
+                                  "delay": {"kind": "fixed", "tau": 0}})
+    first, second = Simulation(config), Simulation(config)
+    obj = second.obj
+    assert obj is first.obj and objective_tables()
+    if objective["kind"] == "quadratic":
+        arrays = [obj.matrix, obj.minimizer, obj.eigenvalues]
+    else:
+        arrays = [obj.teacher_params, *(view for layer in obj._teacher_layers for view in layer)]
+    for array in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            array[(0,) * array.ndim] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            np.multiply(array, 2.0, out=array)
+
+
+def test_a_budget_too_small_for_the_objective_keeps_none_and_moves_no_byte(monkeypatch, objective_calls):
+    _, config = expand_sweep(FRAGMENT_SPEC)[-1]
+    want = run_bytes(run_experiment(config))
+    monkeypatch.setattr(STREAM_MEMO, "budget", 32 * 1024)  # the dim-64 quadratic holds 33,792 array bytes
+    STREAM_MEMO.clear()
+    del objective_calls[:]
+    assert [run_bytes(run_experiment(config)) for _ in range(2)] == [want, want]
+    assert len(objective_calls) == 2 and not any(objective_tables().values())
+    assert 0 < STREAM_MEMO.used <= STREAM_MEMO.budget  # the noise rows and delays still fit
