@@ -3,7 +3,11 @@
 Configs are plain JSON with an explicit schema version. Validation is
 strict (unknown keys are errors, all problems reported with field paths)
 and resolution fills every default, so two configs that mean the same
-thing canonicalize to the same dict and hash to the same digest. The
+thing canonicalize to the same dict and hash to the same digest. Each key
+is declared once, with its default and range, as a `schema.key` field of
+the type it configures: the top-level keys on `RunConfig`, each section's
+on `OuterConfig`, `InnerConfig`, `DelaySchedule` or its objective class
+(`fragments` aside). Code past resolution reads only resolved values. The
 config hash excludes the master seed: a result file is named by
 (hash, seed) and the hash identifies the experimental cell.
 """
@@ -18,7 +22,7 @@ from typing import Any
 
 from .objective import _OBJECTIVES, mlp_dim
 from .optim import DEFAULT_ALPHA, DEFAULT_TAU_CUT, METHOD_TABLE, METHODS, InnerConfig, OuterConfig
-from .schema import Checker, resolve_fields
+from .schema import Checker, check_fields, key, resolve_fields
 from .seeding import derive_seed
 from .simulator import DelaySchedule
 
@@ -51,13 +55,34 @@ def config_hash(resolved: dict) -> str:
     return hashlib.sha256(canonical_json(hashed).encode("utf-8")).hexdigest()
 
 
-def _resolve_objective(raw: dict, chk: Checker) -> tuple[dict, int | None]:
+def _section(raw: dict, name: str, chk: Checker, required: bool = False) -> dict | None:
+    """The JSON object raw[name], {} when an optional section is absent.
+
+    A non-object or a missing required section is reported and resolves
+    as {}, or as None when required (so its keys are not reported too).
+    """
+    value = raw.get(name, None if required else {})
+    if isinstance(value, dict):
+        return value
+    chk.error(name, "expected a JSON object" if name in raw else "missing required key")
+    return None if required else {}
+
+
+def _kind(raw: dict | None, section: str, kinds, chk: Checker) -> str | None:
+    """The section's kind; None, reported, when the section or its kind is missing or invalid."""
+    if raw is None:
+        return None
+    kind = chk.choice(raw, "kind", section, kinds)
+    if kind is None and "kind" not in raw:
+        chk.error(f"{section}.kind", "missing required key")
+    return kind
+
+
+def _resolve_objective(raw: dict | None, chk: Checker) -> tuple[dict | None, int | None]:
     """The resolved objective and its parameter dimension (None when invalid)."""
-    kind = chk.choice(raw, "kind", "objective", _OBJECTIVES)
+    kind = _kind(raw, "objective", _OBJECTIVES, chk)
     if kind is None:
-        if "kind" not in raw:
-            chk.error("objective.kind", "missing required key")
-        return dict(raw), None
+        return None, None
     out = {"kind": kind, **resolve_fields(_OBJECTIVES[kind], raw, "objective", chk, allowed={"kind"})}
     if kind == "mlp_regression":
         return out, None if out["layer_sizes"] is None else mlp_dim(out["layer_sizes"])
@@ -67,12 +92,10 @@ def _resolve_objective(raw: dict, chk: Checker) -> tuple[dict, int | None]:
     return out, out["dimension"]
 
 
-def _resolve_delay(raw: dict, chk: Checker) -> dict:
-    kind = chk.choice(raw, "kind", "delay", DelaySchedule.KEYS)
+def _resolve_delay(raw: dict | None, chk: Checker) -> dict | None:
+    kind = _kind(raw, "delay", DelaySchedule.KEYS, chk)
     if kind is None:
-        if "kind" not in raw:
-            chk.error("delay.kind", "missing required key")
-        return dict(raw)
+        return None
     out = {"kind": kind, **resolve_fields(DelaySchedule, raw, "delay", chk, keys=DelaySchedule.KEYS[kind],
                                           allowed={"kind"})}
     if kind == "uniform_int" and out["lo"] is not None and out["hi"] is not None and out["lo"] > out["hi"]:
@@ -108,100 +131,66 @@ def resolve_config(raw: dict) -> dict:
     Raises ConfigError listing every problem with its field path.
     Resolution is idempotent: resolving a resolved dict is a no-op.
     """
-    chk = Checker()
     if not isinstance(raw, dict):
         raise ConfigError(["config: expected a JSON object"])
-    chk.require_keys(
-        raw, "",
-        {"version", "objective", "method", "delay"},
-        {"workers", "inner_steps", "rounds", "batch_size", "eval_batch_size",
-         "outer", "inner", "fragments", "quantize_queue", "master_seed"},
-    )
-    version = chk.num(raw, "version", "", integer=True)
-    if version is not None and version != CONFIG_VERSION:
-        chk.error("version", f"unsupported config version {version}; this build reads {CONFIG_VERSION}")
-
-    method = chk.choice(raw, "method", "", set(METHODS))
-    objective, dim = None, None
-    if isinstance(raw.get("objective"), dict):
-        objective, dim = _resolve_objective(raw["objective"], chk)
-    if objective is None and "objective" in raw:
-        chk.error("objective", "expected a JSON object")
-    delay = _resolve_delay(raw.get("delay", {}), chk) if isinstance(raw.get("delay"), dict) else None
-    if delay is None and "delay" in raw:
-        chk.error("delay", "expected a JSON object")
-
-    outer_raw = raw.get("outer", {})
-    if not isinstance(outer_raw, dict):
-        chk.error("outer", "expected a JSON object")
-        outer_raw = {}
-    inner_raw = raw.get("inner", {})
-    if not isinstance(inner_raw, dict):
-        chk.error("inner", "expected a JSON object")
-        inner_raw = {}
-    outer = _resolve_outer(outer_raw, method, chk) if method else dict(outer_raw)
-    inner = resolve_fields(InnerConfig, inner_raw, "inner", chk)
-
-    frag_raw = raw.get("fragments", {})
-    if not isinstance(frag_raw, dict):
-        chk.error("fragments", "expected a JSON object")
-        frag_raw = {}
-    chk.require_keys(frag_raw, "fragments", set(), {"count", "budget"})
-    frag_count = chk.num(frag_raw, "count", "fragments", integer=True, lo=1, default=1)
-    frag_budget = chk.num(frag_raw, "budget", "fragments", integer=True, lo=1, default=frag_count)
-    if frag_count is not None and frag_budget is not None and frag_budget > frag_count:
-        chk.error("fragments.budget", f"must be <= fragments.count ({frag_count}), got {frag_budget}")
-    if dim is not None and frag_count is not None and frag_count > dim:
-        chk.error("fragments.count", f"must be <= parameter dimension ({dim}), got {frag_count}")
-
-    resolved = {
-        "version": CONFIG_VERSION,
-        "objective": objective,
-        "workers": chk.num(raw, "workers", "", integer=True, lo=1, default=4),
-        "inner_steps": chk.num(raw, "inner_steps", "", integer=True, lo=1, default=8),
-        "rounds": chk.num(raw, "rounds", "", integer=True, lo=1, default=200),
-        "batch_size": chk.num(raw, "batch_size", "", integer=True, lo=1, default=32),
-        "eval_batch_size": chk.num(raw, "eval_batch_size", "", integer=True, lo=1, default=256),
-        "method": method,
-        "outer": outer,
-        "inner": inner,
-        "delay": delay,
-        "fragments": {"count": frag_count, "budget": frag_budget},
-        "quantize_queue": chk.boolean(raw, "quantize_queue", "", default=False),
-        "master_seed": chk.num(raw, "master_seed", "", integer=True, default=0),
-    }
+    chk = Checker()
+    top = resolve_fields(RunConfig, raw, "", chk, allowed={"objective", "outer", "inner", "delay", "fragments"})
+    if top["version"] is not None and top["version"] != CONFIG_VERSION:
+        chk.error("version", f"unsupported config version {top['version']}; this build reads {CONFIG_VERSION}")
+    objective, dim = _resolve_objective(_section(raw, "objective", chk, required=True), chk)
+    delay = _resolve_delay(_section(raw, "delay", chk, required=True), chk)
+    outer_raw = _section(raw, "outer", chk)
+    outer = _resolve_outer(outer_raw, top["method"], chk) if top["method"] else outer_raw
+    inner = resolve_fields(InnerConfig, _section(raw, "inner", chk), "inner", chk)
+    frag = _section(raw, "fragments", chk)
+    chk.require_keys(frag, "fragments", set(), {"count", "budget"})
+    count = chk.num(frag, "count", "fragments", integer=True, lo=1, default=1)
+    budget = chk.num(frag, "budget", "fragments", integer=True, lo=1, default=count)
+    if count is not None and budget is not None and budget > count:
+        chk.error("fragments.budget", f"must be <= fragments.count ({count}), got {budget}")
+    if dim is not None and count is not None and count > dim:
+        chk.error("fragments.count", f"must be <= parameter dimension ({dim}), got {count}")
     if chk.errors:
         raise ConfigError(chk.errors)
-    return resolved
+    return {**top, "objective": objective, "outer": outer, "inner": inner, "delay": delay,
+            "fragments": {"count": count, "budget": budget}}
 
 
-@dataclass
+@dataclass(kw_only=True)
 class RunConfig:
     """Fully validated run description; the unit the simulator executes.
 
     One field per key of the resolved config, with `outer` and `inner`
-    built into their config objects, plus `resolved` itself.
+    built into their config objects, plus `resolved` itself. Each
+    top-level key is a `schema.key` field here, as each section's keys
+    are fields of the type they configure (`fragments` aside).
     """
 
     resolved: dict
-    version: int
+    version: int = key(integer=True)  # resolve_config also requires CONFIG_VERSION
     objective: dict
-    workers: int
-    inner_steps: int
-    rounds: int
-    batch_size: int
-    eval_batch_size: int
-    method: str
+    workers: int = key(4, integer=True, lo=1)
+    inner_steps: int = key(8, integer=True, lo=1)
+    rounds: int = key(200, integer=True, lo=1)
+    batch_size: int = key(32, integer=True, lo=1)
+    eval_batch_size: int = key(256, integer=True, lo=1)
+    method: str = key(choices=METHODS)
     outer: OuterConfig
     inner: InnerConfig
     delay: dict
     fragments: dict
-    quantize_queue: bool
-    master_seed: int
+    quantize_queue: bool = key(False, valid=lambda v: isinstance(v, bool), expected="true/false")
+    master_seed: int = key(0, integer=True)
+
+    def __post_init__(self):
+        check_fields(self)
 
     @classmethod
     def from_dict(cls, raw: dict) -> "RunConfig":
-        resolved = resolve_config(raw)
+        return cls._from_resolved(resolve_config(raw))
+
+    @classmethod
+    def _from_resolved(cls, resolved: dict) -> "RunConfig":
         o = resolved["outer"]  # its keys are for_method's keyword arguments, as inner's are InnerConfig's
         tau_cut = math.inf if o["tau_cut"] is None else o["tau_cut"]
         outer = OuterConfig.for_method(resolved["method"], **{**o, "tau_cut": tau_cut})
@@ -226,10 +215,11 @@ def _set_path(d: dict, dotted: str, value):
 def expand_sweep(spec: dict) -> list[tuple[dict, RunConfig]]:
     """Expand a sweep spec into (cell description, RunConfig) pairs.
 
-    Axes are crossed in their listed order. The "seed" axis maps each value
-    to a derived master seed (digest of the base seed and the value), so
-    adding or reordering other axes never reshuffles a cell's randomness,
-    and the same seed value pairs runs across methods. Every cell is
+    Axes are crossed in their listed order. The "seed" axis maps each
+    integer value to a derived master seed (digest of the cell's resolved
+    master seed and the value), so adding or reordering other axes never
+    reshuffles a cell's randomness, and the same seed value pairs runs
+    across methods. Every cell is
     validated before anything runs, and two cells with the same config
     hash and master seed (one result file) are rejected.
     """
@@ -251,6 +241,9 @@ def expand_sweep(spec: dict) -> list[tuple[dict, RunConfig]]:
     for name, values in axes.items():
         if not isinstance(values, list) or not values:
             chk.error(f"axes.{name}", "expected a non-empty list")
+    if isinstance(axes.get("seed"), list):
+        for value in axes["seed"]:
+            chk.num({"seed": value}, "seed", "axes", integer=True)
     if chk.errors:
         raise ConfigError(chk.errors)
 
@@ -262,26 +255,24 @@ def expand_sweep(spec: dict) -> list[tuple[dict, RunConfig]]:
     def rec(idx: int, assignment: dict):
         if idx == len(names):
             raw = json.loads(json.dumps(base))
-            seed_val = None
+            seed_val = int(assignment["seed"]) if "seed" in assignment else None  # an integer, checked above
             for name, value in assignment.items():
-                if name == "seed":
-                    seed_val = value
-                else:
+                if name != "seed":
                     _set_path(raw, name, value)
-            if seed_val is not None:
-                base_master = raw.get("master_seed", 0)
-                raw["master_seed"] = derive_seed(base_master, "seed", seed_val)
             label = canonical_json(assignment)
             try:
-                cfg = RunConfig.from_dict(raw)
+                resolved = resolve_config(raw)
             except ConfigError as exc:
                 errors.extend(f"cell {label} -> {e}" for e in exc.errors)
                 return
-            key = (cfg.hash, cfg.master_seed)
-            if key in labels:
-                errors.append(f"cell {label} -> same config hash and master seed as cell {labels[key]}")
+            if seed_val is not None:
+                resolved["master_seed"] = derive_seed(resolved["master_seed"], "seed", seed_val)
+            cfg = RunConfig._from_resolved(resolved)
+            file_id = (cfg.hash, cfg.master_seed)
+            if file_id in labels:
+                errors.append(f"cell {label} -> same config hash and master seed as cell {labels[file_id]}")
                 return
-            labels[key] = label
+            labels[file_id] = label
             cells.append(({"assignment": assignment, "seed_value": seed_val}, cfg))
             return
         for value in axes[names[idx]]:

@@ -301,8 +301,8 @@ def run_sweep(
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    cells = expand_sweep(spec)
-    jobs = resolve_jobs(jobs, spec.get("jobs"))
+    cells = expand_sweep(spec)  # checks that spec "jobs" is an integer >= 1; it may be written 2.0
+    jobs = resolve_jobs(jobs, int(spec["jobs"]) if "jobs" in spec else None)
 
     todo = []
     done: dict[Path, dict] = {}

@@ -40,10 +40,11 @@ class Checker:
         if isinstance(val, bool) or not isinstance(val, numbers.Real):
             self.error(full, f"expected a number, got {val!r}")
             return default
-        if not isinstance(val, numbers.Integral) and not math.isfinite(val):  # json.load reads NaN and Infinity
+        integral = isinstance(val, numbers.Integral)
+        if not integral and not math.isfinite(val):  # json.load reads NaN and Infinity
             self.error(full, f"must be finite, got {val}")
             return default
-        if integer and not (isinstance(val, numbers.Integral) or float(val).is_integer()):
+        if integer and not (integral or float(val).is_integer()):
             self.error(full, f"expected an integer, got {val!r}")
             return default
         if lo is not None and (val <= lo if lo_open else val < lo):
@@ -69,15 +70,6 @@ class Checker:
             self.error(f"{path}.{key}" if path else key, f"expected {expected}, got {d[key]!r}")
             return default
         return d.get(key, default)
-
-    def boolean(self, d, key, path, default=False):
-        if key not in d:
-            return default
-        val = d[key]
-        if not isinstance(val, bool):
-            self.error(f"{path}.{key}" if path else key, f"expected true/false, got {val!r}")
-            return default
-        return val
 
 
 def key(default=MISSING, *, required=False, **spec) -> Field:

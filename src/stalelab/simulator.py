@@ -133,7 +133,7 @@ class DelaySchedule:
             return f"fixed:{self.tau}"
         if self.kind == "uniform_int":
             return f"uniform:{self.lo}-{self.hi}"
-        return f"exp:{self.rate}"
+        return f"exp:{self.rate}/{self.tau_max}"
 
 
 def delay_seeds(schedule: DelaySchedule, workers: int, rounds: range) -> np.ndarray:

@@ -37,7 +37,7 @@ __all__ = ["TheoryInputs", "max_tau_sigma", "bound_terms", "trace_stats", "audit
 
 @dataclass(frozen=True)
 class TheoryInputs:
-    """Constants feeding the bound: all positive, horizon a positive integer."""
+    """Constants feeding the bound: all positive and finite, horizon a positive integer."""
 
     l_smooth: float
     grad_bound: float
@@ -48,8 +48,8 @@ class TheoryInputs:
 
     def __post_init__(self):
         for name in ("l_smooth", "grad_bound", "sigma_sq", "step_const", "f_gap"):
-            if not (getattr(self, name) > 0.0):
-                raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
+            if not (0.0 < getattr(self, name) < math.inf):
+                raise ValueError(f"{name} must be finite and > 0, got {getattr(self, name)}")
         if not (isinstance(self.horizon, int) and self.horizon >= 1):
             raise ValueError(f"horizon must be an integer >= 1, got {self.horizon}")
 
@@ -153,17 +153,20 @@ def audit_run(trace: Trace) -> dict:
         # Python max, not np.max: a NaN norm after params went non-finite is skipped, not propagated
         g_est = math.sqrt(max(grad_norm_sq.tolist()))
         sigma_sq_est = max(records["delta_norm_sq"].tolist())
+        horizon = len(records)
+        c = eta * math.sqrt(horizon)
         if (
             trace.l_smooth is not None
             and trace.f_gap is not None
-            and trace.f_gap > 0.0
             and gate.alpha > 0.0
-            # TheoryInputs needs both > 0; sigma^2 is 0 when every pseudo-gradient rounds to 0
-            and g_est > 0.0
-            and sigma_sq_est > 0.0
+            # TheoryInputs needs these finite and > 0: sigma^2 is 0 when every pseudo-gradient
+            # rounds to 0, and a bound with an inf constant (a diverged run's G, or c from a
+            # huge eta) bounds nothing
+            and 0.0 < trace.f_gap < math.inf
+            and 0.0 < g_est < math.inf
+            and 0.0 < sigma_sq_est < math.inf
+            and c < math.inf
         ):
-            horizon = len(records)
-            c = eta * math.sqrt(horizon)
             inputs = TheoryInputs(
                 l_smooth=trace.l_smooth,
                 grad_bound=g_est,

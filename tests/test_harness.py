@@ -31,6 +31,7 @@ from stalelab.harness import (
 )
 from stalelab.objective import QuadraticObjective
 from stalelab.optim import METHODS
+from stalelab.seeding import derive_seed
 from stalelab.simulator import DelaySchedule, delay_seeds, run_experiment, sample_delay
 
 
@@ -321,6 +322,7 @@ class TestSweeps:
         ({"outer.eta": [0.001, 1e-3]}, "cgad"),
         ({"seed": [0, 0]}, "cgad"),
         ({"outer.alpha": [0.0, 0]}, "adam"),
+        ({"seed": [0, 0.0]}, "cgad"),
     ])
     def test_cells_sharing_a_result_file_rejected(self, tmp_path, capsys, axes, method):
         spec = {"version": 1, "base": quad_raw(method=method), "axes": axes}
@@ -335,6 +337,30 @@ class TestSweeps:
         assert cli_main(["sweep", "--sweep", str(spec_path), "--out", str(tmp_path / "res")]) == 2
         assert message in capsys.readouterr().err
         assert list((tmp_path / "res").iterdir()) == []
+
+    def test_seed_axis_derives_from_the_resolved_base_seed(self):
+        seeds = [[cfg.master_seed for _, cfg in expand_sweep(sweep_spec(base=quad_raw(master_seed=base),
+                                                                         axes={"seed": [0, 1.0]}))]
+                 for base in (1, 1.0)]
+        assert seeds[0] == seeds[1] == [derive_seed(1, "seed", 0), derive_seed(1, "seed", 1)]
+
+    @pytest.mark.parametrize("bad", ["abc", True, 2.5])
+    def test_seed_axis_rejects_a_base_seed_a_run_rejects(self, bad):
+        with pytest.raises(ConfigError) as run:
+            resolve_config(quad_raw(master_seed=bad))
+        with pytest.raises(ConfigError) as sweep:
+            expand_sweep(sweep_spec(base=quad_raw(master_seed=bad)))
+        assert {e.split(" -> ", 1)[1] for e in sweep.value.errors} == set(run.value.errors)
+
+    @pytest.mark.parametrize("bad,message", [
+        ("abc", "expected a number, got 'abc'"),
+        (True, "expected a number, got True"),
+        (2.5, "expected an integer, got 2.5"),
+    ])
+    def test_seed_axis_values_are_integers(self, bad, message):
+        with pytest.raises(ConfigError) as exc:
+            expand_sweep(sweep_spec(axes={"seed": [0, bad]}))
+        assert exc.value.errors == [f"axes.seed: {message}"]
 
     def test_dotted_axes_apply(self):
         spec = sweep_spec()
@@ -601,6 +627,14 @@ class TestCli:
         assert rc == 0
         out = capsys.readouterr().out
         assert "summary.csv" in out and "cgad" in out and "nesterov" in out
+
+    def test_sweep_takes_spec_jobs_written_as_a_float(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.delenv("STALE_LAB_JOBS", raising=False)
+        spec_path = tmp_path / "sweep.json"
+        spec_path.write_text(json.dumps(sweep_spec(jobs=2.0, axes={"seed": [0, 1]})))  # two bundles: a pool of 2
+        assert cli_main(["sweep", "--sweep", str(spec_path), "--out", str(tmp_path / "res")]) == 0
+        assert "jobs=2" in capsys.readouterr().out
+        assert len(list((tmp_path / "res").glob("*_s*.json"))) == 2
 
     def test_sweep_rejects_a_file_as_output_directory_before_running(self, tmp_path, capsys, monkeypatch):
         spec_path = tmp_path / "sweep.json"

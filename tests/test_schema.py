@@ -52,6 +52,10 @@ def bad_values(field):
 
 def field_cases():
     """(section, key, bad value, raw config with it, constructor call with it) per declared range."""
+    for f in config_fields(RunConfig):
+        for bad in bad_values(f):
+            yield ("", f.name, bad, raw_config(**{f.name: bad}),
+                   lambda name=f.name, bad=bad: dataclasses.replace(RunConfig.from_dict(raw_config()), **{name: bad}))
     for f in config_fields(OuterConfig):
         for bad in bad_values(f):
             yield ("outer", f.name, bad, raw_config(outer={f.name: bad}),
@@ -78,19 +82,19 @@ CASES = list(field_cases())
 
 
 def test_every_declared_field_has_a_range():
-    for cls in (OuterConfig, InnerConfig, DelaySchedule, *_OBJECTIVES.values()):
+    for cls in (RunConfig, OuterConfig, InnerConfig, DelaySchedule, *_OBJECTIVES.values()):
         for f in config_fields(cls):
             assert list(bad_values(f)), f"{cls.__name__}.{f.name}"
 
 
 @pytest.mark.parametrize("section,key,bad,raw,build", CASES,
-                         ids=[f"{raw['objective']['kind'] if section == 'objective' else section}.{key}={bad!r}"
-                              for section, key, bad, raw, _ in CASES])
+                         ids=[f"{raw['objective']['kind'] if section == 'objective' else section or 'run'}"
+                              f".{key}={bad!r}" for section, key, bad, raw, _ in CASES])
 def test_resolver_and_constructor_reject_alike(section, key, bad, raw, build):
     with pytest.raises(ConfigError) as exc:
         resolve_config(raw)
     [error] = exc.value.errors
-    assert error.startswith(f"{section}.{key}: ")
+    assert error.startswith(f"{section}.{key}: " if section else f"{key}: ")
     msg = error.split(": ", 1)[1]
     with pytest.raises(ValueError) as built:
         build()
@@ -100,6 +104,9 @@ def test_resolver_and_constructor_reject_alike(section, key, bad, raw, build):
 @pytest.mark.parametrize("method", METHODS)
 def test_minimal_outer_and_inner_resolve_to_constructor_defaults(method):
     cfg = RunConfig.from_dict(raw_config(method=method))
+    top = config_fields(RunConfig)
+    defaults = {f.name: f.default for f in top} | {"version": 1, "method": method}  # the two required keys
+    assert {f.name: getattr(cfg, f.name) for f in top} == defaults
     assert cfg.outer == OuterConfig.for_method(method)
     assert InnerConfig(**cfg.resolved["inner"]) == InnerConfig()
 

@@ -107,7 +107,7 @@ class TestSampleDelay:
         sched = DelaySchedule(seed=7, **{"kind": "uniform_int", "lo": 0, "hi": 16})
         assert sched.label() == "uniform:0-16"
         sched = DelaySchedule(seed=7, **{"kind": "exponential", "rate": 0.25, "tau_max": 16})
-        assert sched.label() == "exp:0.25"
+        assert sched.label() == "exp:0.25/16"
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match=r"^DelaySchedule\.kind: expected one of .*, got 'pareto'$"):

@@ -93,6 +93,9 @@ class TestBoundTerms:
             TheoryInputs(l_smooth=0.0, grad_bound=1, sigma_sq=1, step_const=1, horizon=10, f_gap=1)
         with pytest.raises(ValueError):
             TheoryInputs(l_smooth=1, grad_bound=1, sigma_sq=1, step_const=1, horizon=0, f_gap=1)
+        for name in ("l_smooth", "grad_bound", "sigma_sq", "step_const", "f_gap"):
+            with pytest.raises(ValueError, match=rf"^{name} must be finite and > 0, got inf$"):
+                TheoryInputs(**{**vars(self.fixture_inputs()), name: math.inf})
         with pytest.raises(ValueError):
             bound_terms(self.fixture_inputs(), alpha=0.0)
 
@@ -228,6 +231,15 @@ class TestAuditOnRealRuns:
         res = run_experiment(quad_config(rounds=8, inner={"lr": 1e-20}))
         assert not res.diverged and res.applied_updates > 0
         assert res.theory["weighted_grad_norm_avg"] > 0.0 and res.theory["bound"] is None
+
+    @pytest.mark.parametrize("overrides", [
+        {"outer": {"eta": 1e300}},  # the outer step overflows: G and the weighted norm are inf
+        {"outer": {"eta": 1e308}, "delay": {"kind": "fixed", "tau": 40}, "rounds": 48},  # all dropped; c is inf
+    ])
+    def test_an_infinite_bound_constant_audits_without_a_bound(self, overrides):
+        with np.errstate(over="ignore", invalid="ignore"):
+            res = run_experiment(quad_config(**overrides))
+        assert res.theory["step_bound_violations"] == 0 and res.theory["bound"] is None
 
     def test_rho_frequency_is_measured_not_assumed(self):
         report = audit_run(run_experiment(quad_config(rounds=64)).trace)
