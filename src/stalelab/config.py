@@ -14,6 +14,7 @@ config hash excludes the master seed: a result file is named by
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import json
 import math
@@ -256,11 +257,11 @@ def expand_sweep(spec: dict) -> list[tuple[dict, RunConfig]]:
         if idx == len(names):
             raw = json.loads(json.dumps(base))
             seed_val = int(assignment["seed"]) if "seed" in assignment else None  # an integer, checked above
-            for name, value in assignment.items():
-                if name != "seed":
-                    _set_path(raw, name, value)
             label = canonical_json(assignment)
             try:
+                for name, value in assignment.items():
+                    if name != "seed":  # a copy: a later path may set inside it, and the spec stays as given
+                        _set_path(raw, name, copy.deepcopy(value))
                 resolved = resolve_config(raw)
             except ConfigError as exc:
                 errors.extend(f"cell {label} -> {e}" for e in exc.errors)

@@ -11,7 +11,9 @@ A sweep runs its cells in bundles (see `_bundles`): the cells whose inner
 phases read the same inputs run in one process, round-major
 (`simulator.run_lockstep`), and step each round's inner phases as one
 stacked phase that draws each batch once; every cell gives the bytes it
-gives alone, and its file is written as it ends. A pool child that
+gives alone, and its file is written as it ends. A bundle of one cell, and
+a lone run (`run_to_file`), is a lockstep of one: every run steps through
+the same driver. A pool child that
 dies breaks the pool and fails every cell of the bundles still in it;
 those cells are resubmitted once, one cell per bundle, to a fresh pool of
 at most `jobs` workers, and a cell that breaks that pool too is tried alone
@@ -157,25 +159,17 @@ def _failure(exc: Exception) -> str:
 
 
 def _run_cell(cells: list[dict], out_dir: str) -> list[str | None]:
-    """Child-process entry: run a bundle of resolved cells, write each cell's file as it ends,
-    and return one error or None per cell; a cell failure fails only that cell.
-
-    A lone cell runs through `run_to_file`. The cells of a larger bundle run in
-    lockstep (`run_lockstep`).
+    """Child-process entry: run a bundle of resolved cells in lockstep (`run_lockstep`), a lone
+    cell as a lockstep of one, write each cell's file as it ends, and return one error or None
+    per cell; a cell failure fails only that cell.
     """
     errors: list[str | None] = [None] * len(cells)
-    if len(cells) == 1:
-        try:
-            run_to_file(RunConfig.from_dict(cells[0]), out_dir)
-        except Exception as exc:  # noqa: BLE001 - a cell failure must not kill the sweep
-            errors[0] = _failure(exc)
-        return errors
     sims, where = [], []
     for i, resolved in enumerate(cells):
         try:
             sims.append(Simulation(RunConfig.from_dict(resolved)))
             where.append(i)
-        except Exception as exc:  # noqa: BLE001
+        except Exception as exc:  # noqa: BLE001 - a cell failure must not kill the sweep
             errors[i] = _failure(exc)
     for j, outcome in run_lockstep(sims):
         if isinstance(outcome, Exception):

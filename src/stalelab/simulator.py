@@ -37,8 +37,8 @@ inner phases read the same inputs besides their global params (one
 `phase_key`) run them as one stacked phase: a (B*K, dim) workspace, each
 step's batch drawn once and repeated B times along the leading axis. Rows
 still never mix, so each run gets the bytes it gets alone, and each run's
-deltas are an array of its own. `run` and the lockstep driver end a run
-with the same `result` tail.
+deltas are an array of its own. A lone run (`run_experiment`) is a
+lockstep of one, so every run steps to its end through this one driver.
 
 Everything is seeded through `derive_seed`, so a run is a deterministic
 function of its config: same config, same bytes out. The generator of
@@ -304,7 +304,7 @@ class Trace:
 
     `outer` is the run's outer config; exact_grad says whether grad_norm_sq
     holds the objective's exact population gradient (only on the adam base);
-    `Simulation.run` fills in `records`.
+    `Simulation.result` fills in `records`.
     """
 
     outer: OuterConfig
@@ -402,7 +402,7 @@ class Simulation:
 
     def _trace_rows(self, entries: int) -> np.ndarray:
         """The next entries' trace rows as an (entries, budget) view; the buffer takes the configured
-        run's most rows, then doubles, and is never resized (`run` hands out a view)."""
+        run's most rows, then doubles, and is never resized (`result` hands out a view)."""
         cfg, n = self.config, self.config.fragments["budget"]
         start, stop = self._recorded, self._recorded + entries * n
         if stop > len(self._records):
@@ -512,13 +512,6 @@ class Simulation:
         """Whether the run has diverged or reached config.rounds."""
         return self.diverged or self.round >= self.config.rounds
 
-    def run(self) -> RunResult:
-        """Step from the current round to config.rounds (or divergence) and return the result."""
-        start = time.perf_counter()
-        while not self.done:
-            self.run_round()
-        return self.result(time.perf_counter() - start)
-
     def result(self, wall: float) -> RunResult:
         """The result of the rounds run so far, `wall` seconds of them; the 5x rule may flag the run."""
         if self.diverged:
@@ -605,5 +598,9 @@ def run_lockstep(sims: list[Simulation]) -> Iterator[tuple[int, RunResult | Exce
 
 
 def run_experiment(config: RunConfig) -> RunResult:
-    """Run one config to completion and return its result (trace attached)."""
-    return Simulation(config).run()
+    """Run one config to completion, a lockstep of one, and return its result (trace attached);
+    raise what the run raised."""
+    ((_, outcome),) = run_lockstep([Simulation(config)])
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome

@@ -149,19 +149,19 @@ def audit_run(trace: Trace) -> dict:
     if trace.exact_grad:
         grad_norm_sq = records["grad_norm_sq"]
         weighted = float(np.mean(records["sigma"] * grad_norm_sq))
-        report["weighted_grad_norm_avg"] = weighted
-        # Python max, not np.max: a NaN norm after params went non-finite is skipped, not propagated
-        g_est = math.sqrt(max(grad_norm_sq.tolist()))
-        sigma_sq_est = max(records["delta_norm_sq"].tolist())
+        # a diverged run's norm is inf or NaN, which strict JSON cannot hold: it reads null, with no bound
+        report["weighted_grad_norm_avg"] = weighted if math.isfinite(weighted) else None
+        g_est = math.sqrt(float(grad_norm_sq.max()))
+        sigma_sq_est = float(records["delta_norm_sq"].max())
         horizon = len(records)
         c = eta * math.sqrt(horizon)
         if (
-            trace.l_smooth is not None
+            report["weighted_grad_norm_avg"] is not None
+            and trace.l_smooth is not None
             and trace.f_gap is not None
             and gate.alpha > 0.0
             # TheoryInputs needs these finite and > 0: sigma^2 is 0 when every pseudo-gradient
-            # rounds to 0, and a bound with an inf constant (a diverged run's G, or c from a
-            # huge eta) bounds nothing
+            # rounds to 0, and a bound with an inf constant (c from a huge eta) bounds nothing
             and 0.0 < trace.f_gap < math.inf
             and 0.0 < g_est < math.inf
             and 0.0 < sigma_sq_est < math.inf

@@ -32,7 +32,7 @@ from stalelab.harness import (
 from stalelab.objective import QuadraticObjective
 from stalelab.optim import METHODS
 from stalelab.seeding import derive_seed
-from stalelab.simulator import DelaySchedule, delay_seeds, run_experiment, sample_delay
+from stalelab.simulator import DelaySchedule, Simulation, delay_seeds, run_experiment, sample_delay
 
 
 def quad_raw(**overrides):
@@ -318,6 +318,17 @@ class TestSweeps:
             expand_sweep(bad)
         assert any("outer.beta1" in e for e in exc.value.errors)
 
+    def test_a_path_that_cannot_be_set_fails_only_its_cell(self):
+        axes = {"delay": [{"kind": "fixed", "tau": 0}, 3], "delay.tau": [1], "outer.beta1": [2.0]}
+        with pytest.raises(ConfigError) as exc:
+            expand_sweep({"version": 1, "base": quad_raw(), "axes": axes})
+        first, second = (canonical_json({"delay": delay, "delay.tau": 1, "outer.beta1": 2.0})
+                         for delay in ({"kind": "fixed", "tau": 0}, 3))
+        assert axes["delay"][0] == {"kind": "fixed", "tau": 0}  # the spec is left as given
+        assert len(exc.value.errors) == 2
+        assert exc.value.errors[0].startswith(f"cell {first} -> outer.beta1")
+        assert exc.value.errors[1] == f"cell {second} -> delay.tau: cannot descend into non-object"
+
     @pytest.mark.parametrize("axes,method", [
         ({"outer.eta": [0.001, 1e-3]}, "cgad"),
         ({"seed": [0, 0]}, "cgad"),
@@ -462,18 +473,50 @@ class TestSweeps:
         assert sum(row.missing for row in rows) == 1
         assert "missing" in format_summary_table(rows)
 
+    def test_a_bundle_of_one_whose_run_raises_fails_its_cell_and_writes_no_file(self, tmp_path, monkeypatch):
+        import stalelab.harness as harness_mod
+
+        real = Simulation.run_round
+
+        def fail_in_round_2(self, deltas=None):
+            if self.round == 2:
+                raise RuntimeError("synthetic failure in round 2")
+            return real(self, deltas)
+
+        monkeypatch.setattr(Simulation, "run_round", fail_in_round_2)
+        assert harness_mod._run_cell([quad_raw()], str(tmp_path)) == ["RuntimeError: synthetic failure in round 2"]
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("rounds,init_fails,message", [
+        (-1, False, "ConfigError: invalid config:\n  - rounds: must be >= 1, got -1"),
+        (6, True, "ValueError: synthetic build failure"),
+    ])
+    def test_a_bundle_of_one_that_cannot_be_built_fails_its_cell(self, tmp_path, monkeypatch, rounds, init_fails,
+                                                                 message):
+        import stalelab.harness as harness_mod
+
+        def fail_to_build(self, config):
+            raise ValueError("synthetic build failure")
+
+        if init_fails:
+            monkeypatch.setattr(Simulation, "__init__", fail_to_build)
+        cell = {**RunConfig.from_dict(quad_raw()).resolved, "rounds": rounds}
+        (error,) = harness_mod._run_cell([cell], str(tmp_path))
+        assert error == message
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
                         reason="the crash is patched in before the pool forks its children")
     def test_dead_pool_child_fails_its_cells_and_a_rerun_resumes(self, tmp_path, monkeypatch):
         import stalelab.harness as harness_mod
 
-        real = harness_mod.run_to_file
+        real = Simulation.run_round
         doomed = expand_sweep(sweep_spec())[0][1]  # first cell: its crash fails nearly the whole pool
 
-        def crash_on_doomed(config, out_dir):
-            if (config.hash, config.master_seed) == (doomed.hash, doomed.master_seed):
+        def crash_on_doomed(self, deltas=None):
+            if (self.config.hash, self.config.master_seed) == (doomed.hash, doomed.master_seed):
                 os._exit(3)  # the child dies without raising
-            return real(config, out_dir)
+            return real(self, deltas)
 
         real_pass = harness_mod._pool_pass
         passes = []
@@ -482,7 +525,7 @@ class TestSweeps:
             passes.append((len(cells), workers))
             return real_pass(cells, out, workers)
 
-        monkeypatch.setattr(harness_mod, "run_to_file", crash_on_doomed)
+        monkeypatch.setattr(Simulation, "run_round", crash_on_doomed)
         monkeypatch.setattr(harness_mod, "_pool_pass", record_pass)
         rows, errors = run_sweep(sweep_spec(), tmp_path, jobs=2, log=lambda *_: None)
         # the cells queued beside the doomed one are resubmitted to a fresh pool of

@@ -26,6 +26,7 @@ from stalelab.simulator import (
     quantize_payload,
     run_experiment,
     run_inner_phase,
+    run_lockstep,
     sample_delay,
     select_fragments,
 )
@@ -549,7 +550,7 @@ class TestDivergenceHandling:
         sim = Simulation(cfg)
         sim.obj = ExplodingObjective(dimension=12, spectrum_lo=0.5, spectrum_hi=4.0,
                                      rotation_seed=5, noise_scale=0.05)
-        res = sim.run()
+        ((_, res),) = run_lockstep([sim])
         assert res.diverged
         assert res.rounds_completed < 60
         assert res.final_loss is None or np.isfinite(res.final_loss)
@@ -560,10 +561,22 @@ class TestDivergenceHandling:
         sim = Simulation(cfg)
         for _ in range(3):
             assert sim.run_round()
-        res = sim.run()
+        ((_, res),) = run_lockstep([sim])
         assert res.rounds_completed == cfg.rounds
         assert serialize_result(res) == serialize_result(plain)
         assert res.trace.records.tobytes() == plain.trace.records.tobytes()
+
+    def test_a_run_that_raises_raises_from_run_experiment(self, monkeypatch):
+        real = Simulation.run_round
+
+        def fail_in_round_2(self, deltas=None):
+            if self.round == 2:
+                raise RuntimeError("synthetic failure in round 2")
+            return real(self, deltas)
+
+        monkeypatch.setattr(Simulation, "run_round", fail_in_round_2)
+        with pytest.raises(RuntimeError, match=r"^synthetic failure in round 2$"):
+            run_experiment(quad_config(rounds=5))
 
     def test_in_flight_entries_are_discarded(self):
         res = run_experiment(quad_config(rounds=5, delay={"kind": "fixed", "tau": 8}))

@@ -16,7 +16,7 @@ from stalelab.config import RunConfig, expand_sweep
 from stalelab.harness import serialize_result
 from stalelab.objective import Shard, batch_seeds, make_objective, sample_batch
 from stalelab.seeding import STREAM_MEMO, StreamMemo
-from stalelab.simulator import DelaySchedule, Simulation, delay_seeds, run_experiment, sample_delay
+from stalelab.simulator import DelaySchedule, Simulation, delay_seeds, run_experiment, run_lockstep, sample_delay
 from test_acceptance import MLP_TASK, RANKING_BASE
 from test_golden_digests import EXTRA, PINS, cell_config
 
@@ -160,11 +160,11 @@ def test_memo_draws_each_kept_row_once():
 def test_trace_grows_when_a_run_is_stepped_past_its_rounds():
     raw = {"version": 1, "objective": QUAD, "workers": 2, "inner_steps": 1, "method": "pa_cgad",
            "delay": {"kind": "uniform_int", "lo": 0, "hi": 3}, "fragments": {"count": 4, "budget": 2}}
-    whole = Simulation(RunConfig.from_dict({**raw, "rounds": 15})).run()
+    whole = run_experiment(RunConfig.from_dict({**raw, "rounds": 15}))
     stepped = Simulation(RunConfig.from_dict({**raw, "rounds": 3}))
     for _ in range(15):
         assert stepped.run_round()
-    result = stepped.run()  # past config.rounds already, so it steps no further
+    ((_, result),) = run_lockstep([stepped])  # past config.rounds already, so it steps no further
     assert result.losses == whole.losses
     assert len(result.trace.records) == 2 * result.consumed_entries
     assert result.trace.records.tobytes() == whole.trace.records.tobytes()
