@@ -147,8 +147,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("sweep", help="run a sweep spec (resumable) and summarize")
     p_sweep.add_argument("--sweep", required=True, help="path to a sweep spec JSON")
     p_sweep.add_argument("--out", default="results", help="output directory (default: results)")
-    p_sweep.add_argument("--jobs", type=int, default=None,
-                         help="parallel cells (default: $STALE_LAB_JOBS, then the sweep file)")
+    p_sweep.add_argument("--jobs", type=int, default=1, help="pool workers; 1 runs cells in this process (default: 1)")
     p_sweep.set_defaults(fn=_cmd_sweep)
 
     p_table = sub.add_parser("gate-table", help="print sigma(tau) per integer age")

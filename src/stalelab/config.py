@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import copy
 import hashlib
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -227,11 +228,10 @@ def expand_sweep(spec: dict) -> list[tuple[dict, RunConfig]]:
     chk = Checker()
     if not isinstance(spec, dict):
         raise ConfigError(["sweep: expected a JSON object"])
-    chk.require_keys(spec, "", {"version", "base", "axes"}, {"jobs"})
+    chk.require_keys(spec, "", {"version", "base", "axes"}, set())
     version = chk.num(spec, "version", "", integer=True)
     if version is not None and version != CONFIG_VERSION:
         chk.error("version", f"unsupported sweep version {version}; this build reads {CONFIG_VERSION}")
-    chk.num(spec, "jobs", "", integer=True, lo=1, default=1)
     base = spec.get("base")
     if not isinstance(base, dict):
         chk.error("base", "expected a JSON object (a run config)")
@@ -248,38 +248,31 @@ def expand_sweep(spec: dict) -> list[tuple[dict, RunConfig]]:
     if chk.errors:
         raise ConfigError(chk.errors)
 
-    names = list(axes.keys())
     cells: list[tuple[dict, RunConfig]] = []
     errors: list[str] = []
     labels: dict[tuple[str, int], str] = {}  # (config hash, master seed) -> the first cell's label
-
-    def rec(idx: int, assignment: dict):
-        if idx == len(names):
-            raw = json.loads(json.dumps(base))
-            seed_val = int(assignment["seed"]) if "seed" in assignment else None  # an integer, checked above
-            label = canonical_json(assignment)
-            try:
-                for name, value in assignment.items():
-                    if name != "seed":  # a copy: a later path may set inside it, and the spec stays as given
-                        _set_path(raw, name, copy.deepcopy(value))
-                resolved = resolve_config(raw)
-            except ConfigError as exc:
-                errors.extend(f"cell {label} -> {e}" for e in exc.errors)
-                return
-            if seed_val is not None:
-                resolved["master_seed"] = derive_seed(resolved["master_seed"], "seed", seed_val)
-            cfg = RunConfig._from_resolved(resolved)
-            file_id = (cfg.hash, cfg.master_seed)
-            if file_id in labels:
-                errors.append(f"cell {label} -> same config hash and master seed as cell {labels[file_id]}")
-                return
-            labels[file_id] = label
-            cells.append(({"assignment": assignment, "seed_value": seed_val}, cfg))
-            return
-        for value in axes[names[idx]]:
-            rec(idx + 1, {**assignment, names[idx]: value})
-
-    rec(0, {})
+    for values in itertools.product(*axes.values()):
+        assignment = dict(zip(axes, values))
+        raw = json.loads(json.dumps(base))
+        seed_val = int(assignment["seed"]) if "seed" in assignment else None  # an integer, checked above
+        label = canonical_json(assignment)
+        try:
+            for name, value in assignment.items():
+                if name != "seed":  # a copy: a later path may set inside it, and the spec stays as given
+                    _set_path(raw, name, copy.deepcopy(value))
+            resolved = resolve_config(raw)
+        except ConfigError as exc:
+            errors.extend(f"cell {label} -> {e}" for e in exc.errors)
+            continue
+        if seed_val is not None:
+            resolved["master_seed"] = derive_seed(resolved["master_seed"], "seed", seed_val)
+        cfg = RunConfig._from_resolved(resolved)
+        file_id = (cfg.hash, cfg.master_seed)
+        if file_id in labels:
+            errors.append(f"cell {label} -> same config hash and master seed as cell {labels[file_id]}")
+            continue
+        labels[file_id] = label
+        cells.append(({"assignment": assignment, "seed_value": seed_val}, cfg))
     if errors:
         raise ConfigError(errors)
     return cells

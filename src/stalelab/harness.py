@@ -39,8 +39,6 @@ from .config import ConfigError, RunConfig, canonical_json, expand_sweep
 from .objective import _OBJECTIVES, LinearNoiseObjective
 from .simulator import DelaySchedule, RunResult, Simulation, phase_key, run_experiment, run_lockstep
 
-JOBS_ENV_VAR = "STALE_LAB_JOBS"
-
 __all__ = [
     "result_filename",
     "save_result",
@@ -50,7 +48,6 @@ __all__ = [
     "format_summary_table",
     "write_summary_csv",
     "run_sweep",
-    "JOBS_ENV_VAR",
 ]
 
 
@@ -86,42 +83,49 @@ class SummaryRow:
     mean: float | None
     std: float | None
     n_diverged: int
-    missing: int = 0
+    missing: int
 
 
 def _schedule_label(delay_spec: dict) -> str:
     return DelaySchedule(**delay_spec).label()
 
 
-def summarize_results(results: list[dict]) -> list[SummaryRow]:
-    """Aggregate result dicts into per-cell rows (mean +- std over seeds).
+def _summary_rows(groups: dict[str, tuple[dict, list[dict | None]]]) -> list[SummaryRow]:
+    """One row per config hash -> (its resolved config, its seeds' results), sorted by method,
+    schedule and hash; a None result is a seed with no usable file, counted as missing.
 
-    Runs sharing a config hash are seeds of the same cell. The std is the
-    sample standard deviation (ddof=1) for n >= 2, else 0. Divergence
-    counts come straight from each run's flag.
+    The std is the sample standard deviation (ddof=1) for n >= 2, else 0.
+    Divergence counts come straight from each run's flag.
     """
-    groups: dict[str, list[dict]] = {}
-    for res in results:
-        groups.setdefault(res["config_hash"], []).append(res)
     rows = []
-    for chash, runs in groups.items():
-        cfg = runs[0]["config"]
+    for chash, (cfg, results) in groups.items():
+        runs = [r for r in results if r is not None]
         finals = [r["final_loss"] for r in runs if r["final_loss"] is not None]
         mean = float(np.mean(finals)) if finals else None
         std = (float(np.std(finals, ddof=1)) if len(finals) >= 2 else 0.0) if finals else None
-        rows.append(
-            SummaryRow(
-                method=cfg["method"],
-                schedule=_schedule_label(cfg["delay"]),
-                config_hash=chash,
-                n=len(runs),
-                mean=mean,
-                std=std,
-                n_diverged=sum(1 for r in runs if r["diverged"]),
-            )
-        )
+        rows.append(SummaryRow(
+            method=cfg["method"],
+            schedule=_schedule_label(cfg["delay"]),
+            config_hash=chash,
+            n=len(runs),
+            mean=mean,
+            std=std,
+            n_diverged=sum(1 for r in runs if r["diverged"]),
+            missing=len(results) - len(runs),
+        ))
     rows.sort(key=lambda r: (r.method, r.schedule, r.config_hash))
     return rows
+
+
+def summarize_results(results: list[dict]) -> list[SummaryRow]:
+    """Aggregate result dicts into per-cell rows (mean +- std over seeds).
+
+    Runs sharing a config hash are seeds of the same cell.
+    """
+    groups: dict[str, tuple[dict, list]] = {}
+    for res in results:
+        groups.setdefault(res["config_hash"], (res["config"], []))[1].append(res)
+    return _summary_rows(groups)
 
 
 def format_summary_table(rows: list[SummaryRow]) -> str:
@@ -205,29 +209,6 @@ def _load_result(path: Path, cfg: RunConfig) -> tuple[dict | None, str]:
     return res, ""
 
 
-def resolve_jobs(cli_jobs: int | None, spec_jobs: int | None) -> int:
-    """--jobs wins, then the STALE_LAB_JOBS env default, then the sweep file.
-
-    The sweep file's value additionally acts as a cap when set. A --jobs or
-    STALE_LAB_JOBS value below 1 is a ConfigError.
-    """
-    jobs, source = cli_jobs, "--jobs"
-    if jobs is None:
-        env, source = os.environ.get(JOBS_ENV_VAR), JOBS_ENV_VAR
-        if env is not None:
-            try:
-                jobs = int(env)
-            except ValueError as exc:
-                raise ConfigError([f"{JOBS_ENV_VAR}: expected an integer, got {env!r}"]) from exc
-    if jobs is not None and jobs < 1:
-        raise ConfigError([f"{source}: must be >= 1, got {jobs}"])
-    if jobs is None:
-        jobs = spec_jobs if spec_jobs is not None else 1
-    elif spec_jobs is not None:
-        jobs = min(jobs, spec_jobs)
-    return jobs
-
-
 def _bundles(cells: list, jobs: int) -> list[list]:
     """The (desc, cfg) cells as bundles, each to run in one process in lockstep.
 
@@ -284,19 +265,21 @@ def _pool_pass(bundles: list[list], out: Path, workers: int) -> tuple[list[str],
 def run_sweep(
     spec: dict,
     out_dir: str | Path,
-    jobs: int | None = None,
+    jobs: int = 1,
     log=print,
 ) -> tuple[list[SummaryRow], list[str]]:
-    """Run every cell of a sweep (skipping finished ones), then summarize.
+    """Run every cell of a sweep (skipping finished ones), in a pool of at most `jobs` workers
+    when jobs > 1, then summarize.
 
     Returns (summary rows, per-cell error messages). The summary is built
     from the result files alone; cells whose file is absent or unusable
     after the run pass are marked missing.
     """
+    if jobs < 1:
+        raise ConfigError([f"--jobs: must be >= 1, got {jobs}"])
+    cells = expand_sweep(spec)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    cells = expand_sweep(spec)  # checks that spec "jobs" is an integer >= 1; it may be written 2.0
-    jobs = resolve_jobs(jobs, int(spec["jobs"]) if "jobs" in spec else None)
 
     todo = []
     done: dict[Path, dict] = {}
@@ -335,24 +318,10 @@ def run_sweep(
     for msg in errors:
         log(f"sweep: FAILED {msg}")
 
-    results = []
-    missing: dict[str, int] = {}
-    for desc, cfg in cells:
+    groups: dict[str, tuple[dict, list]] = {}
+    for _, cfg in cells:
         path = out / result_filename(cfg.hash, cfg.master_seed)
-        res = done.get(path) or _load_result(path, cfg)[0]
-        if res is not None:
-            results.append(res)
-        else:
-            missing[cfg.hash] = missing.get(cfg.hash, 0) + 1
-    rows = summarize_results(results)
-    known = {row.config_hash for row in rows}
-    for desc, cfg in cells:
-        if cfg.hash in missing and cfg.hash not in known:
-            rows.append(SummaryRow(cfg.method, _schedule_label(cfg.delay), cfg.hash,
-                                   0, None, None, 0, missing[cfg.hash]))
-            known.add(cfg.hash)
-    for row in rows:
-        row.missing = missing.get(row.config_hash, row.missing)
-    rows.sort(key=lambda r: (r.method, r.schedule, r.config_hash))
+        groups.setdefault(cfg.hash, (cfg.resolved, []))[1].append(done.get(path) or _load_result(path, cfg)[0])
+    rows = _summary_rows(groups)
     write_summary_csv(rows, out / "summary.csv")
     return rows, errors

@@ -439,14 +439,17 @@ def finite_diff_check(
     return max_err <= tolerance, max_err
 
 
-def init_reference_loss(obj: Objective, eval_batch, n_seeds: int = 32) -> float:
-    """Untrained reference: mean loss of fresh inits on the eval batch.
+REFERENCE_INITS = 32
+
+
+def init_reference_loss(obj: Objective, eval_batch) -> float:
+    """Untrained reference: mean loss of REFERENCE_INITS fresh inits on the eval batch.
 
     Divergence thresholds are defined relative to this value, which makes
     them task-local instead of importing any absolute loss scale.
     """
     losses = []
-    for s in range(n_seeds):
+    for s in range(REFERENCE_INITS):
         params = obj.init_params(derive_seed("init-reference", s))
         losses.append(obj.loss(params, eval_batch))
     return float(np.mean(losses))

@@ -513,14 +513,15 @@ class Simulation:
         return self.diverged or self.round >= self.config.rounds
 
     def result(self, wall: float) -> RunResult:
-        """The result of the rounds run so far, `wall` seconds of them; the 5x rule may flag the run."""
-        if self.diverged:
+        """The result of the rounds run so far, `wall` seconds of them; the 5x rule may flag the result,
+        never the run, so asking twice gives the same result."""
+        diverged = self.diverged
+        if diverged:
             final = self.losses[-1] if self.losses else None
         else:
             window = self.losses[-FINAL_LOSS_WINDOW:]
             final = float(np.mean(window)) if window else None
-        if not self.diverged and final is not None and final > DIVERGENCE_FACTOR * self.reference_loss:
-            self.diverged = True
+            diverged = final is not None and final > DIVERGENCE_FACTOR * self.reference_loss
 
         records = self.trace.records = self._records[:self._recorded]
         # an entry (its budget rows) counts as applied if any of its fragments applied, else as dropped
@@ -534,7 +535,7 @@ class Simulation:
             seed=self.config.master_seed,
             losses=self.losses,
             final_loss=final,
-            diverged=self.diverged,
+            diverged=diverged,
             reference_loss=self.reference_loss,
             rounds_completed=self.round,
             consumed_entries=len(hits),

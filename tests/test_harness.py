@@ -28,6 +28,7 @@ from stalelab.harness import (
     run_sweep,
     run_to_file,
     summarize_results,
+    write_summary_csv,
 )
 from stalelab.objective import QuadraticObjective
 from stalelab.optim import METHODS
@@ -473,6 +474,43 @@ class TestSweeps:
         assert sum(row.missing for row in rows) == 1
         assert "missing" in format_summary_table(rows)
 
+    def test_partly_and_wholly_missing_cells_keep_their_summary_bytes(self, tmp_path, monkeypatch):
+        import stalelab.harness as harness_mod
+
+        # cgad at tau 2 loses seed 0 only; nesterov at tau 2 loses every seed
+        doomed = {(cfg.hash, cfg.master_seed) for desc, cfg in expand_sweep(sweep_spec())
+                  if desc["assignment"]["delay"]["tau"] == 2
+                  and (desc["assignment"]["method"] == "nesterov" or desc["seed_value"] == 0)}
+        real = harness_mod._run_cell
+
+        def fail_doomed(cells, out_dir):
+            (cell,) = cells  # a quadratic cell is a bundle alone
+            if (config_hash(cell), cell["master_seed"]) in doomed:
+                return ["RuntimeError: synthetic cell failure"]
+            return real(cells, out_dir)
+
+        monkeypatch.setattr(harness_mod, "_run_cell", fail_doomed)
+        rows, errors = run_sweep(sweep_spec(), tmp_path, jobs=1, log=lambda *_: None)
+        assert len(errors) == 4
+        assert (tmp_path / "summary.csv").read_bytes() == (
+            b"method,schedule,config_hash,n,mean_final_loss,std_final_loss,n_diverged,missing\r\n"
+            b"cgad,fixed:0,17c0c76d68ef04badece81c777e5bfe0605eefdcd733934140e59e41a10ceb1d,"
+            b"3,23.394999078227556,6.899327956785333,0,0\r\n"
+            b"cgad,fixed:2,293722964e1eab63092f65a83317e3283597c250172374da773b15010e0322b7,"
+            b"2,22.930316143577365,9.701806090394783,0,1\r\n"
+            b"nesterov,fixed:0,09fac847c94b776b952397f028a51e682d22a233e797ccb23799b53ea102c999,"
+            b"3,23.04658310043887,6.797311185714314,0,0\r\n"
+            b"nesterov,fixed:2,67182f379587e2e5393dc8fcaa6a1ac3874b13e531739421fcad3cdecce3e0ce,"
+            b"0,,,0,3\r\n")
+        assert format_summary_table(rows).splitlines()[2:] == [
+            "cgad               fixed:0            3  23.395 +- 6.9                       0",
+            "cgad               fixed:2            2  22.9303 +- 9.7                      0 (1 missing)",
+            "nesterov           fixed:0            3  23.0466 +- 6.8                      0",
+            "nesterov           fixed:2            0  n/a (no finite final loss)          0 (3 missing)",
+        ]
+        write_summary_csv(rows, tmp_path / "rows.csv")  # the returned rows are the rows on disk
+        assert (tmp_path / "rows.csv").read_bytes() == (tmp_path / "summary.csv").read_bytes()
+
     def test_a_bundle_of_one_whose_run_raises_fails_its_cell_and_writes_no_file(self, tmp_path, monkeypatch):
         import stalelab.harness as harness_mod
 
@@ -546,51 +584,6 @@ class TestSweeps:
 
 def json_key(desc):
     return json.dumps(desc["assignment"], sort_keys=True)
-
-
-class TestJobsResolution:
-    def test_env_var_is_the_default(self, monkeypatch):
-        from stalelab.harness import resolve_jobs
-
-        monkeypatch.setenv("STALE_LAB_JOBS", "3")
-        assert resolve_jobs(None, None) == 3
-
-    def test_cli_flag_wins_over_env(self, monkeypatch):
-        from stalelab.harness import resolve_jobs
-
-        monkeypatch.setenv("STALE_LAB_JOBS", "3")
-        assert resolve_jobs(8, None) == 8
-
-    def test_spec_value_caps(self, monkeypatch):
-        from stalelab.harness import resolve_jobs
-
-        monkeypatch.delenv("STALE_LAB_JOBS", raising=False)
-        assert resolve_jobs(None, 2) == 2
-        assert resolve_jobs(8, 2) == 2
-
-    def test_bad_env_value_is_config_error(self, monkeypatch):
-        from stalelab.harness import resolve_jobs
-
-        monkeypatch.setenv("STALE_LAB_JOBS", "lots")
-        with pytest.raises(ConfigError, match="STALE_LAB_JOBS"):
-            resolve_jobs(None, None)
-
-    @pytest.mark.parametrize("cli_jobs,env,message", [
-        (0, None, "--jobs: must be >= 1, got 0"),
-        (-4, "3", "--jobs: must be >= 1, got -4"),
-        (None, "0", "STALE_LAB_JOBS: must be >= 1, got 0"),
-        (None, "-2", "STALE_LAB_JOBS: must be >= 1, got -2"),
-    ])
-    def test_jobs_below_one_is_config_error(self, monkeypatch, cli_jobs, env, message):
-        from stalelab.harness import resolve_jobs
-
-        if env is None:
-            monkeypatch.delenv("STALE_LAB_JOBS", raising=False)
-        else:
-            monkeypatch.setenv("STALE_LAB_JOBS", env)
-        with pytest.raises(ConfigError) as exc:
-            resolve_jobs(cli_jobs, 2)
-        assert exc.value.errors == [message]
 
 
 class TestCli:
@@ -671,13 +664,13 @@ class TestCli:
         out = capsys.readouterr().out
         assert "summary.csv" in out and "cgad" in out and "nesterov" in out
 
-    def test_sweep_takes_spec_jobs_written_as_a_float(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.delenv("STALE_LAB_JOBS", raising=False)
+    def test_sweep_rejects_a_jobs_key_in_the_spec(self, tmp_path, capsys):
         spec_path = tmp_path / "sweep.json"
-        spec_path.write_text(json.dumps(sweep_spec(jobs=2.0, axes={"seed": [0, 1]})))  # two bundles: a pool of 2
-        assert cli_main(["sweep", "--sweep", str(spec_path), "--out", str(tmp_path / "res")]) == 0
-        assert "jobs=2" in capsys.readouterr().out
-        assert len(list((tmp_path / "res").glob("*_s*.json"))) == 2
+        spec_path.write_text(json.dumps(sweep_spec(jobs=2)))
+        out = tmp_path / "res"
+        assert cli_main(["sweep", "--sweep", str(spec_path), "--out", str(out)]) == 2
+        assert "jobs: unknown key" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
 
     def test_sweep_rejects_a_file_as_output_directory_before_running(self, tmp_path, capsys, monkeypatch):
         spec_path = tmp_path / "sweep.json"
@@ -690,16 +683,11 @@ class TestCli:
         assert f"error: cannot use output directory {out}: " in capsys.readouterr().err
         assert ran == [] and out.read_text() == "kept"
 
-    @pytest.mark.parametrize("jobs,env,message", [
+    @pytest.mark.parametrize("jobs,env,message", [  # env, now always None, keeps each case's id
         (["--jobs", "0"], None, "--jobs: must be >= 1, got 0"),
         (["--jobs", "-4"], None, "--jobs: must be >= 1, got -4"),
-        ([], "0", "STALE_LAB_JOBS: must be >= 1, got 0"),
     ])
-    def test_sweep_rejects_jobs_below_one(self, tmp_path, capsys, monkeypatch, jobs, env, message):
-        if env is None:
-            monkeypatch.delenv("STALE_LAB_JOBS", raising=False)
-        else:
-            monkeypatch.setenv("STALE_LAB_JOBS", env)
+    def test_sweep_rejects_jobs_below_one(self, tmp_path, capsys, jobs, env, message):
         spec_path = tmp_path / "sweep.json"
         spec_path.write_text(json.dumps(sweep_spec()))
         out = tmp_path / "res"

@@ -6,12 +6,14 @@ resolves to the constructors' defaults, and the README lists every key.
 """
 
 import dataclasses
+import json
+import math
 import re
 from pathlib import Path
 
 import pytest
 
-from stalelab.config import ConfigError, RunConfig, resolve_config
+from stalelab.config import ConfigError, RunConfig, expand_sweep, resolve_config
 from stalelab.objective import _OBJECTIVES
 from stalelab.optim import METHODS, InnerConfig, OuterConfig
 from stalelab.simulator import DelaySchedule
@@ -138,3 +140,14 @@ def test_readme_lists_every_resolved_key(objective, delay):
     paths = [f"{key}.{sub}" if isinstance(value, dict) else key
              for key, value in resolved.items() for sub in (value if isinstance(value, dict) else [None])]
     assert [p for p in paths if not re.search(rf"^\| `{re.escape(p)}` \|", section, re.M)] == []
+
+
+def test_readme_sweep_example_expands():
+    section = readme_run_config()
+    block = section.split("A sweep file crosses axes over a base config:", 1)[1].split("```json\n", 1)[1]
+    example = block.split("```", 1)[0].replace("{ ... a run config ... }", '"BASE"')
+    spec = json.loads(example)
+    assert spec["base"] == "BASE"
+    spec["base"] = raw_config()
+    cells = expand_sweep(spec)
+    assert len(cells) == math.prod(len(values) for values in spec["axes"].values())

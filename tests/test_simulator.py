@@ -536,6 +536,16 @@ class TestDivergenceHandling:
         assert all(np.isfinite(x) for x in res.losses)
         assert res.final_loss > 5.0 * res.reference_loss
 
+    def test_result_is_the_same_when_asked_twice(self):
+        # every round finishes finite, so only the 5x rule in result() flags the run
+        cfg = quad_config(method="nesterov", rounds=40, delay={"kind": "fixed", "tau": 8},
+                          outer={"eta": 100.0, "mu": 0.9})
+        sim = Simulation(cfg)
+        ((_, first),) = run_lockstep([sim])
+        assert first.diverged and first.rounds_completed == cfg.rounds
+        assert first.final_loss == float(np.mean(first.losses[-sim_mod.FINAL_LOSS_WINDOW:]))
+        assert sim.result(first.wall_time_s).to_json_dict() == first.to_json_dict()
+
     def test_non_finite_terminates_early(self):
         class ExplodingObjective(QuadraticObjective):
             def loss_and_grad(self, params, batch, out=None):
