@@ -41,6 +41,7 @@ operand order, so no bit moves.
 from __future__ import annotations
 
 import numbers
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -115,8 +116,14 @@ class Objective:
         """The loss alone; bit-identical to `loss_and_grad(params, batch)[0]`."""
         return self.loss_and_grad(params, batch)[0]
 
+    def keep_views(self, params: np.ndarray) -> object | None:
+        """A token that keeps what the objective derives from the params buffer (an mlp's layer views)
+        while it lives; None where nothing is derived."""
+        return None
+
     def population_grad(self, params: np.ndarray) -> np.ndarray | None:
-        """Exact full-objective gradient where available, else None."""
+        """Exact full-objective gradient where available, of one (dim,) vector or each row of a (E, dim)
+        stack; else None."""
         return None
 
 
@@ -134,13 +141,16 @@ class LinearNoiseObjective(Objective):
         return batch.mean(axis=-2, keepdims=True)
 
     def draw_compact(self, seeds: np.ndarray, n: int) -> np.ndarray:
-        """The (1, dim) mean row of each row's draw, stacked to (K, 1, dim): copies of the memo's rows."""
+        """The (1, dim) mean row of each (K, 4) seed row's draw, stacked to (K, 1, dim): one read-only block
+        the stream memo keeps by all K rows."""
 
-        def mean_row(state):
-            return self.compact_batch(self.draw_batch(seeded_generator(state), n))
+        def mean_rows(block):
+            rows = np.stack([self.compact_batch(self.draw_batch(seeded_generator(state), n))
+                             for state in block.reshape(-1, 4)])
+            return _read_only(rows)
 
-        params = ("noise", self.noise_scale, self.dim, n)  # every value the draw reads besides the seed row
-        return np.stack(STREAM_MEMO.draw(params, seeds, mean_row, 8 * self.dim))
+        params = ("noise", self.noise_scale, self.dim, n)  # every value the draw reads besides the seed rows
+        return STREAM_MEMO.draw(params, seeds.reshape(-1), mean_rows, 8 * self.dim * len(seeds))
 
     def _add_noise(self, loss, grad, batch, point, out):
         """Loss plus noise_mean . point and gradient plus noise_mean (into out if given), for a batch."""
@@ -188,7 +198,8 @@ class QuadraticObjective(LinearNoiseObjective):
         return self._add_noise(0.5 * _dot(diff, a_diff), a_diff, batch, diff, out)
 
     def population_grad(self, params):
-        return self.matrix @ (params - self.minimizer)
+        # one call for a (E, dim) stack; each row is bit-identical to matrix @ diff
+        return np.matmul(self.matrix, (params - self.minimizer)[..., None])[..., 0]
 
 
 @dataclass(eq=False)
@@ -249,6 +260,7 @@ class MlpRegressionObjective(Objective):
         rng = np.random.default_rng(derive_seed(self.teacher_seed, "mlp-teacher"))
         self.teacher_params = _read_only(self._draw_params(rng, self.teacher_scale))
         self._unpacked: dict[int, tuple] = {}  # id -> (buffer, shape, its views); see _views
+        self._kept: dict[int, tuple] = {}  # the same, for each buffer a live keep_views token holds
         self._teacher_layers = self.unpack(self.teacher_params)  # read-only views, unpacked once for every batch
 
     def _draw_params(self, rng: np.random.Generator, scale: float) -> np.ndarray:
@@ -268,10 +280,23 @@ class MlpRegressionObjective(Objective):
             layers.append((w, params[..., b_start:b_end], w.swapaxes(-1, -2)))
         return layers
 
+    def keep_views(self, params: np.ndarray) -> object:
+        """Keep the buffer's views while the returned token lives, so a run's global params, which its
+        eval reads every round, are unpacked once however many runs share this objective."""
+        token, kept = _ViewsToken(), (params, params.shape, self.unpack(params))
+        self._kept[id(params)] = kept
+        weakref.finalize(token, self._forget, id(params), kept)
+        return token
+
+    def _forget(self, key: int, kept: tuple) -> None:
+        if self._kept.get(key) is kept:
+            del self._kept[key]
+
     def _views(self, buf: np.ndarray) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-        """`unpack(buf)`, unpacked once per buffer: the views of the last two buffers are kept,
-        so an inner phase's params and gradient buffers are unpacked at its first step only."""
-        kept = self._unpacked.get(id(buf))
+        """`unpack(buf)`, unpacked once per buffer: a kept buffer's views while its token lives, and
+        the views of the last two other buffers, so an inner phase's params and gradient buffers are
+        unpacked at its first step only."""
+        kept = self._kept.get(id(buf)) or self._unpacked.get(id(buf))
         if kept is not None and kept[0] is buf and kept[1] == buf.shape:
             return kept[2]
         views = self.unpack(buf)
@@ -342,6 +367,12 @@ class MlpRegressionObjective(Objective):
                 np.multiply(act, act, out=act)
                 dz *= np.subtract(1.0, act, out=act)  # tanh'(z) = 1 - tanh(z)^2
         return loss, grad
+
+
+class _ViewsToken:
+    """What `MlpRegressionObjective.keep_views` hands out; its views are dropped when it dies."""
+
+    __slots__ = ("__weakref__",)
 
 
 def _read_only(*arrays: np.ndarray) -> np.ndarray:

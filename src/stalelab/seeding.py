@@ -13,11 +13,14 @@ same bytes as `default_rng`'s; only numpy's per-key Python hashing is
 skipped.
 
 `STREAM_MEMO` keeps, per process and within a byte budget, what cells of
-a sweep draw alike: a linear-noise batch's mean row and a delay by their
-seed-table row, a run's eval batch with its reference loss by its eval
-seed, and a run's objective by no row at all, each also keyed by every
-config value its draw reads. Each is built on the first cell that asks
-for it; a warm memo gives the bytes of a cold one.
+a sweep draw alike: a linear-noise inner step's block of K mean rows by
+the K workers' seed-table rows, a delay by its seed-table row, a chunk's
+due schedule (every entry's worker, produced round and tau, sorted by due
+round) by the chunk's (start, stop), a run's eval batch with its
+reference loss by its eval seed, and a run's objective by no row at all,
+each also keyed by every config value its draw reads. Each is built on
+the first cell that asks for it; a warm memo gives the bytes of a cold
+one.
 """
 
 from __future__ import annotations
@@ -158,10 +161,11 @@ class StreamMemo:
     """Draws from seed rows, kept by (params, row bytes) while the kept bytes (the row's bytes
     plus nbytes per value) fit the budget; params hold every value the draw reads besides the row.
 
-    A row is a seed-table row (a batch's mean noise row, a delay), a run's eval seed as one
-    uint64 (its eval batch and reference loss), or empty (an objective, which its params alone
-    decide). The arrays of an eval pair or an objective are read-only, since every cell with
-    that key reads the same ones."""
+    A row is a seed-table row (a delay), a round's K seed-table rows flattened (its block of
+    mean noise rows), a chunk's (start, stop) rounds (its due schedule), a run's eval seed as
+    one uint64 (its eval batch and reference loss), or empty (an objective, which its params
+    alone decide). The arrays of a noise block, a due schedule, an eval pair or an objective
+    are read-only, since every cell with that key reads the same ones."""
 
     def __init__(self, budget: int):
         self.budget, self.used, self.tables = budget, 0, {}

@@ -4,25 +4,39 @@ One outer round does, in order:
 
 1. every worker copies the current global params, runs H inner AdamW
    steps on its own shard, and enqueues the parameter delta
-   (snapshot - worker_params) with an integer delay drawn from the
-   schedule. The K workers run as one stacked phase in one workspace:
-   their params, AdamW moments and gradient are (K, dim) arrays, and an
-   mlp's inputs a (K, n, d_in) one, allocated once per phase. Each inner
-   step is one batch draw, one `loss_and_grad` and one AdamW call for all
-   of them, and each writes its result into the workspace in place. Rows
-   never mix, and each row is the same bytes as a worker run alone. The
-   round's K delays are drawn with one `sample_delay` call. With a
-   quantized queue the K deltas are quantized in one call;
-2. the queue entries due this round (the queue is keyed by due round)
-   are dequeued in sorted (worker id, produced round) order, stacked, and
-   applied to the global params in that order by one outer step for the
-   round over its selected fragments, each fragment of each entry weighted
-   by its own age. One `OuterState` holds the outer state: the fragments
-   and their ages, the optimizer state and the eager history. The trace
-   gets one `ApplyRecord` row per (entry, selected fragment), written one
+   (snapshot - worker_params). The K workers run as one stacked phase in
+   one workspace: their params, AdamW moments and gradient are (K, dim)
+   arrays, and an mlp's inputs a (K, n, d_in) one, allocated once per
+   phase. Each inner step is one batch draw, one `loss_and_grad` and one
+   AdamW call for all of them, and each writes its result into the
+   workspace in place. Rows never mix, and each row is the same bytes as a
+   worker run alone. The K deltas (with a quantized queue, their int8
+   codes and per-fragment scales, quantized in one call) are written into
+   the run's payload ring at [round % span, worker id];
+2. the entries due this round are read from the due schedule in
+   (worker id, produced round) order, their payloads gathered from the
+   ring with one fancy index (and dequantized in one call), and applied
+   to the global params in that order by one outer step for the round
+   over its selected fragments, each fragment of each entry weighted by
+   its own age. One `OuterState` holds the outer state: the fragments and
+   their ages, the optimizer state and the eager history. The trace gets
+   one `ApplyRecord` row per (entry, selected fragment), written one
    column at a time per round;
 3. fragment ages reset to 0 where selected, else grow by 1;
 4. the global params are evaluated on a fixed held-out batch.
+
+The due schedule (`due_schedule`) is the queue's order, drawn ahead: for a
+chunk of rounds (the rounds one delay seed table covers) it draws each
+(worker, round) delay with `sample_delay` and sorts the entries once, by
+due round, into flat read-only arrays. It depends only on the delay
+schedule, the worker count and the chunk, so the runs of a sweep that
+share them share one, kept in `seeding.STREAM_MEMO`. A run builds or looks
+up its schedule on its first round, and the next chunk's when it steps
+past the last; entries of one chunk that come due in a later one are
+carried, sorted into the run's own copy of the later chunk's schedule, so
+a round reads its due entries as one slice. The ring (`DelayQueue`) is sized so that no payload is
+overwritten before its entry comes due within the chunk, and grows, moving
+its rows, when a later chunk needs a longer span.
 
 A run's objective depends only on its resolved objective config, and its
 eval batch and reference loss (the mean loss of 32 fresh inits on it,
@@ -54,6 +68,7 @@ flat; that is the protocol, not a bug.
 from __future__ import annotations
 
 import json
+import math
 import time
 from collections.abc import Iterator
 from dataclasses import dataclass, field, fields
@@ -89,6 +104,8 @@ if TYPE_CHECKING:
 
 __all__ = [
     "DelaySchedule",
+    "DueSchedule",
+    "DelayQueue",
     "QueueEntry",
     "QuantizedPayload",
     "ApplyRecord",
@@ -99,6 +116,7 @@ __all__ = [
     "run_lockstep",
     "delay_seeds",
     "sample_delay",
+    "due_schedule",
     "select_fragments",
     "run_inner_phase",
     "quantize_payload",
@@ -109,6 +127,7 @@ __all__ = [
 DIVERGENCE_FACTOR = 5.0  # final loss above this multiple of the untrained reference flags the run
 FINAL_LOSS_WINDOW = 5  # trailing rounds averaged into the reported final loss
 SEED_TABLE_ROWS = 8192  # batch seeds hashed at once; bounds the seed tables of a long run
+LAST_ROUND = np.iinfo(np.int64).max  # the last round a due schedule can name
 
 
 @dataclass(frozen=True)
@@ -162,6 +181,54 @@ def sample_delay(schedule: DelaySchedule, seeds: np.ndarray) -> int | list[int]:
     return STREAM_MEMO.draw(schedule, seeds, draw, 8)  # the schedule holds every field the draw reads
 
 
+@dataclass(frozen=True)
+class DueSchedule:
+    """The queue entries of the chunk of rounds [start, stop): those produced in it (and, in a run that
+    stepped into it from an earlier chunk, that chunk's entries still to come due).
+
+    `entries` holds each entry's (worker id, produced round, tau) as an int64
+    row, in (due round, worker id, produced round) order, the due round
+    being produced round + tau. The entries due at a round d in [start, stop) are
+    entries[bounds[d - start]:bounds[d - start + 1]]; entries[bounds[-1]:]
+    come due after the chunk. An entry whose due round would pass
+    LAST_ROUND never comes due and is left out. `reach` is the most rounds
+    past its production that any entry's payload must be kept before the
+    chunk ends: its tau, or the rounds left in the chunk if fewer. Every
+    array is read-only, so runs can share one schedule.
+    """
+
+    start: int
+    stop: int
+    entries: np.ndarray
+    bounds: np.ndarray
+    reach: int
+
+    @property
+    def nbytes(self) -> int:
+        return self.entries.nbytes + self.bounds.nbytes + 8
+
+
+def due_schedule(schedule: DelaySchedule, workers: int, rounds: range) -> DueSchedule:
+    """The due schedule of workers 0..workers-1 over `rounds`, from one `sample_delay` call on its seed table."""
+    seeds = delay_seeds(schedule, workers, rounds)
+    tau = np.array(sample_delay(schedule, seeds.reshape(-1, 4)), dtype=np.int64)
+    worker, produced = (grid.ravel() for grid in np.meshgrid(np.arange(workers), np.asarray(rounds), indexing="ij"))
+    comes_due = tau <= LAST_ROUND - produced  # compared before adding, so no due round overflows
+    return _by_due(worker[comes_due], produced[comes_due], tau[comes_due], rounds)
+
+
+def _by_due(worker: np.ndarray, produced: np.ndarray, tau: np.ndarray, rounds: range) -> DueSchedule:
+    """The schedule of the chunk `rounds` holding these entries, sorted once by (due, worker, produced)."""
+    due = produced + tau
+    order = np.lexsort((produced, worker, due))
+    entries = np.stack((worker, produced, tau), axis=1)[order]
+    bounds = np.searchsorted(due[order], np.arange(rounds.start, rounds.stop + 1))
+    reach = int(np.minimum(tau, rounds.stop - 1 - produced).max(initial=0))
+    for array in (entries, bounds):
+        array.flags.writeable = False
+    return DueSchedule(rounds.start, rounds.stop, entries, bounds, reach)
+
+
 def select_fragments(fragments: Fragments, budget: int) -> list[int]:
     """Oldest-first fragment selection, ties broken by fragment id."""
     count = len(fragments)
@@ -179,6 +246,8 @@ class QuantizedPayload:
 
 @dataclass
 class QueueEntry:
+    """One entry in flight, as `DelayQueue.in_flight` lists it."""
+
     worker: int
     produced_round: int
     tau: int
@@ -191,20 +260,106 @@ def quantize_payload(grad: np.ndarray, fragments: Fragments) -> QuantizedPayload
     All-zero fragments get scale 0 and zero codes; the max-magnitude
     element of each fragment maps to code +-127. Dequantization error is
     at most half a scale per element. Each row quantizes to the bytes it
-    would give alone.
+    would give alone. The codes are computed in one temporary, in place.
     """
     if not np.isfinite(grad).all():
         raise ValueError("cannot quantize a non-finite payload")
-    abs_grad = np.abs(grad)
-    scales = np.maximum.reduceat(abs_grad, fragments.starts, axis=-1) / 127.0
+    q = np.abs(grad)
+    scales = np.maximum.reduceat(q, fragments.starts, axis=-1) / 127.0
     # an all-zero fragment keeps scale 0; dividing its zeros by 1 gives code 0
-    divisor = np.repeat(np.where(scales > 0.0, scales, 1.0), fragments.sizes, axis=-1)
-    q = np.sign(grad) * np.floor(abs_grad / divisor + 0.5)  # round half away from zero
-    return QuantizedPayload(codes=np.clip(q, -127, 127).astype(np.int8), scales=scales)
+    q /= np.repeat(np.where(scales > 0.0, scales, 1.0), fragments.sizes, axis=-1)
+    q += 0.5
+    np.floor(q, out=q)  # round half away from zero, once the sign is back
+    np.copysign(q, grad, out=q)  # a zero keeps code 0 whatever its sign
+    return QuantizedPayload(codes=np.clip(q, -127, 127, out=q).astype(np.int8), scales=scales)
 
 
 def dequantize_payload(payload: QuantizedPayload, fragments: Fragments) -> np.ndarray:
     return payload.codes.astype(np.float64) * np.repeat(payload.scales, fragments.sizes, axis=-1)
+
+
+class DelayQueue:
+    """A run's queue entries in flight: when each comes due, and its payload.
+
+    `schedule` is the due schedule of the chunk of rounds the run is in.
+    Payloads sit in a ring of `span` rounds: worker w's payload of round p
+    is ring[p % span, w] (with a quantized queue its codes, of the payload's
+    dtype, and its per-fragment scales at scales[p % span, w]). The span
+    exceeds the schedule's reach, so no payload is overwritten before its
+    entry comes due or the chunk ends.
+    """
+
+    def __init__(self):
+        self.schedule: DueSchedule | None = None
+        self.rounds = range(0)  # the schedule's chunk
+        self.span = 0
+        self.ring: np.ndarray | None = None
+        self.scales: np.ndarray | None = None
+
+    def enter(self, schedule: DueSchedule) -> None:
+        """Step into the chunk of the next round: carry the old chunk's entries that come due later into
+        this run's copy of its schedule, and widen the ring to the chunk's reach, moving its rows."""
+        old = self.schedule
+        if old is not None and old.bounds[-1] < len(old.entries):
+            carried = np.concatenate((old.entries[old.bounds[-1]:], schedule.entries))
+            schedule = _by_due(*carried.T, range(schedule.start, schedule.stop))
+        if schedule.reach >= self.span:
+            wider = schedule.reach + 1
+            if self.ring is not None:
+                # the rows of the last `span` rounds written, each to its slot in the wider ring
+                produced = np.arange(max(0, schedule.start - self.span), schedule.start)
+                self.ring = _moved(self.ring, produced, self.span, wider)
+                if self.scales is not None:
+                    self.scales = _moved(self.scales, produced, self.span, wider)
+            self.span = wider
+        self.schedule, self.rounds = schedule, range(schedule.start, schedule.stop)
+
+    def push(self, r: int, ids: list[int], rows: np.ndarray, scales: np.ndarray | None = None) -> None:
+        """Write round r's payloads, row k for worker ids[k] (and their scales, for a quantized queue)."""
+        if self.ring is None:
+            self.ring = np.zeros((self.span, len(ids), *rows.shape[1:]), dtype=rows.dtype)
+            if scales is not None:
+                self.scales = np.zeros((self.span, len(ids), *scales.shape[1:]))
+        # rows in worker id order (the usual case) go in with a plain index, which is faster
+        slot = r % self.span if ids == list(range(len(ids))) else (r % self.span, ids)
+        self.ring[slot] = rows
+        if scales is not None:
+            self.scales[slot] = scales
+
+    def due(self, r: int) -> np.ndarray:
+        """The (worker id, produced round, tau) rows of the entries due at round r, in (worker id, produced
+        round) order: a read-only view of the schedule."""
+        i = r - self.rounds.start
+        return self.schedule.entries[self.schedule.bounds[i]:self.schedule.bounds[i + 1]]
+
+    def payloads(self, due: np.ndarray, fragments: Fragments) -> np.ndarray:
+        """The due entries' pseudo-gradients, gathered from the ring with one index and stacked (E, dim);
+        dequantized in one call for a quantized queue."""
+        slots = due[:, 1] % self.span, due[:, 0]
+        if self.scales is None:
+            return self.ring[slots]
+        return dequantize_payload(QuantizedPayload(self.ring[slots], self.scales[slots]), fragments)
+
+    def in_flight(self, r: int) -> list[QueueEntry]:
+        """Entries produced before round r that come due at or after it, in (due round, worker id, produced
+        round) order; each payload views the ring."""
+        if self.schedule is None:
+            return []
+        later = self.schedule.entries[self.schedule.bounds[r - self.rounds.start]:]
+        entries = []
+        for worker, produced, tau in later[later[:, 1] < r].tolist():
+            slot = produced % self.span, worker
+            payload = (self.ring[slot] if self.scales is None
+                       else QuantizedPayload(self.ring[slot], self.scales[slot]))
+            entries.append(QueueEntry(worker=worker, produced_round=produced, tau=tau, payload=payload))
+        return entries
+
+
+def _moved(ring: np.ndarray, produced: np.ndarray, span: int, wider: int) -> np.ndarray:
+    """A ring of `wider` slots holding the rows of the `produced` rounds of a ring of `span` slots."""
+    moved = np.zeros((wider, *ring.shape[1:]), dtype=ring.dtype)
+    moved[produced % wider] = ring[produced % span]
+    return moved
 
 
 def phase_key(config: RunConfig) -> str:
@@ -325,7 +480,7 @@ class RunResult:
     losses: list[float]
     final_loss: float | None
     diverged: bool
-    reference_loss: float
+    reference_loss: float | None  # None where the reference inits overflow (JSON has no NaN)
     rounds_completed: int
     consumed_entries: int
     applied_updates: int
@@ -360,6 +515,7 @@ class Simulation:
         dim = self.obj.dim
         master = config.master_seed
         self.global_params = self.obj.init_params(derive_seed(master, "init"))
+        self._kept_views = self.obj.keep_views(self.global_params)  # the eval unpacks it once a run
         self.outer_state = OuterState.zeros(Fragments.even_split(dim, config.fragments["count"]).sizes)
         self.workers = [Shard.for_worker(master, w, config.batch_size) for w in range(config.workers)]
         self.delay = DelaySchedule(seed=derive_seed(master, "delay"), **config.delay)
@@ -368,12 +524,11 @@ class Simulation:
         eval_seed = np.array([derive_seed(master, "eval")], dtype=np.uint64)
         self.eval_batch, self.reference_loss = STREAM_MEMO.draw(eval_params, eval_seed, self._draw_eval,
                                                                 _eval_nbytes)
-        self.pending: dict[int, list[QueueEntry]] = {}  # entries in flight, by the round they come due
+        self.queue = DelayQueue()  # its due schedule is looked up on the first round
         self.round = 0
-        # batch and delay seed tables of the rounds in _batch_rounds and _delay_rounds, hashed when read
-        self._batch_rounds = self._delay_rounds = range(0)
+        # the batch seed table of the rounds in _batch_rounds, hashed when read
+        self._batch_rounds = range(0)
         self._batch_seeds: np.ndarray | None = None
-        self._delay_seeds: np.ndarray | None = None
         self.diverged = False
         self.losses: list[float] = []
         # grad_norm_sq is computed only where audit_run reads it
@@ -391,14 +546,6 @@ class Simulation:
         for part in _parts(batch):
             part.flags.writeable = False
         return batch, init_reference_loss(self.obj, batch)
-
-    def _due_grads(self, due: list[QueueEntry]) -> np.ndarray:
-        """The due entries' pseudo-gradients, stacked (E, dim)."""
-        if self.config.quantize_queue:
-            stacked = QuantizedPayload(np.array([e.payload.codes for e in due]),
-                                       np.array([e.payload.scales for e in due]))
-            return dequantize_payload(stacked, self.outer_state.fragments)
-        return np.array([e.payload for e in due])
 
     def _trace_rows(self, entries: int) -> np.ndarray:
         """The next entries' trace rows as an (entries, budget) view; the buffer takes the configured
@@ -427,28 +574,34 @@ class Simulation:
             self._batch_seeds = batch_seeds(self.workers, self._batch_rounds, self.config.inner_steps)
         return self._batch_seeds[:, self.round - self._batch_rounds.start]
 
-    def _apply(self, r: int, due: list[QueueEntry], plan: tuple, selected_ages: np.ndarray) -> None:
-        """Apply round r's due entries, in order, with one outer step over `plan`, and write their trace rows."""
+    def _due_schedule(self) -> DueSchedule:
+        """The due schedule of the chunk of rounds from this one, from the stream memo; every value it reads
+        is in its key."""
+        workers, rounds = len(self.workers), self._table_rounds()
+        return STREAM_MEMO.draw(("due", self.delay, workers), np.array([rounds.start, rounds.stop]),
+                                lambda _: due_schedule(self.delay, workers, rounds), lambda built: built.nbytes)
+
+    def _apply(self, r: int, due: np.ndarray, plan: tuple, selected_ages: np.ndarray) -> None:
+        """Apply round r's due entries, (worker id, produced round, tau) rows in order, with one outer step
+        over `plan`, and write their trace rows."""
         cfg, state = self.config, self.outer_state
-        grads = self._due_grads(due)
+        grads = self.queue.payloads(due, state.fragments)
         delta_norm_sq = _norms_sq(grads)
         if self.row.premix == "eager":
             own, grads = grads, grads.copy()
-            for j, entry in enumerate(due):
-                if entry.worker in state.prev_own and state.prev_avg is not None:
-                    grads[j] = eager_step(own[j], state.prev_own[entry.worker], state.prev_avg, cfg.workers)
-                state.prev_own[entry.worker] = own[j]
+            for j, worker in enumerate(due[:, 0].tolist()):
+                if worker in state.prev_own and state.prev_avg is not None:
+                    grads[j] = eager_step(own[j], state.prev_own[worker], state.prev_avg, cfg.workers)
+                state.prev_own[worker] = own[j]
             state.prev_avg = np.mean(own, axis=0)
-        taus = np.array([[e.tau] for e in due], dtype=np.float64)
+        taus = due[:, 2:].astype(np.float64)
         # a fragment-aged method weighs each fragment by max(tau, rounds since the fragment last synced)
         ages = np.maximum(taus, selected_ages) if self.row.age == "fragment" else taus.repeat(len(plan[0]), 1)
         before = np.empty(grads.shape) if self.trace.exact_grad else None
         applied, sigma, rho, norm = outer_step(
             self.global_params, grads, ages, state, cfg.outer, plan, before=before)
-        grad_norm_sq = (np.nan if before is None
-                        else _norms_sq(np.array([self.obj.population_grad(p) for p in before])))
-        info = np.array([(e.worker, e.produced_round) for e in due])
-        values = (r, info[:, :1], info[:, 1:], taus, ages, plan[0], applied, sigma, rho, norm,
+        grad_norm_sq = np.nan if before is None else _norms_sq(self.obj.population_grad(before))
+        values = (r, due[:, :1], due[:, 1:2], taus, ages, plan[0], applied, sigma, rho, norm,
                   grad_norm_sq, delta_norm_sq)  # in ApplyRecord field order, each broadcast to (E, budget)
         rows = self._trace_rows(len(due))
         for name, value in zip(ApplyRecord.names, values):
@@ -471,19 +624,15 @@ class Simulation:
         if not np.isfinite(deltas).all():
             self.diverged = True
             return False
+        queue = self.queue
+        if r not in queue.rounds:
+            queue.enter(self._due_schedule())
+        ids = [shard.worker_id for shard in self.workers]
         if cfg.quantize_queue:
             stacked = quantize_payload(deltas, self.outer_state.fragments)
-            payloads = [QuantizedPayload(c, sc) for c, sc in zip(stacked.codes, stacked.scales)]
+            queue.push(r, ids, stacked.codes, stacked.scales)
         else:
-            payloads = deltas
-        if r not in self._delay_rounds:
-            self._delay_rounds = self._table_rounds()
-            self._delay_seeds = delay_seeds(self.delay, len(self.workers), self._delay_rounds)
-        ids = [shard.worker_id for shard in self.workers]
-        taus = sample_delay(self.delay, self._delay_seeds[ids, r - self._delay_rounds.start])
-        for shard, payload, tau in zip(self.workers, payloads, taus):
-            entry = QueueEntry(worker=shard.worker_id, produced_round=r, tau=tau, payload=payload)
-            self.pending.setdefault(r + tau, []).append(entry)
+            queue.push(r, ids, deltas)
 
         # the selection is a function of the fragment ages, so it is made once per ages state
         fragments = self.outer_state.fragments
@@ -491,8 +640,8 @@ class Simulation:
         if picked is None:
             picked = fragments.pick(select_fragments(fragments, cfg.fragments["budget"]))
         plan, selected_ages, after = picked
-        due = sorted(self.pending.pop(r, ()), key=lambda e: (e.worker, e.produced_round))
-        if due:
+        due = queue.due(r)
+        if len(due):
             self._apply(r, due, plan, selected_ages)
         fragments.ages[:] = after
 
@@ -536,7 +685,7 @@ class Simulation:
             losses=self.losses,
             final_loss=final,
             diverged=diverged,
-            reference_loss=self.reference_loss,
+            reference_loss=self.reference_loss if math.isfinite(self.reference_loss) else None,
             rounds_completed=self.round,
             consumed_entries=len(hits),
             applied_updates=int(np.count_nonzero(hits)),

@@ -216,6 +216,21 @@ class TestResultFiles:
         assert RunConfig.from_dict(payload["config"]).hash == cfg.hash
 
 
+    def test_overflowing_reference_inits_write_strict_json(self, tmp_path):
+        # every one of the 32 reference inits overflows the loss, so the reference loss is NaN
+        raw = quad_raw(rounds=3)
+        raw["objective"] = {**raw["objective"], "dimension": 4, "init_scale": 1e200}
+        with np.errstate(over="ignore", invalid="ignore"):
+            result, path = run_to_file(RunConfig.from_dict(raw), tmp_path)
+
+        def reject(token):
+            raise ValueError(f"non-finite token {token} in the result JSON")
+
+        payload = json.loads(path.read_text(encoding="utf-8"), parse_constant=reject)
+        assert payload["reference_loss"] is None and result.reference_loss is None
+        assert payload["diverged"] is True and payload["final_loss"] is None
+
+
 def json_leaf_types(node):
     if isinstance(node, dict):
         return set().union(*map(json_leaf_types, node.values()))

@@ -17,7 +17,7 @@ import stalelab.harness as harness_mod
 import stalelab.simulator as sim_mod
 from stalelab.config import RunConfig, expand_sweep
 from stalelab.harness import _bundles, _run_cell, result_filename, run_sweep, serialize_result
-from stalelab.objective import MlpRegressionObjective, mlp_dim
+from stalelab.objective import REFERENCE_INITS, MlpRegressionObjective, mlp_dim
 from stalelab.optim import METHODS
 from stalelab.simulator import Simulation, phase_key, run_experiment, run_lockstep
 
@@ -177,7 +177,29 @@ def test_only_the_run_a_stack_reads_hashes_batch_seeds():
     list(run_lockstep(sims))
     assert sims[0]._batch_seeds is not None
     assert sims[1]._batch_seeds is None and sims[2]._batch_seeds is None
-    assert all(sim._delay_seeds is not None for sim in sims)
+    # every run reads a due schedule, and runs of one delay schedule share the memo's one
+    assert sims[0].queue.schedule is not None
+    assert all(sim.queue.schedule is sims[0].queue.schedule for sim in sims)
+
+
+def test_a_bundle_unpacks_each_cells_params_once(monkeypatch):
+    # the cells share one mlp instance; each cell's eval must not evict the others' views
+    unpacked, real = [], MlpRegressionObjective.unpack
+
+    def counted(self, params):
+        unpacked.append(params.shape)
+        return real(self, params)
+
+    monkeypatch.setattr(MlpRegressionObjective, "unpack", counted)
+    configs = [mlp_config(method=method, rounds=20) for method in ("cgad", "nesterov", "adam")]
+    sims = [Simulation(config) for config in configs]
+    built = len(unpacked)  # the teacher, then the reference inits of the cells' one eval pair
+    assert built <= 1 + REFERENCE_INITS + len(sims)
+    outcomes = dict(run_lockstep(sims))
+    assert all(outcomes[i].rounds_completed == 20 for i in range(3))
+    # two buffers (params, gradient) per stacked phase, and no cell's (dim,) params again
+    stacked = (len(sims) * configs[0].workers, sims[0].obj.dim)
+    assert unpacked[built:] == [stacked] * (2 * 20)
 
 
 def test_cells_of_a_stack_hold_their_own_payloads():
@@ -185,7 +207,7 @@ def test_cells_of_a_stack_hold_their_own_payloads():
                for method in ("cgad", "nesterov", "adam")]
     sims = [Simulation(config) for config in configs]
     list(run_lockstep(sims))
-    payloads = [[entry.payload for entries in sim.pending.values() for entry in entries] for sim in sims]
+    payloads = [[entry.payload for entry in sim.queue.in_flight(sim.round)] for sim in sims]
     assert all(len(held) == 4 * configs[0].workers for held in payloads)
     for a in range(len(sims)):
         for b in range(a + 1, len(sims)):
@@ -196,10 +218,13 @@ def test_cells_of_a_stack_hold_their_own_payloads():
             array = array.base
         return array
 
-    # a payload row views its own round's (K, dim) deltas, not a slice of the stack's (B*K, dim) workspace
-    owners = {id(owner(x)): owner(x) for held in payloads for x in held}
-    assert len(owners) == 4 * len(sims)
-    assert all(o.shape == (configs[0].workers, sims[0].obj.dim) for o in owners.values())
+    # a payload row views its own run's ring, not a slice of the stack's (B*K, dim) workspace
+    for sim, held in zip(sims, payloads):
+        assert all(owner(x) is sim.queue.ring for x in held)
+        assert sim.queue.ring.shape[1:] == (configs[0].workers, sims[0].obj.dim)
+    for a, b in zip(sims, configs):
+        assert [(e.worker, e.produced_round) for e in a.queue.in_flight(a.round)] == [
+            (w, r) for r in range(4) for w in range(b.workers)]
 
 
 def test_a_raising_stacked_phase_steps_its_runs_alone(monkeypatch):

@@ -255,6 +255,16 @@ class TestStacked:
             np.testing.assert_array_equal(bits(losses[k]), bits(loss))
             np.testing.assert_array_equal(bits(grads[k]), bits(grad))
 
+    @pytest.mark.parametrize("rows", [1, 3, 8])
+    def test_stacked_population_grads_match_matrix_products(self, rows):
+        # the audit reads a round's entries' exact gradients from one stacked call
+        obj = make_objective(KINDS["quadratic"])
+        params = np.stack([obj.init_params(40 + k) for k in range(rows)])
+        stacked = obj.population_grad(params)
+        for k in range(rows):
+            np.testing.assert_array_equal(bits(stacked[k]), bits(obj.matrix @ (params[k] - obj.minimizer)))
+            np.testing.assert_array_equal(bits(obj.population_grad(params[k])), bits(stacked[k]))
+
     def test_quadratic_matches_plain_matrix_products(self):
         obj = make_objective(KINDS["quadratic"])
         params = obj.init_params(4)

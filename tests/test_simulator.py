@@ -479,7 +479,8 @@ class TestFragmentBookkeeping:
 
 
 class TestHandoff:
-    """The outer state, the queue and the params are all a run carries between rounds."""
+    """The outer state, the queue (its due schedule, carried entries and payload ring) and the params are
+    all a run carries between rounds."""
 
     @pytest.mark.parametrize("quantize", [False, True])
     @pytest.mark.parametrize("method", METHODS)
@@ -492,7 +493,7 @@ class TestHandoff:
         fresh = Simulation(cfg)
         fresh.global_params = copy.deepcopy(sim.global_params)
         fresh.outer_state = copy.deepcopy(sim.outer_state)
-        fresh.pending = copy.deepcopy(sim.pending)
+        fresh.queue = copy.deepcopy(sim.queue)
         fresh.round = sim.round
         for _ in range(11):
             assert sim.run_round() and fresh.run_round()

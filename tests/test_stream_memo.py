@@ -375,3 +375,31 @@ def test_a_budget_too_small_for_the_objective_keeps_none_and_moves_no_byte(monke
     assert [run_bytes(run_experiment(config)) for _ in range(2)] == [want, want]
     assert len(objective_calls) == 2 and not any(objective_tables().values())
     assert 0 < STREAM_MEMO.used <= STREAM_MEMO.budget  # the noise rows and delays still fit
+
+
+def test_fragment_matrix_cells_share_one_due_schedule_and_one_noise_block_per_round(monkeypatch):
+    built, real = [], sim_mod.due_schedule
+
+    def counted(schedule, workers, rounds):
+        built.append(rounds)
+        return real(schedule, workers, rounds)
+
+    monkeypatch.setattr(sim_mod, "due_schedule", counted)
+    sims = [Simulation(config) for _, config in expand_sweep(FRAGMENT_SPEC)]
+    list(run_lockstep(sims))
+    assert built == [range(20)]
+    assert all(sim.queue.schedule is sims[0].queue.schedule for sim in sims)
+    noise = [table for params, table in STREAM_MEMO.tables.items()
+             if isinstance(params, tuple) and params[0] == "noise"]
+    assert len(noise) == 1 and len(noise[0]) == 20  # one (K, 1, dim) block per round's K seed rows
+    assert all(block.shape == (4, 1, 64) and not block.flags.writeable for block in noise[0].values())
+
+
+@pytest.mark.parametrize("rounds", [5, 12])
+def test_due_schedules_of_other_chunks_are_their_own(rounds):
+    base = {"version": 1, "objective": QUAD, "workers": 2, "inner_steps": 1, "method": "cgad",
+            "delay": {"kind": "uniform_int", "lo": 0, "hi": 6}}
+    want = digest(RunConfig.from_dict({**base, "rounds": rounds}))
+    STREAM_MEMO.clear()
+    digest(RunConfig.from_dict({**base, "rounds": 8}))  # a schedule of rounds [0, 8) in the memo
+    assert digest(RunConfig.from_dict({**base, "rounds": rounds})) == want
