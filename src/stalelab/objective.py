@@ -41,7 +41,6 @@ operand order, so no bit moves.
 from __future__ import annotations
 
 import numbers
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -115,11 +114,6 @@ class Objective:
     def loss(self, params: np.ndarray, batch) -> float | np.ndarray:
         """The loss alone; bit-identical to `loss_and_grad(params, batch)[0]`."""
         return self.loss_and_grad(params, batch)[0]
-
-    def keep_views(self, params: np.ndarray) -> object | None:
-        """A token that keeps what the objective derives from the params buffer (an mlp's layer views)
-        while it lives; None where nothing is derived."""
-        return None
 
     def population_grad(self, params: np.ndarray) -> np.ndarray | None:
         """Exact full-objective gradient where available, of one (dim,) vector or each row of a (E, dim)
@@ -236,6 +230,9 @@ def valid_layer_sizes(sizes) -> bool:
             and all(isinstance(s, numbers.Integral) and not isinstance(s, bool) and s >= 1 for s in sizes))
 
 
+VIEWS_KEPT = 8  # buffers an mlp keeps layer views of: a stacked phase's params and gradient, six cells' params
+
+
 @dataclass(eq=False)
 class MlpRegressionObjective(Objective):
     """tanh MLP fit to a frozen random teacher of the same architecture."""
@@ -259,8 +256,7 @@ class MlpRegressionObjective(Objective):
             pos = self._offsets[-1][2]
         rng = np.random.default_rng(derive_seed(self.teacher_seed, "mlp-teacher"))
         self.teacher_params = _read_only(self._draw_params(rng, self.teacher_scale))
-        self._unpacked: dict[int, tuple] = {}  # id -> (buffer, shape, its views); see _views
-        self._kept: dict[int, tuple] = {}  # the same, for each buffer a live keep_views token holds
+        self._unpacked: dict[int, tuple] = {}  # id -> (buffer, shape, its views), last used last; see _views
         self._teacher_layers = self.unpack(self.teacher_params)  # read-only views, unpacked once for every batch
 
     def _draw_params(self, rng: np.random.Generator, scale: float) -> np.ndarray:
@@ -280,30 +276,17 @@ class MlpRegressionObjective(Objective):
             layers.append((w, params[..., b_start:b_end], w.swapaxes(-1, -2)))
         return layers
 
-    def keep_views(self, params: np.ndarray) -> object:
-        """Keep the buffer's views while the returned token lives, so a run's global params, which its
-        eval reads every round, are unpacked once however many runs share this objective."""
-        token, kept = _ViewsToken(), (params, params.shape, self.unpack(params))
-        self._kept[id(params)] = kept
-        weakref.finalize(token, self._forget, id(params), kept)
-        return token
-
-    def _forget(self, key: int, kept: tuple) -> None:
-        if self._kept.get(key) is kept:
-            del self._kept[key]
-
     def _views(self, buf: np.ndarray) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-        """`unpack(buf)`, unpacked once per buffer: a kept buffer's views while its token lives, and
-        the views of the last two other buffers, so an inner phase's params and gradient buffers are
-        unpacked at its first step only."""
-        kept = self._kept.get(id(buf)) or self._unpacked.get(id(buf))
-        if kept is not None and kept[0] is buf and kept[1] == buf.shape:
-            return kept[2]
-        views = self.unpack(buf)
-        if len(self._unpacked) >= 2:
-            del self._unpacked[next(iter(self._unpacked))]
-        self._unpacked[id(buf)] = (buf, buf.shape, views)
-        return views
+        """`unpack(buf)`, unpacked once per buffer: the views of the VIEWS_KEPT buffers used last, so an
+        inner phase's params and gradient buffers are unpacked at its first step only, and the global
+        params of each cell of a lockstep bundle that shares this objective once a run."""
+        kept = self._unpacked.pop(id(buf), None)
+        if kept is None or kept[0] is not buf or kept[1] != buf.shape:
+            kept = (buf, buf.shape, self.unpack(buf))
+            if len(self._unpacked) >= VIEWS_KEPT:
+                del self._unpacked[next(iter(self._unpacked))]
+        self._unpacked[id(buf)] = kept
+        return kept[2]
 
     def init_params(self, seed: int) -> np.ndarray:
         rng = np.random.default_rng(seed)
@@ -367,12 +350,6 @@ class MlpRegressionObjective(Objective):
                 np.multiply(act, act, out=act)
                 dz *= np.subtract(1.0, act, out=act)  # tanh'(z) = 1 - tanh(z)^2
         return loss, grad
-
-
-class _ViewsToken:
-    """What `MlpRegressionObjective.keep_views` hands out; its views are dropped when it dies."""
-
-    __slots__ = ("__weakref__",)
 
 
 def _read_only(*arrays: np.ndarray) -> np.ndarray:

@@ -14,13 +14,12 @@ skipped.
 
 `STREAM_MEMO` keeps, per process and within a byte budget, what cells of
 a sweep draw alike: a linear-noise inner step's block of K mean rows by
-the K workers' seed-table rows, a delay by its seed-table row, a chunk's
-due schedule (every entry's worker, produced round and tau, sorted by due
-round) by the chunk's (start, stop), a run's eval batch with its
-reference loss by its eval seed, and a run's objective by no row at all,
-each also keyed by every config value its draw reads. Each is built on
-the first cell that asks for it; a warm memo gives the bytes of a cold
-one.
+the K workers' seed-table rows, a chunk's due schedule (every entry's
+worker, produced round and tau, sorted by due round) by the chunk's
+(start, stop), a run's eval batch with its reference loss by its eval
+seed, and a run's objective by no row at all, each also keyed by every
+config value its draw reads. Each is built on the first cell that asks
+for it; a warm memo gives the bytes of a cold one.
 """
 
 from __future__ import annotations

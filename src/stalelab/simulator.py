@@ -167,7 +167,7 @@ def delay_seeds(schedule: DelaySchedule, workers: int, rounds: range) -> np.ndar
 
 def sample_delay(schedule: DelaySchedule, seeds: np.ndarray) -> int | list[int]:
     """Delay of one (worker, round) from its `delay_seeds` row, or a list of them from an (n, 4)
-    stack of rows (a round's workers); kept in the stream memo, order-free."""
+    stack of rows (a due schedule's chunk); order-free."""
     if schedule.kind == "fixed":
         return schedule.tau if seeds.ndim == 1 else [schedule.tau] * len(seeds)
 
@@ -178,7 +178,7 @@ def sample_delay(schedule: DelaySchedule, seeds: np.ndarray) -> int | list[int]:
         # exponential; min before int(), so a draw that overflows to inf (a tiny rate) gives tau_max
         return int(min(schedule.tau_max, np.rint(rng.exponential(1.0 / schedule.rate))))
 
-    return STREAM_MEMO.draw(schedule, seeds, draw, 8)  # the schedule holds every field the draw reads
+    return draw(seeds) if seeds.ndim == 1 else [draw(row) for row in seeds]
 
 
 @dataclass(frozen=True)
@@ -320,8 +320,7 @@ class DelayQueue:
             self.ring = np.zeros((self.span, len(ids), *rows.shape[1:]), dtype=rows.dtype)
             if scales is not None:
                 self.scales = np.zeros((self.span, len(ids), *scales.shape[1:]))
-        # rows in worker id order (the usual case) go in with a plain index, which is faster
-        slot = r % self.span if ids == list(range(len(ids))) else (r % self.span, ids)
+        slot = r % self.span, ids
         self.ring[slot] = rows
         if scales is not None:
             self.scales[slot] = scales
@@ -515,7 +514,6 @@ class Simulation:
         dim = self.obj.dim
         master = config.master_seed
         self.global_params = self.obj.init_params(derive_seed(master, "init"))
-        self._kept_views = self.obj.keep_views(self.global_params)  # the eval unpacks it once a run
         self.outer_state = OuterState.zeros(Fragments.even_split(dim, config.fragments["count"]).sizes)
         self.workers = [Shard.for_worker(master, w, config.batch_size) for w in range(config.workers)]
         self.delay = DelaySchedule(seed=derive_seed(master, "delay"), **config.delay)

@@ -17,7 +17,7 @@ import stalelab.harness as harness_mod
 import stalelab.simulator as sim_mod
 from stalelab.config import RunConfig, expand_sweep
 from stalelab.harness import _bundles, _run_cell, result_filename, run_sweep, serialize_result
-from stalelab.objective import REFERENCE_INITS, MlpRegressionObjective, mlp_dim
+from stalelab.objective import REFERENCE_INITS, VIEWS_KEPT, MlpRegressionObjective, mlp_dim
 from stalelab.optim import METHODS
 from stalelab.simulator import Simulation, phase_key, run_experiment, run_lockstep
 
@@ -182,7 +182,8 @@ def test_only_the_run_a_stack_reads_hashes_batch_seeds():
     assert all(sim.queue.schedule is sims[0].queue.schedule for sim in sims)
 
 
-def test_a_bundle_unpacks_each_cells_params_once(monkeypatch):
+@pytest.mark.parametrize("methods", [("cgad", "nesterov", "adam"), METHODS[:VIEWS_KEPT - 2]], ids=len)
+def test_a_bundle_unpacks_each_cells_params_once(monkeypatch, methods):
     # the cells share one mlp instance; each cell's eval must not evict the others' views
     unpacked, real = [], MlpRegressionObjective.unpack
 
@@ -191,15 +192,15 @@ def test_a_bundle_unpacks_each_cells_params_once(monkeypatch):
         return real(self, params)
 
     monkeypatch.setattr(MlpRegressionObjective, "unpack", counted)
-    configs = [mlp_config(method=method, rounds=20) for method in ("cgad", "nesterov", "adam")]
+    configs = [mlp_config(method=method, rounds=20) for method in methods]
     sims = [Simulation(config) for config in configs]
     built = len(unpacked)  # the teacher, then the reference inits of the cells' one eval pair
-    assert built <= 1 + REFERENCE_INITS + len(sims)
+    assert built <= 1 + REFERENCE_INITS
     outcomes = dict(run_lockstep(sims))
-    assert all(outcomes[i].rounds_completed == 20 for i in range(3))
-    # two buffers (params, gradient) per stacked phase, and no cell's (dim,) params again
-    stacked = (len(sims) * configs[0].workers, sims[0].obj.dim)
-    assert unpacked[built:] == [stacked] * (2 * 20)
+    assert all(outcomes[i].rounds_completed == 20 for i in range(len(sims)))
+    # two buffers (params, gradient) per stacked phase, and each cell's (dim,) params at its first eval only
+    stacked, alone = (len(sims) * configs[0].workers, sims[0].obj.dim), (sims[0].obj.dim,)
+    assert unpacked[built:] == [stacked] * 2 + [alone] * len(sims) + [stacked] * (2 * 19)
 
 
 def test_cells_of_a_stack_hold_their_own_payloads():

@@ -104,7 +104,7 @@ def test_a_round_of_delays_drawn_in_one_call_equals_one_call_per_worker(spec):
     used = STREAM_MEMO.used
     STREAM_MEMO.clear()
     assert [sample_delay(sched, seeds[:, r]) for r in range(30)] == alone
-    assert STREAM_MEMO.used == used
+    assert STREAM_MEMO.used == used == 0  # a lone delay is not kept; its due schedule is
     assert all(isinstance(tau, int) for taus in alone for tau in taus)
 
 
@@ -265,7 +265,7 @@ def test_a_budget_too_small_for_the_eval_entry_keeps_nothing_and_moves_no_byte(m
     del reference_calls[:]
     assert [digest(config), digest(config)] == [want, want]
     assert len(reference_calls) == 2 and not any(eval_tables().values())
-    assert 0 < STREAM_MEMO.used <= STREAM_MEMO.budget  # the delays still fit
+    assert 0 < STREAM_MEMO.used <= STREAM_MEMO.budget  # the objective and the due schedule still fit
 
 
 @pytest.fixture
@@ -374,7 +374,7 @@ def test_a_budget_too_small_for_the_objective_keeps_none_and_moves_no_byte(monke
     del objective_calls[:]
     assert [run_bytes(run_experiment(config)) for _ in range(2)] == [want, want]
     assert len(objective_calls) == 2 and not any(objective_tables().values())
-    assert 0 < STREAM_MEMO.used <= STREAM_MEMO.budget  # the noise rows and delays still fit
+    assert 0 < STREAM_MEMO.used <= STREAM_MEMO.budget  # the noise rows and the due schedule still fit
 
 
 def test_fragment_matrix_cells_share_one_due_schedule_and_one_noise_block_per_round(monkeypatch):
