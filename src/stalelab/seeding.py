@@ -14,9 +14,9 @@ skipped.
 
 `STREAM_MEMO` keeps, per process and within a byte budget, what cells of
 a sweep draw alike: a linear-noise inner step's block of K mean rows by
-the K workers' seed-table rows, a chunk's due schedule (every entry's
-worker, produced round and tau, sorted by due round) by the chunk's
-(start, stop), a run's eval batch with its reference loss by its eval
+the K workers' seed-table rows, a run's due schedule (every entry's
+worker, produced round and tau, sorted by due round) by the run's
+(0, rounds), a run's eval batch with its reference loss by its eval
 seed, and a run's objective by no row at all, each also keyed by every
 config value its draw reads. Each is built on the first cell that asks
 for it; a warm memo gives the bytes of a cold one.
@@ -160,34 +160,29 @@ class StreamMemo:
     """Draws from seed rows, kept by (params, row bytes) while the kept bytes (the row's bytes
     plus nbytes per value) fit the budget; params hold every value the draw reads besides the row.
 
-    A row is a seed-table row (a delay), a round's K seed-table rows flattened (its block of
-    mean noise rows), a chunk's (start, stop) rounds (its due schedule), a run's eval seed as
-    one uint64 (its eval batch and reference loss), or empty (an objective, which its params
-    alone decide). The arrays of a noise block, a due schedule, an eval pair or an objective
-    are read-only, since every cell with that key reads the same ones."""
+    A row is a round's K seed-table rows flattened (its block of mean noise rows), a run's
+    (0, rounds) (its due schedule), a run's eval seed as one uint64 (its eval batch and
+    reference loss), or empty (an objective, which its params alone decide). The arrays of a
+    noise block, a due schedule, an eval pair or an objective are read-only, since every cell
+    with that key reads the same ones."""
 
     def __init__(self, budget: int):
         self.budget, self.used, self.tables = budget, 0, {}
 
-    def draw(self, params: tuple, rows: np.ndarray, draw, nbytes):
-        """draw(row) for one row, or a list of them for an (n, ...) stack of rows; each is the value
-        the memo keeps for its row where it keeps one. nbytes is an int, or a function of the drawn
-        value. params' table is looked up once per call."""
+    def draw(self, params: tuple, row: np.ndarray, draw, nbytes):
+        """draw(row), the value the memo keeps for the row where it keeps one. nbytes is an int, or a
+        function of the drawn value."""
         table = self.tables.get(params)
         if table is None:
             table = self.tables[params] = {}
-        values = []
-        for row in rows if rows.ndim == 2 else rows[None]:
-            key = row.tobytes()
-            if key in table:
-                values.append(table[key])
-                continue
-            value = draw(row)
-            size = len(key) + (nbytes(value) if callable(nbytes) else nbytes)
-            if self.used + size <= self.budget:
-                table[key], self.used = value, self.used + size
-            values.append(value)
-        return values if rows.ndim == 2 else values[0]
+        key = row.tobytes()
+        if key in table:
+            return table[key]
+        value = draw(row)
+        size = len(key) + (nbytes(value) if callable(nbytes) else nbytes)
+        if self.used + size <= self.budget:
+            table[key], self.used = value, self.used + size
+        return value
 
     def clear(self):
         self.tables, self.used = {}, 0

@@ -25,18 +25,16 @@ One outer round does, in order:
 3. fragment ages reset to 0 where selected, else grow by 1;
 4. the global params are evaluated on a fixed held-out batch.
 
-The due schedule (`due_schedule`) is the queue's order, drawn ahead: for a
-chunk of rounds (the rounds one delay seed table covers) it draws each
-(worker, round) delay with `sample_delay` and sorts the entries once, by
-due round, into flat read-only arrays. It depends only on the delay
-schedule, the worker count and the chunk, so the runs of a sweep that
-share them share one, kept in `seeding.STREAM_MEMO`. A run builds or looks
-up its schedule on its first round, and the next chunk's when it steps
-past the last; entries of one chunk that come due in a later one are
-carried, sorted into the run's own copy of the later chunk's schedule, so
-a round reads its due entries as one slice. The ring (`DelayQueue`) is sized so that no payload is
-overwritten before its entry comes due within the chunk, and grows, moving
-its rows, when a later chunk needs a longer span.
+The due schedule (`due_schedule`) is the queue's order, drawn ahead: for
+the run's rounds it draws each (worker, round) delay with `sample_delay`
+and sorts the entries once, by due round, into flat read-only arrays, so a
+round reads its due entries as one slice. It depends only on the delay
+schedule, the worker count and the run's length, so the runs of a sweep
+that share them share one, kept in `seeding.STREAM_MEMO`. A run builds or
+looks up its schedule on its first round, together with its payload ring
+(`DelayQueue`), sized once so that no payload is overwritten before its
+entry comes due or the run ends. A run steps at most `config.rounds`
+rounds.
 
 A run's objective depends only on its resolved objective config, and its
 eval batch and reference loss (the mean loss of 32 fresh inits on it,
@@ -126,7 +124,7 @@ __all__ = [
 
 DIVERGENCE_FACTOR = 5.0  # final loss above this multiple of the untrained reference flags the run
 FINAL_LOSS_WINDOW = 5  # trailing rounds averaged into the reported final loss
-SEED_TABLE_ROWS = 8192  # batch seeds hashed at once; bounds the seed tables of a long run
+SEED_TABLE_ROWS = 8192  # batch or delay seeds hashed at once; bounds the seed tables of a long run
 LAST_ROUND = np.iinfo(np.int64).max  # the last round a due schedule can name
 
 
@@ -167,7 +165,7 @@ def delay_seeds(schedule: DelaySchedule, workers: int, rounds: range) -> np.ndar
 
 def sample_delay(schedule: DelaySchedule, seeds: np.ndarray) -> int | list[int]:
     """Delay of one (worker, round) from its `delay_seeds` row, or a list of them from an (n, 4)
-    stack of rows (a due schedule's chunk); order-free."""
+    stack of rows (a window of a due schedule); order-free."""
     if schedule.kind == "fixed":
         return schedule.tau if seeds.ndim == 1 else [schedule.tau] * len(seeds)
 
@@ -183,22 +181,19 @@ def sample_delay(schedule: DelaySchedule, seeds: np.ndarray) -> int | list[int]:
 
 @dataclass(frozen=True)
 class DueSchedule:
-    """The queue entries of the chunk of rounds [start, stop): those produced in it (and, in a run that
-    stepped into it from an earlier chunk, that chunk's entries still to come due).
+    """The queue entries of a run: one per (worker, round) of its rounds.
 
     `entries` holds each entry's (worker id, produced round, tau) as an int64
     row, in (due round, worker id, produced round) order, the due round
-    being produced round + tau. The entries due at a round d in [start, stop) are
-    entries[bounds[d - start]:bounds[d - start + 1]]; entries[bounds[-1]:]
-    come due after the chunk. An entry whose due round would pass
-    LAST_ROUND never comes due and is left out. `reach` is the most rounds
-    past its production that any entry's payload must be kept before the
-    chunk ends: its tau, or the rounds left in the chunk if fewer. Every
-    array is read-only, so runs can share one schedule.
+    being produced round + tau. The entries due at a round d of the run are
+    entries[bounds[d]:bounds[d + 1]]; entries[bounds[-1]:] come due after
+    the run. An entry whose due round would pass LAST_ROUND never comes due
+    and is left out. `reach` is the most rounds past its production that any
+    entry's payload must be kept before the run ends: its tau, or the rounds
+    left in the run if fewer. Every array is read-only, so runs can share
+    one schedule.
     """
 
-    start: int
-    stop: int
     entries: np.ndarray
     bounds: np.ndarray
     reach: int
@@ -208,25 +203,27 @@ class DueSchedule:
         return self.entries.nbytes + self.bounds.nbytes + 8
 
 
-def due_schedule(schedule: DelaySchedule, workers: int, rounds: range) -> DueSchedule:
-    """The due schedule of workers 0..workers-1 over `rounds`, from one `sample_delay` call on its seed table."""
-    seeds = delay_seeds(schedule, workers, rounds)
-    tau = np.array(sample_delay(schedule, seeds.reshape(-1, 4)), dtype=np.int64)
-    worker, produced = (grid.ravel() for grid in np.meshgrid(np.arange(workers), np.asarray(rounds), indexing="ij"))
+def due_schedule(schedule: DelaySchedule, workers: int, rounds: int) -> DueSchedule:
+    """The due schedule of workers 0..workers-1 over `rounds` rounds. The delays are drawn with one
+    `sample_delay` call per seed table of at most SEED_TABLE_ROWS // workers rounds."""
+    tau = np.empty((workers, rounds), dtype=np.int64)
+    window = max(1, SEED_TABLE_ROWS // workers)
+    for start in range(0, rounds, window):
+        stop = min(rounds, start + window)
+        seeds = delay_seeds(schedule, workers, range(start, stop)).reshape(-1, 4)
+        tau[:, start:stop] = np.reshape(sample_delay(schedule, seeds), (workers, -1))
+    worker, produced = np.divmod(np.arange(workers * rounds), rounds)  # worker-major, as tau is
+    tau = tau.ravel()
     comes_due = tau <= LAST_ROUND - produced  # compared before adding, so no due round overflows
-    return _by_due(worker[comes_due], produced[comes_due], tau[comes_due], rounds)
-
-
-def _by_due(worker: np.ndarray, produced: np.ndarray, tau: np.ndarray, rounds: range) -> DueSchedule:
-    """The schedule of the chunk `rounds` holding these entries, sorted once by (due, worker, produced)."""
+    worker, produced, tau = worker[comes_due], produced[comes_due], tau[comes_due]
     due = produced + tau
     order = np.lexsort((produced, worker, due))
     entries = np.stack((worker, produced, tau), axis=1)[order]
-    bounds = np.searchsorted(due[order], np.arange(rounds.start, rounds.stop + 1))
-    reach = int(np.minimum(tau, rounds.stop - 1 - produced).max(initial=0))
+    bounds = np.searchsorted(due[order], np.arange(rounds + 1))
+    reach = int(np.minimum(tau, rounds - 1 - produced).max(initial=0))
     for array in (entries, bounds):
         array.flags.writeable = False
-    return DueSchedule(rounds.start, rounds.stop, entries, bounds, reach)
+    return DueSchedule(entries, bounds, reach)
 
 
 def select_fragments(fragments: Fragments, budget: int) -> list[int]:
@@ -281,38 +278,18 @@ def dequantize_payload(payload: QuantizedPayload, fragments: Fragments) -> np.nd
 class DelayQueue:
     """A run's queue entries in flight: when each comes due, and its payload.
 
-    `schedule` is the due schedule of the chunk of rounds the run is in.
-    Payloads sit in a ring of `span` rounds: worker w's payload of round p
-    is ring[p % span, w] (with a quantized queue its codes, of the payload's
-    dtype, and its per-fragment scales at scales[p % span, w]). The span
-    exceeds the schedule's reach, so no payload is overwritten before its
-    entry comes due or the chunk ends.
+    `schedule` is the run's due schedule. Payloads sit in a ring of `span`
+    rounds: worker w's payload of round p is ring[p % span, w] (with a
+    quantized queue its codes, of the payload's dtype, and its per-fragment
+    scales at scales[p % span, w]). The span exceeds the schedule's reach,
+    so no payload is overwritten before its entry comes due or the run ends.
     """
 
-    def __init__(self):
-        self.schedule: DueSchedule | None = None
-        self.rounds = range(0)  # the schedule's chunk
-        self.span = 0
-        self.ring: np.ndarray | None = None
+    def __init__(self, schedule: DueSchedule):
+        self.schedule = schedule
+        self.span = schedule.reach + 1
+        self.ring: np.ndarray | None = None  # allocated by the first push, which gives its dtype and shape
         self.scales: np.ndarray | None = None
-
-    def enter(self, schedule: DueSchedule) -> None:
-        """Step into the chunk of the next round: carry the old chunk's entries that come due later into
-        this run's copy of its schedule, and widen the ring to the chunk's reach, moving its rows."""
-        old = self.schedule
-        if old is not None and old.bounds[-1] < len(old.entries):
-            carried = np.concatenate((old.entries[old.bounds[-1]:], schedule.entries))
-            schedule = _by_due(*carried.T, range(schedule.start, schedule.stop))
-        if schedule.reach >= self.span:
-            wider = schedule.reach + 1
-            if self.ring is not None:
-                # the rows of the last `span` rounds written, each to its slot in the wider ring
-                produced = np.arange(max(0, schedule.start - self.span), schedule.start)
-                self.ring = _moved(self.ring, produced, self.span, wider)
-                if self.scales is not None:
-                    self.scales = _moved(self.scales, produced, self.span, wider)
-            self.span = wider
-        self.schedule, self.rounds = schedule, range(schedule.start, schedule.stop)
 
     def push(self, r: int, ids: list[int], rows: np.ndarray, scales: np.ndarray | None = None) -> None:
         """Write round r's payloads, row k for worker ids[k] (and their scales, for a quantized queue)."""
@@ -328,8 +305,7 @@ class DelayQueue:
     def due(self, r: int) -> np.ndarray:
         """The (worker id, produced round, tau) rows of the entries due at round r, in (worker id, produced
         round) order: a read-only view of the schedule."""
-        i = r - self.rounds.start
-        return self.schedule.entries[self.schedule.bounds[i]:self.schedule.bounds[i + 1]]
+        return self.schedule.entries[self.schedule.bounds[r]:self.schedule.bounds[r + 1]]
 
     def payloads(self, due: np.ndarray, fragments: Fragments) -> np.ndarray:
         """The due entries' pseudo-gradients, gathered from the ring with one index and stacked (E, dim);
@@ -342,9 +318,7 @@ class DelayQueue:
     def in_flight(self, r: int) -> list[QueueEntry]:
         """Entries produced before round r that come due at or after it, in (due round, worker id, produced
         round) order; each payload views the ring."""
-        if self.schedule is None:
-            return []
-        later = self.schedule.entries[self.schedule.bounds[r - self.rounds.start]:]
+        later = self.schedule.entries[self.schedule.bounds[r]:]
         entries = []
         for worker, produced, tau in later[later[:, 1] < r].tolist():
             slot = produced % self.span, worker
@@ -352,13 +326,6 @@ class DelayQueue:
                        else QuantizedPayload(self.ring[slot], self.scales[slot]))
             entries.append(QueueEntry(worker=worker, produced_round=produced, tau=tau, payload=payload))
         return entries
-
-
-def _moved(ring: np.ndarray, produced: np.ndarray, span: int, wider: int) -> np.ndarray:
-    """A ring of `wider` slots holding the rows of the `produced` rounds of a ring of `span` slots."""
-    moved = np.zeros((wider, *ring.shape[1:]), dtype=ring.dtype)
-    moved[produced % wider] = ring[produced % span]
-    return moved
 
 
 def phase_key(config: RunConfig) -> str:
@@ -522,7 +489,7 @@ class Simulation:
         eval_seed = np.array([derive_seed(master, "eval")], dtype=np.uint64)
         self.eval_batch, self.reference_loss = STREAM_MEMO.draw(eval_params, eval_seed, self._draw_eval,
                                                                 _eval_nbytes)
-        self.queue = DelayQueue()  # its due schedule is looked up on the first round
+        self.queue: DelayQueue | None = None  # its due schedule is looked up on the first round
         self.round = 0
         # the batch seed table of the rounds in _batch_rounds, hashed when read
         self._batch_rounds = range(0)
@@ -532,7 +499,9 @@ class Simulation:
         # grad_norm_sq is computed only where audit_run reads it
         audited = self.row.base == "adam" and self.obj.population_grad(self.global_params) is not None
         self.trace = Trace(config.outer, exact_grad=audited)
-        self._records, self._recorded = np.zeros(0, ApplyRecord), 0  # trace rows, then room
+        # room for one trace row per (entry, fragment) of every round; `result` hands out a view
+        self._records = np.empty(config.rounds * config.workers * config.fragments["budget"], ApplyRecord)
+        self._recorded = 0
         if self.obj.kind == "quadratic":
             self.trace.l_smooth = self.obj.smoothness
             self.trace.f_gap = float(self.obj.loss(self.global_params, None))
@@ -545,38 +514,21 @@ class Simulation:
             part.flags.writeable = False
         return batch, init_reference_loss(self.obj, batch)
 
-    def _trace_rows(self, entries: int) -> np.ndarray:
-        """The next entries' trace rows as an (entries, budget) view; the buffer takes the configured
-        run's most rows, then doubles, and is never resized (`result` hands out a view)."""
-        cfg, n = self.config, self.config.fragments["budget"]
-        start, stop = self._recorded, self._recorded + entries * n
-        if stop > len(self._records):
-            records = np.empty(max(2 * stop, cfg.rounds * cfg.workers * n), ApplyRecord)
-            records[:start] = self._records[:start]  # the spare rows stay unwritten until used
-            self._records = records
-        self._recorded = stop
-        return self._records[start:stop].reshape(entries, n)
-
-    def _table_rounds(self) -> range:
-        """Rounds of a seed table hashed at this round: the rest of the configured
-        run, capped at SEED_TABLE_ROWS batch seeds, and at least this round itself
-        (a run can be stepped past config.rounds)."""
-        cfg, r = self.config, self.round
-        return range(r, r + max(1, min(cfg.rounds - r, SEED_TABLE_ROWS // (cfg.workers * cfg.inner_steps))))
-
     def round_batch_seeds(self) -> np.ndarray:
-        """This round's (K, H, 4) batch seed rows. The table is hashed when a round it does not
+        """This round's (K, H, 4) batch seed rows. A table covers the rest of the run, capped at
+        SEED_TABLE_ROWS batch seeds but at least one round, and is hashed when a round it does not
         cover is read, so a run whose lockstep group reads another run's rows hashes none."""
-        if self.round not in self._batch_rounds:
-            self._batch_rounds = self._table_rounds()
-            self._batch_seeds = batch_seeds(self.workers, self._batch_rounds, self.config.inner_steps)
-        return self._batch_seeds[:, self.round - self._batch_rounds.start]
+        cfg, r = self.config, self.round
+        if r not in self._batch_rounds:
+            per_table = max(1, min(cfg.rounds - r, SEED_TABLE_ROWS // (cfg.workers * cfg.inner_steps)))
+            self._batch_rounds = range(r, r + per_table)
+            self._batch_seeds = batch_seeds(self.workers, self._batch_rounds, cfg.inner_steps)
+        return self._batch_seeds[:, r - self._batch_rounds.start]
 
     def _due_schedule(self) -> DueSchedule:
-        """The due schedule of the chunk of rounds from this one, from the stream memo; every value it reads
-        is in its key."""
-        workers, rounds = len(self.workers), self._table_rounds()
-        return STREAM_MEMO.draw(("due", self.delay, workers), np.array([rounds.start, rounds.stop]),
+        """The run's due schedule, from the stream memo; every value it reads is in its key."""
+        workers, rounds = len(self.workers), self.config.rounds
+        return STREAM_MEMO.draw(("due", self.delay, workers), np.array([0, rounds]),
                                 lambda _: due_schedule(self.delay, workers, rounds), lambda built: built.nbytes)
 
     def _apply(self, r: int, due: np.ndarray, plan: tuple, selected_ages: np.ndarray) -> None:
@@ -601,7 +553,9 @@ class Simulation:
         grad_norm_sq = np.nan if before is None else _norms_sq(self.obj.population_grad(before))
         values = (r, due[:, :1], due[:, 1:2], taus, ages, plan[0], applied, sigma, rho, norm,
                   grad_norm_sq, delta_norm_sq)  # in ApplyRecord field order, each broadcast to (E, budget)
-        rows = self._trace_rows(len(due))
+        # the entries' (E, budget) rows, the next of the trace buffer
+        start, self._recorded = self._recorded, self._recorded + ages.size
+        rows = self._records[start:self._recorded].reshape(ages.shape)
         for name, value in zip(ApplyRecord.names, values):
             rows[name] = value
 
@@ -609,12 +563,15 @@ class Simulation:
         """Execute one outer round; False once the run has diverged.
 
         `deltas` is the round's inner phase where a lockstep group already
-        ran it (see `run_lockstep`); None runs it here.
+        ran it (see `run_lockstep`); None runs it here. Raises ValueError
+        once the run has stepped its config.rounds rounds.
         """
-        if self.diverged:
-            return False
         cfg = self.config
         r = self.round
+        if r >= cfg.rounds:
+            raise ValueError(f"the run has stepped its {cfg.rounds} rounds")
+        if self.diverged:
+            return False
 
         if deltas is None:
             (deltas,) = run_inner_phase(self.obj, self.workers, self.round_batch_seeds(), self.global_params[None],
@@ -622,9 +579,9 @@ class Simulation:
         if not np.isfinite(deltas).all():
             self.diverged = True
             return False
+        if self.queue is None:
+            self.queue = DelayQueue(self._due_schedule())
         queue = self.queue
-        if r not in queue.rounds:
-            queue.enter(self._due_schedule())
         ids = [shard.worker_id for shard in self.workers]
         if cfg.quantize_queue:
             stacked = quantize_payload(deltas, self.outer_state.fragments)

@@ -79,16 +79,10 @@ def test_reversed_workers_keep_the_due_order(delay):
     assert applied_sequence(sim, 20) == oracle(sim.delay, 4, 20)
 
 
-@pytest.mark.parametrize("delay", ["uniform:0-5", "exp:0.3/8", "fixed:3", "uniform:int64-max"])
-def test_stepping_past_the_configured_rounds_keeps_the_due_order(delay):
-    sim = Simulation(tiny_config(DELAYS[delay], 3, 6))
-    assert applied_sequence(sim, 16) == oracle(sim.delay, 3, 16)
-
-
 @pytest.mark.parametrize("delay", ["uniform:0-5", "uniform:2-7", "exp:0.3/8", "fixed:3", "fixed:past-the-run"])
 def test_seed_table_windows_of_three_rounds_keep_the_due_order(delay, monkeypatch):
     monkeypatch.setattr(sim_mod, "SEED_TABLE_ROWS", 3 * 3 * 1)  # three rounds per table at K=3, H=1
-    sim = Simulation(tiny_config(DELAYS[delay], 3, 20))
+    sim = Simulation(tiny_config(DELAYS[delay], 3, 26))
     seen = applied_sequence(sim, 26)
     assert seen == oracle(sim.delay, 3, 26)
     if delay != "fixed:past-the-run":
@@ -112,6 +106,8 @@ def run_bytes(sim: Simulation, rounds: int) -> tuple:
 @pytest.mark.parametrize("quantize", [False, True])
 @pytest.mark.parametrize("delay", ["uniform:0-5", "uniform:2-7", "exp:0.3/8", "fixed:3"])
 def test_a_ring_that_grows_between_windows_moves_no_bit(delay, quantize, monkeypatch):
+    """Seed tables of three rounds give the bytes of one table, and the ring, sized once, spans at most
+    the largest delay plus one."""
     config = tiny_config(DELAYS[delay], 3, 20, quantize_queue=quantize)
     whole = run_bytes(Simulation(config), 20)
     monkeypatch.setattr(sim_mod, "SEED_TABLE_ROWS", 3 * 3 * 1)
@@ -122,13 +118,13 @@ def test_a_ring_that_grows_between_windows_moves_no_bit(delay, quantize, monkeyp
 
 def test_due_schedule_arrays_are_flat_read_only_and_in_due_order():
     delay = DelaySchedule(kind="uniform_int", lo=0, hi=5, seed=3)
-    built = sim_mod.due_schedule(delay, 4, range(10, 30))
+    built = sim_mod.due_schedule(delay, 4, 30)
     worker, produced, tau = built.entries.T
-    assert built.entries.shape == (80, 3)
+    assert built.entries.shape == (120, 3)
     keys = list(zip((produced + tau).tolist(), worker.tolist(), produced.tolist()))
     assert keys == sorted(keys)
-    for d in range(10, 30):
-        due = built.entries[built.bounds[d - 10]:built.bounds[d - 10 + 1]]
+    for d in range(30):
+        due = built.entries[built.bounds[d]:built.bounds[d + 1]]
         assert np.all(due[:, 1] + due[:, 2] == d)
     assert np.all((produced + tau)[built.bounds[-1]:] >= 30)
     assert built.reach == int(np.minimum(tau, 29 - produced).max())
@@ -136,9 +132,19 @@ def test_due_schedule_arrays_are_flat_read_only_and_in_due_order():
         assert not array.flags.writeable
 
 
+@pytest.mark.parametrize("delay", ["uniform:0-5", "exp:0.3/8", "uniform:int64-max"])
+def test_a_due_schedule_drawn_in_windows_of_three_rounds_is_the_same_bytes(delay, monkeypatch):
+    schedule = DelaySchedule(seed=3, **DELAYS[delay])
+    whole = sim_mod.due_schedule(schedule, 4, 30)
+    monkeypatch.setattr(sim_mod, "SEED_TABLE_ROWS", 3 * 4)  # three rounds of delays per table at K=4
+    windowed = sim_mod.due_schedule(schedule, 4, 30)
+    assert windowed.entries.tobytes() == whole.entries.tobytes()
+    assert windowed.bounds.tobytes() == whole.bounds.tobytes() and windowed.reach == whole.reach
+
+
 def test_delays_past_the_last_round_never_come_due_and_take_no_ring():
     delay = DelaySchedule(kind="uniform_int", lo=0, hi=2**63 - 1, seed=3)
-    built = sim_mod.due_schedule(delay, 3, range(5))
+    built = sim_mod.due_schedule(delay, 3, 5)
     assert np.all(built.entries[:, 1] + built.entries[:, 2] >= 0)  # no sum wrapped around
     assert built.reach <= 4
     sim = Simulation(tiny_config(DELAYS["uniform:int64-max"], 3, 8))

@@ -420,7 +420,7 @@ class TestQueueSemantics:
 
 class TestFragmentBookkeeping:
     def test_ages_reset_iff_selected(self):
-        cfg = quad_config(fragments={"count": 4, "budget": 2}, rounds=1)
+        cfg = quad_config(fragments={"count": 4, "budget": 2}, rounds=10)
         sim = Simulation(cfg)
         ages = sim.outer_state.fragments.ages
         for r in range(10):
@@ -479,8 +479,8 @@ class TestFragmentBookkeeping:
 
 
 class TestHandoff:
-    """The outer state, the queue (its due schedule, carried entries and payload ring) and the params are
-    all a run carries between rounds."""
+    """The outer state, the queue (its due schedule and payload ring) and the params are all a run carries
+    between rounds."""
 
     @pytest.mark.parametrize("quantize", [False, True])
     @pytest.mark.parametrize("method", METHODS)
@@ -576,6 +576,15 @@ class TestDivergenceHandling:
         assert res.rounds_completed == cfg.rounds
         assert serialize_result(res) == serialize_result(plain)
         assert res.trace.records.tobytes() == plain.trace.records.tobytes()
+
+    def test_stepping_a_finished_run_raises_and_moves_no_byte(self):
+        sim = Simulation(quad_config(rounds=6, delay={"kind": "uniform_int", "lo": 0, "hi": 3}))
+        ((_, res),) = run_lockstep([sim])
+        params, losses, records = sim.global_params.tobytes(), list(sim.losses), res.trace.records.tobytes()
+        with pytest.raises(ValueError, match="stepped its 6 rounds"):
+            sim.run_round()
+        assert sim.round == 6 and sim.global_params.tobytes() == params and sim.losses == losses
+        assert sim.result(0.0).trace.records.tobytes() == records and records
 
     def test_a_run_that_raises_raises_from_run_experiment(self, monkeypatch):
         real = Simulation.run_round
