@@ -2,10 +2,11 @@
 
 A result file is named `<config_hash[:16]>_s<seed>.json` and contains the
 full resolved config, so it is self-describing and byte-identical across
-reruns of the same build; it is renamed into place once written in full.
-Sweeps are resumable: a cell is skipped when its file parses, holds exactly
-the keys this build writes, and holds the cell's config hash, seed and
-resolved config; any other file is re-run and the reason logged.
+reruns of the same build; it is renamed into place once written in full,
+as is the sweep's `summary.csv`. Sweeps are resumable: a cell is skipped
+when its file parses, holds exactly the keys this build writes, and holds
+the cell's config hash, seed and resolved config; any other file is re-run
+and the reason logged.
 
 A sweep runs its cells in bundles (see `_bundles`): the cells whose inner
 phases read the same inputs run in one process, round-major
@@ -28,6 +29,7 @@ in-process state.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import os
 from dataclasses import dataclass
@@ -44,7 +46,6 @@ __all__ = [
     "save_result",
     "run_to_file",
     "SummaryRow",
-    "summarize_results",
     "format_summary_table",
     "write_summary_csv",
     "run_sweep",
@@ -59,14 +60,23 @@ def serialize_result(result: RunResult) -> str:
     return json.dumps(result.to_json_dict(), sort_keys=True, indent=2) + "\n"
 
 
+def _replace_file(path: Path, text: str) -> Path:
+    """Write text to a temp file beside path and rename it into place, so path holds its old bytes or
+    the new ones, never part of them; a write that fails leaves no temp file."""
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text(text, encoding="utf-8", newline="")
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+    return path
+
+
 def save_result(result: RunResult, out_dir: str | Path) -> Path:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    path = out / result_filename(result.config_hash, result.seed)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    tmp.write_text(serialize_result(result), encoding="utf-8")
-    os.replace(tmp, path)
-    return path
+    return _replace_file(out / result_filename(result.config_hash, result.seed), serialize_result(result))
 
 
 def run_to_file(config: RunConfig, out_dir: str | Path) -> tuple[RunResult, Path]:
@@ -117,17 +127,6 @@ def _summary_rows(groups: dict[str, tuple[dict, list[dict | None]]]) -> list[Sum
     return rows
 
 
-def summarize_results(results: list[dict]) -> list[SummaryRow]:
-    """Aggregate result dicts into per-cell rows (mean +- std over seeds).
-
-    Runs sharing a config hash are seeds of the same cell.
-    """
-    groups: dict[str, tuple[dict, list]] = {}
-    for res in results:
-        groups.setdefault(res["config_hash"], (res["config"], []))[1].append(res)
-    return _summary_rows(groups)
-
-
 def format_summary_table(rows: list[SummaryRow]) -> str:
     """Aligned text table; a '!' marks cells with at least one diverged seed."""
     header = f"{'method':<18} {'schedule':<16} {'n':>3}  {'final loss (mean +- std)':<28} {'diverged':>8}"
@@ -145,17 +144,18 @@ def format_summary_table(rows: list[SummaryRow]) -> str:
 
 
 def write_summary_csv(rows: list[SummaryRow], path: str | Path):
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["method", "schedule", "config_hash", "n", "mean_final_loss",
-                         "std_final_loss", "n_diverged", "missing"])
-        for row in rows:
-            writer.writerow([
-                row.method, row.schedule, row.config_hash, row.n,
-                "" if row.mean is None else repr(row.mean),
-                "" if row.std is None else repr(row.std),
-                row.n_diverged, row.missing,
-            ])
+    text = io.StringIO()
+    writer = csv.writer(text)
+    writer.writerow(["method", "schedule", "config_hash", "n", "mean_final_loss",
+                     "std_final_loss", "n_diverged", "missing"])
+    for row in rows:
+        writer.writerow([
+            row.method, row.schedule, row.config_hash, row.n,
+            "" if row.mean is None else repr(row.mean),
+            "" if row.std is None else repr(row.std),
+            row.n_diverged, row.missing,
+        ])
+    _replace_file(Path(path), text.getvalue())
 
 
 def _failure(exc: Exception) -> str:

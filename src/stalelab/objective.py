@@ -126,6 +126,11 @@ class LinearNoiseObjective(Objective):
     loss and gradient only through its mean row, `batch.mean(axis=-2)`."""
 
     noise_scale: float
+    init_scale: float
+
+    def init_params(self, seed: int) -> np.ndarray:
+        rng = np.random.default_rng(seed)
+        return self.init_scale * rng.standard_normal(self.dim)
 
     def draw_batch(self, rng: np.random.Generator, n: int) -> np.ndarray:
         return self.noise_scale * rng.standard_normal((n, self.dim))
@@ -136,15 +141,11 @@ class LinearNoiseObjective(Objective):
 
     def draw_compact(self, seeds: np.ndarray, n: int) -> np.ndarray:
         """The (1, dim) mean row of each (K, 4) seed row's draw, stacked to (K, 1, dim): one read-only block
-        the stream memo keeps by all K rows."""
-
-        def mean_rows(block):
-            rows = np.stack([self.compact_batch(self.draw_batch(seeded_generator(state), n))
-                             for state in block.reshape(-1, 4)])
-            return _read_only(rows)
-
-        params = ("noise", self.noise_scale, self.dim, n)  # every value the draw reads besides the seed rows
-        return STREAM_MEMO.draw(params, seeds.reshape(-1), mean_rows, 8 * self.dim * len(seeds))
+        the stream memo keeps by every value its draw reads, the K seed rows among them (and counts them)."""
+        key = ("noise", self.noise_scale, self.dim, n, seeds.tobytes())
+        return STREAM_MEMO.get(key, lambda: _read_only(np.stack([
+            self.compact_batch(self.draw_batch(seeded_generator(state), n)) for state in seeds])),
+            8 * self.dim * len(seeds) + seeds.nbytes)
 
     def _add_noise(self, loss, grad, batch, point, out):
         """Loss plus noise_mean . point and gradient plus noise_mean (into out if given), for a batch."""
@@ -182,10 +183,6 @@ class QuadraticObjective(LinearNoiseObjective):
         self.smoothness = float(self.eigenvalues[-1])
         _read_only(self.eigenvalues, self.matrix, self.minimizer)
 
-    def init_params(self, seed: int) -> np.ndarray:
-        rng = np.random.default_rng(seed)
-        return self.init_scale * rng.standard_normal(self.dim)
-
     def loss_and_grad(self, params, batch, out=None):
         diff = params - self.minimizer
         a_diff = np.matmul(self.matrix, diff[..., None])[..., 0]  # bit-identical to matrix @ diff
@@ -207,10 +204,6 @@ class RosenbrockObjective(LinearNoiseObjective):
     def __post_init__(self):
         check_fields(self)
         self.dim = self.dimension
-
-    def init_params(self, seed: int) -> np.ndarray:
-        rng = np.random.default_rng(seed)
-        return self.init_scale * rng.standard_normal(self.dim)
 
     def loss_and_grad(self, params, batch, out=None):
         x = params

@@ -204,6 +204,7 @@ class OuterConfig:
 
         The gate follows the row's weight: cos_exp keeps (alpha, tau_cut),
         exp drops the cutoff, and every other weight gets the always-one gate.
+        `outer_step` weighs every age by this gate's sigma, except a poly row's.
         """
         row = method_row(method)
         alpha = overrides.pop("alpha", DEFAULT_ALPHA)
@@ -285,15 +286,6 @@ def inner_adamw_step(
     return params, state
 
 
-# The weight on the gradient: the adam base weighs by cfg.gate, a momentum base by its row's weight.
-_WEIGHTS = {
-    "gate": lambda tau, cfg: staleness_weight(tau, cfg.gate),
-    "one": lambda tau, cfg: 1.0,
-    "exp": lambda tau, cfg: math.exp(-cfg.gate.alpha * tau),
-    "poly": lambda tau, cfg: (1.0 + tau) ** -0.5,
-}
-
-
 def _corrections(state: OuterState, cfg: OuterConfig, t: np.ndarray) -> np.ndarray:
     """(1 - beta1**t, 1 - beta2**t) on a leading axis, Python floats from a table the state grows on demand.
 
@@ -337,18 +329,18 @@ def outer_step(params, grad, ages, state: OuterState, cfg: OuterConfig, frags, *
     ids, sizes, index, slot, offsets = frags
     ages = np.asarray(ages, dtype=np.float64).reshape(len(grads), len(ids))
     row = METHOD_TABLE[cfg.method]
-    weigh = _WEIGHTS["gate" if row.base == "adam" else row.weight]
     flat = ages.ravel().tolist()
     if min(flat) < 0.0:
         raise ValueError(f"ages must be >= 0, got {ages.tolist()}")
-    weights = {age: weigh(age, cfg) for age in set(flat)}  # a round's entries share few ages
+    poly = row.weight == "poly"  # else for_method's gate sigma; once per age (a round has few)
+    weights = {age: (1.0 + age) ** -0.5 if poly else staleness_weight(age, cfg.gate) for age in set(flat)}
     sigma = np.array([weights[age] for age in flat]).reshape(ages.shape)
     dropped = row.base == "adam" and 0.0 in weights.values()
     applied = sigma != 0.0 if dropped else np.ones(sigma.shape, dtype=bool)
     keep = np.repeat(applied, sizes, axis=1) if dropped else None  # the elements that step
     g = grads[:, index]
     elem_sigma = np.repeat(sigma, sizes, axis=1)
-    if cfg.gate_placement == "before" if row.base == "adam" else row.weight != "one":
+    if row.base != "adam" or cfg.gate_placement == "before":
         g = elem_sigma * g
 
     if row.base == "adam":

@@ -13,13 +13,13 @@ same bytes as `default_rng`'s; only numpy's per-key Python hashing is
 skipped.
 
 `STREAM_MEMO` keeps, per process and within a byte budget, what cells of
-a sweep draw alike: a linear-noise inner step's block of K mean rows by
-the K workers' seed-table rows, a run's due schedule (every entry's
-worker, produced round and tau, sorted by due round) by the run's
-(0, rounds), a run's eval batch with its reference loss by its eval
-seed, and a run's objective by no row at all, each also keyed by every
-config value its draw reads. Each is built on the first cell that asks
-for it; a warm memo gives the bytes of a cold one.
+a sweep draw alike, each by a key of every value its build reads: a
+linear-noise inner step's K mean rows (noise scale, dimension, batch
+size and the K workers' seed-table rows); a run's due schedule (delay
+schedule, workers, rounds); its eval batch and reference loss
+(objective, eval batch size, eval seed); and its objective (resolved
+config). Each is built on the first cell that asks for it; a warm memo
+gives the bytes of a cold one.
 """
 
 from __future__ import annotations
@@ -153,39 +153,29 @@ def seeded_generator(state: np.ndarray) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(_TableRow(state)))
 
 
-STREAM_MEMO_BYTES = 1 << 20  # row bytes plus value bytes the stream memo keeps per process
+STREAM_MEMO_BYTES = 1 << 20  # value bytes (a noise block's seed rows among them) the stream memo keeps per process
 
 
 class StreamMemo:
-    """Draws from seed rows, kept by (params, row bytes) while the kept bytes (the row's bytes
-    plus nbytes per value) fit the budget; params hold every value the draw reads besides the row.
-
-    A row is a round's K seed-table rows flattened (its block of mean noise rows), a run's
-    (0, rounds) (its due schedule), a run's eval seed as one uint64 (its eval batch and
-    reference loss), or empty (an objective, which its params alone decide). The arrays of a
-    noise block, a due schedule, an eval pair or an objective are read-only, since every cell
-    with that key reads the same ones."""
+    """Built values, kept by key while their bytes fit the budget. A key is a tuple of every value its
+    build reads, so one key builds one value. The arrays of a noise block, a due schedule, an eval pair
+    or an objective are read-only, since every cell with that key reads the same ones."""
 
     def __init__(self, budget: int):
-        self.budget, self.used, self.tables = budget, 0, {}
+        self.budget, self.used, self.kept = budget, 0, {}
 
-    def draw(self, params: tuple, row: np.ndarray, draw, nbytes):
-        """draw(row), the value the memo keeps for the row where it keeps one. nbytes is an int, or a
-        function of the drawn value."""
-        table = self.tables.get(params)
-        if table is None:
-            table = self.tables[params] = {}
-        key = row.tobytes()
-        if key in table:
-            return table[key]
-        value = draw(row)
-        size = len(key) + (nbytes(value) if callable(nbytes) else nbytes)
+    def get(self, key: tuple, build, nbytes):
+        """build(), kept for key while it fits. nbytes is an int, or a function of the built value."""
+        if key in self.kept:
+            return self.kept[key]
+        value = build()
+        size = nbytes(value) if callable(nbytes) else nbytes
         if self.used + size <= self.budget:
-            table[key], self.used = value, self.used + size
+            self.kept[key], self.used = value, self.used + size
         return value
 
     def clear(self):
-        self.tables, self.used = {}, 0
+        self.kept, self.used = {}, 0
 
 
 STREAM_MEMO = StreamMemo(STREAM_MEMO_BYTES)

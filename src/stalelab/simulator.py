@@ -30,10 +30,10 @@ the run's rounds it draws each (worker, round) delay with `sample_delay`
 and sorts the entries once, by due round, into flat read-only arrays, so a
 round reads its due entries as one slice. It depends only on the delay
 schedule, the worker count and the run's length, so the runs of a sweep
-that share them share one, kept in `seeding.STREAM_MEMO`. A run builds or
-looks up its schedule on its first round, together with its payload ring
-(`DelayQueue`), sized once so that no payload is overwritten before its
-entry comes due or the run ends. A run steps at most `config.rounds`
+that share them share one, kept in `seeding.STREAM_MEMO` by those three
+values. A run builds or looks up its schedule on its first round, with its
+payload ring (`DelayQueue`), sized once so that no payload is overwritten
+before its entry comes due or the run ends. A run steps at most `config.rounds`
 rounds.
 
 A run's objective depends only on its resolved objective config, and its
@@ -41,7 +41,8 @@ eval batch and reference loss (the mean loss of 32 fresh inits on it,
 which the divergence rule reads) only on that, the eval batch size and the
 eval seed. A process builds each objective and draws each such pair once,
 on the first run that asks for it, and keeps it read-only in
-`seeding.STREAM_MEMO`; every run with that key reads the same instance.
+`seeding.STREAM_MEMO` by those values; every run with that key reads the
+same instance.
 
 Runs can step in lockstep (`run_lockstep`): round-major, every live run
 stepping round r before any steps round r + 1. The B runs of a round whose
@@ -387,9 +388,6 @@ def _parts(batch) -> tuple:
     return batch if isinstance(batch, tuple) else (batch,)
 
 
-_NO_ROW = np.zeros(0, dtype=np.uint8)  # the stream memo row of a draw its params alone decide
-
-
 def _array_nbytes(obj: Objective) -> int:
     """Bytes of the arrays an objective holds (views of them excluded)."""
     return sum(value.nbytes for value in vars(obj).values() if isinstance(value, np.ndarray))
@@ -476,8 +474,7 @@ class Simulation:
         self.row = method_row(config.method)
         # every value make_objective reads, so the cells that share them share one read-only objective
         objective = json.dumps(config.objective, sort_keys=True)
-        self.obj = STREAM_MEMO.draw(("objective", objective), _NO_ROW, lambda _: make_objective(config.objective),
-                                    _array_nbytes)
+        self.obj = STREAM_MEMO.get(("objective", objective), lambda: make_objective(config.objective), _array_nbytes)
         dim = self.obj.dim
         master = config.master_seed
         self.global_params = self.obj.init_params(derive_seed(master, "init"))
@@ -485,10 +482,9 @@ class Simulation:
         self.workers = [Shard.for_worker(master, w, config.batch_size) for w in range(config.workers)]
         self.delay = DelaySchedule(seed=derive_seed(master, "delay"), **config.delay)
         # every value the eval pair reads, so the cells that share them share one read-only pair
-        eval_params = ("eval", objective, config.eval_batch_size)
-        eval_seed = np.array([derive_seed(master, "eval")], dtype=np.uint64)
-        self.eval_batch, self.reference_loss = STREAM_MEMO.draw(eval_params, eval_seed, self._draw_eval,
-                                                                _eval_nbytes)
+        eval_seed = derive_seed(master, "eval")
+        self.eval_batch, self.reference_loss = STREAM_MEMO.get(
+            ("eval", objective, config.eval_batch_size, eval_seed), lambda: self._draw_eval(eval_seed), _eval_nbytes)
         self.queue: DelayQueue | None = None  # its due schedule is looked up on the first round
         self.round = 0
         # the batch seed table of the rounds in _batch_rounds, hashed when read
@@ -506,9 +502,9 @@ class Simulation:
             self.trace.l_smooth = self.obj.smoothness
             self.trace.f_gap = float(self.obj.loss(self.global_params, None))
 
-    def _draw_eval(self, seed: np.ndarray) -> tuple:
-        """The compact eval batch drawn from the one-word eval seed, made read-only, and its reference loss."""
-        rng = np.random.default_rng(int(seed[0]))
+    def _draw_eval(self, seed: int) -> tuple:
+        """The compact eval batch drawn from the eval seed, made read-only, and its reference loss."""
+        rng = np.random.default_rng(seed)
         batch = self.obj.compact_batch(self.obj.draw_batch(rng, self.config.eval_batch_size))
         for part in _parts(batch):
             part.flags.writeable = False
@@ -528,8 +524,8 @@ class Simulation:
     def _due_schedule(self) -> DueSchedule:
         """The run's due schedule, from the stream memo; every value it reads is in its key."""
         workers, rounds = len(self.workers), self.config.rounds
-        return STREAM_MEMO.draw(("due", self.delay, workers), np.array([0, rounds]),
-                                lambda _: due_schedule(self.delay, workers, rounds), lambda built: built.nbytes)
+        return STREAM_MEMO.get(("due", self.delay, workers, rounds), lambda: due_schedule(self.delay, workers, rounds),
+                               lambda built: built.nbytes)
 
     def _apply(self, r: int, due: np.ndarray, plan: tuple, selected_ages: np.ndarray) -> None:
         """Apply round r's due entries, (worker id, produced round, tau) rows in order, with one outer step

@@ -23,11 +23,11 @@ from stalelab.config import (
     resolve_config,
 )
 from stalelab.harness import (
+    _summary_rows,
     format_summary_table,
     result_filename,
     run_sweep,
     run_to_file,
-    summarize_results,
     write_summary_csv,
 )
 from stalelab.objective import QuadraticObjective
@@ -262,32 +262,46 @@ class TestSummaries:
         return {"config": cfg, "config_hash": config_hash(cfg), "seed": seed,
                 "final_loss": final, "diverged": diverged}
 
+    def rows(self, *results):
+        """Summary rows of results grouped by config hash, as `run_sweep` groups its cells."""
+        groups = {}
+        for res in results:
+            groups.setdefault(res["config_hash"], (res["config"], []))[1].append(res)
+        return _summary_rows(groups)
+
     def test_mean_and_std_match_hand_computation(self):
-        rows = summarize_results([self.make_result(1.0, seed=0),
-                                  self.make_result(2.0, seed=1),
-                                  self.make_result(4.0, seed=2)])
+        rows = self.rows(self.make_result(1.0, seed=0), self.make_result(2.0, seed=1), self.make_result(4.0, seed=2))
         assert len(rows) == 1
         assert rows[0].n == 3
         assert rows[0].mean == pytest.approx(2.3333333333333335, abs=1e-15)
         assert rows[0].std == pytest.approx(1.5275252316519465, abs=1e-12)
 
     def test_single_seed_std_is_zero(self):
-        rows = summarize_results([self.make_result(1.5)])
+        rows = self.rows(self.make_result(1.5))
         assert rows[0].std == 0.0
 
     def test_divergence_marking_uses_flag_only(self):
-        rows = summarize_results([self.make_result(100.0, diverged=True, seed=0),
-                                  self.make_result(1.0, diverged=False, seed=1)])
+        rows = self.rows(self.make_result(100.0, diverged=True, seed=0), self.make_result(1.0, diverged=False, seed=1))
         assert rows[0].n_diverged == 1
         assert "!" in format_summary_table(rows)
 
     def test_groups_by_cell(self):
-        rows = summarize_results([self.make_result(1.0, method="cgad", seed=0),
-                                  self.make_result(2.0, method="adam", seed=0),
-                                  self.make_result(3.0, method="cgad", tau=4, seed=0)])
+        rows = self.rows(self.make_result(1.0, method="cgad", seed=0),
+                         self.make_result(2.0, method="adam", seed=0),
+                         self.make_result(3.0, method="cgad", tau=4, seed=0))
         assert len(rows) == 3
         labels = {(r.method, r.schedule) for r in rows}
         assert labels == {("cgad", "fixed:0"), ("adam", "fixed:0"), ("cgad", "fixed:4")}
+
+    def test_a_summary_write_that_raises_leaves_the_old_file_and_no_temp_file(self, tmp_path):
+        path = tmp_path / "summary.csv"
+        rows = self.rows(self.make_result(1.0, seed=0), self.make_result(2.0, method="adam", seed=0))
+        write_summary_csv(rows, path)
+        old = path.read_bytes()
+        with pytest.raises(AttributeError):
+            write_summary_csv(rows[:1] + [None], path)  # raises at its second row, after the header
+        assert path.read_bytes() == old
+        assert [p.name for p in tmp_path.iterdir()] == ["summary.csv"]
 
 
 def sweep_spec(**overrides):

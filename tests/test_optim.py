@@ -339,6 +339,20 @@ class TestMethodTable:
         assert gates["adam_decay"] == gates["sdm"] == StalenessGate(0.3, INF)
         assert gates["adam"] == gates["poly_decay"] == gates["nesterov"] == StalenessGate(0.0, INF)
 
+    @pytest.mark.parametrize("method", METHODS)
+    def test_reported_sigma_is_the_gates_or_polys_bit_for_bit(self, method):
+        ages = [0.0, 0.5, 3.0, 31.9, 32.0, 40.0]
+        cfg, row = OuterConfig.for_method(method), METHOD_TABLE[method]
+        state = OuterState.zeros([1] * len(ages))
+        grad = np.linspace(-1.0, 1.0, len(ages))
+        sigma = outer_step(np.zeros(len(ages)), grad, ages, state, cfg, state.fragments.select(range(len(ages))))[1]
+        want = [(1.0 + a) ** -0.5 if row.weight == "poly" else staleness_weight(a, cfg.gate) for a in ages]
+        np.testing.assert_array_equal(sigma.view(np.uint64), np.array(want).view(np.uint64))
+        if row.weight == "one":
+            assert sigma.tolist() == [1.0] * len(ages)
+        if row.weight == "exp":
+            assert sigma.tolist() == [math.exp(-cfg.gate.alpha * a) for a in ages]
+
 
 class TestOuterDispatch:
     @pytest.mark.parametrize("method", ["cgad", "pa_cgad", "adam", "adam_decay",

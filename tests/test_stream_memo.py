@@ -138,21 +138,20 @@ def test_a_stream_larger_than_the_budget_leaves_the_memo_within_it(monkeypatch):
     assert 0 < STREAM_MEMO.used <= budget
 
 
-def test_memo_draws_each_kept_row_once():
-    memo = StreamMemo(budget=3 * (32 + 8))
-    rows = np.arange(20, dtype=np.uint64).reshape(5, 4)
+def test_memo_builds_each_kept_key_once():
+    memo = StreamMemo(budget=3 * 8)
     calls = []
 
-    def draw(row):
-        calls.append(int(row[0]))
-        return int(row.sum())
+    def build(k):
+        calls.append(k)
+        return k * k
 
     for _ in range(2):
-        assert [memo.draw(("p",), row, draw, 8) for row in rows] == [int(r.sum()) for r in rows]
-    assert calls == [0, 4, 8, 12, 16, 12, 16]  # three rows kept, two drawn again
+        assert [memo.get(("p", k), lambda k=k: build(k), 8) for k in range(5)] == [k * k for k in range(5)]
+    assert calls == [0, 1, 2, 3, 4, 3, 4]  # three keys kept, two built again
     assert memo.used == memo.budget
-    memo.draw(("q",), rows[0], draw, 8)
-    assert calls[-1] == 0  # another params tuple has its own table
+    memo.get(("q", 0), lambda: build(0), 8)
+    assert calls[-1] == 0  # another key is its own entry
 
 
 def test_the_trace_holds_budget_rows_per_consumed_entry():
@@ -168,8 +167,9 @@ def eval_pair(sim: Simulation) -> tuple[bytes, float]:
     return b"".join(part.tobytes() for part in (batch if isinstance(batch, tuple) else (batch,))), sim.reference_loss
 
 
-def eval_tables() -> dict:
-    return {params: table for params, table in STREAM_MEMO.tables.items() if isinstance(params, tuple) and params[0] == "eval"}
+def kept(kind: str) -> dict:
+    """The memo's entries of one kind ("noise", "due", "eval" or "objective"), by key."""
+    return {key: value for key, value in STREAM_MEMO.kept.items() if key[0] == kind}
 
 
 @pytest.fixture
@@ -199,7 +199,7 @@ def test_every_sweep_cell_gives_its_cold_bytes_with_a_warm_memo(spec, reference_
     assert [digest(config) for config in configs] == cold  # every cell reads the memo
     keys = {(config.eval_batch_size, config.master_seed) for config in configs}
     assert len(reference_calls) == len(keys)
-    assert sum(len(table) for table in eval_tables().values()) == len(keys)
+    assert len(kept("eval")) == len(keys)
 
 
 def test_cells_with_one_eval_key_compute_one_reference_loss(reference_calls):
@@ -232,7 +232,7 @@ def test_cells_that_differ_in_what_the_eval_reads_share_nothing(objective, chang
     warm = eval_pair(Simulation(config(**change)))
     assert warm == cold != first
     assert len(reference_calls) == 3  # the warm memo gave the changed cell nothing
-    assert sum(len(table) for table in eval_tables().values()) == 2
+    assert len(kept("eval")) == 2
 
 
 @pytest.mark.parametrize("objective", [MLP_TASK, QUAD], ids=lambda obj: obj["kind"])
@@ -241,7 +241,7 @@ def test_a_kept_eval_batch_is_read_only(objective):
                                   "delay": {"kind": "fixed", "tau": 0}})
     first, second = Simulation(config), Simulation(config)
     batch = second.eval_batch
-    assert batch is first.eval_batch and eval_tables()
+    assert batch is first.eval_batch and kept("eval")
     for part in batch if isinstance(batch, tuple) else (batch,):
         with pytest.raises(ValueError, match="read-only"):
             part[0, 0] = 1.0
@@ -253,11 +253,12 @@ def test_a_budget_too_small_for_the_eval_entry_keeps_nothing_and_moves_no_byte(m
     _, config = expand_sweep(RANKING_SPEC)[-1]
     assert config.delay["kind"] == "uniform_int"
     want = digest(config)
-    monkeypatch.setattr(STREAM_MEMO, "budget", 18 * 1024)  # the ranking eval pair takes 18,440 bytes
+    # one byte short of the ranking eval pair: 256 inputs of 8 and 256 labels, float64, and the reference loss
+    monkeypatch.setattr(STREAM_MEMO, "budget", 256 * 9 * 8 + 8 - 1)
     STREAM_MEMO.clear()
     del reference_calls[:]
     assert [digest(config), digest(config)] == [want, want]
-    assert len(reference_calls) == 2 and not any(eval_tables().values())
+    assert len(reference_calls) == 2 and not kept("eval")
     assert 0 < STREAM_MEMO.used <= STREAM_MEMO.budget  # the objective and the due schedule still fit
 
 
@@ -272,11 +273,6 @@ def objective_calls(monkeypatch):
 
     monkeypatch.setattr(sim_mod, "make_objective", counted)
     return calls
-
-
-def objective_tables() -> dict:
-    return {params: table for params, table in STREAM_MEMO.tables.items()
-            if isinstance(params, tuple) and params[0] == "objective"}
 
 
 def run_bytes(result) -> tuple[str, bytes]:
@@ -338,7 +334,7 @@ def test_cells_that_differ_in_an_objective_key_share_no_objective(objective, cha
     assert objective_state(warm.obj) == objective_state(cold.obj) != objective_state(first.obj)
     assert warm.global_params.tobytes() == cold.global_params.tobytes()
     assert len(objective_calls) == 3  # the warm memo gave the changed cell nothing
-    assert sum(len(table) for table in objective_tables().values()) == 2
+    assert len(kept("objective")) == 2
 
 
 @pytest.mark.parametrize("objective", [MLP_TASK, QUAD], ids=lambda obj: obj["kind"])
@@ -347,7 +343,7 @@ def test_a_kept_objective_is_read_only(objective):
                                   "delay": {"kind": "fixed", "tau": 0}})
     first, second = Simulation(config), Simulation(config)
     obj = second.obj
-    assert obj is first.obj and objective_tables()
+    assert obj is first.obj and kept("objective")
     if objective["kind"] == "quadratic":
         arrays = [obj.matrix, obj.minimizer, obj.eigenvalues]
     else:
@@ -362,11 +358,12 @@ def test_a_kept_objective_is_read_only(objective):
 def test_a_budget_too_small_for_the_objective_keeps_none_and_moves_no_byte(monkeypatch, objective_calls):
     _, config = expand_sweep(FRAGMENT_SPEC)[-1]
     want = run_bytes(run_experiment(config))
-    monkeypatch.setattr(STREAM_MEMO, "budget", 32 * 1024)  # the dim-64 quadratic holds 33,792 array bytes
+    # one byte short of the dim-64 quadratic's arrays: its matrix, minimizer and eigenvalues, float64
+    monkeypatch.setattr(STREAM_MEMO, "budget", (64 * 64 + 2 * 64) * 8 - 1)
     STREAM_MEMO.clear()
     del objective_calls[:]
     assert [run_bytes(run_experiment(config)) for _ in range(2)] == [want, want]
-    assert len(objective_calls) == 2 and not any(objective_tables().values())
+    assert len(objective_calls) == 2 and not kept("objective")
     assert 0 < STREAM_MEMO.used <= STREAM_MEMO.budget  # the noise rows and the due schedule still fit
 
 
@@ -388,11 +385,11 @@ def test_fragment_matrix_cells_share_one_due_schedule_and_one_noise_block_per_ro
     shared = {}
     assert all(shared.setdefault(sim.delay, sim.queue.schedule) is sim.queue.schedule for sim in sims)
     assert len(shared) == schedules
-    noise = [table for params, table in STREAM_MEMO.tables.items()
-             if isinstance(params, tuple) and params[0] == "noise"]
+    noise = kept("noise")
     if spec is FRAGMENT_SPEC:
-        assert len(noise) == 1 and len(noise[0]) == 20  # one (K, 1, dim) block per round's K seed rows
-        assert all(block.shape == (4, 1, 64) and not block.flags.writeable for block in noise[0].values())
+        # one (K, 1, dim) block per round's K seed rows, all under one (noise_scale, dim, batch size)
+        assert len(noise) == 20 and len({key[:4] for key in noise}) == 1
+        assert all(block.shape == (4, 1, 64) and not block.flags.writeable for block in noise.values())
     else:
         assert not noise  # an mlp draws no noise rows
 
