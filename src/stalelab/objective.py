@@ -14,14 +14,14 @@ Three tasks cover the convex/nonconvex range at desk scale:
 
 Batches are deterministic functions of (shard seed, round, inner step):
 `batch_seeds` hashes the keys of many rounds into one seed table, and
-each batch's generator is built from its row, giving the same bytes as
+`draw_batches`, the one draw entry point, builds each batch's generator
+from its row, giving the same bytes as
 `np.random.default_rng((shard.seed, round, step))`. For the quadratic
-and rosenbrock tasks a batch is a set of linear noise terms added to the
-population loss, so the stochastic gradient is the exact gradient plus
-the batch's mean noise vector; passing batch=None evaluates the
-noise-free population objective, and `compact_batch` reduces a batch
-that is reused (the eval batch) to that mean row; the inner phase takes
-its mean rows from `seeding.STREAM_MEMO`, while an mlp batch is drawn per
+and rosenbrock tasks n linear noise terms are added to the population
+loss, so the stochastic gradient is the exact gradient plus their mean
+noise vector, and a batch is that (1, dim) mean row; passing batch=None
+evaluates the noise-free population objective. The inner phase takes its
+mean rows from `seeding.STREAM_MEMO`, while an mlp batch is drawn per
 step, once for every run of a stacked phase. Gradients are written by
 hand (no autodiff) and checked against central finite differences.
 
@@ -78,8 +78,8 @@ class Shard:
 
 
 class Objective:
-    """Base class; subclasses implement loss/grad on flat parameter vectors,
-    one (dim,) vector or K of them stacked as (K, dim)."""
+    """Base class; subclasses draw batches (`draw_batches(seeds, n, out=None)` for K shards) and implement
+    loss/grad on flat parameter vectors, one (dim,) vector or K of them stacked as (K, dim)."""
 
     kind: str
     dim: int
@@ -91,18 +91,10 @@ class Objective:
     def draw_batch(self, rng: np.random.Generator, n: int):
         raise NotImplementedError
 
-    def draw_batches(self, rngs: list[np.random.Generator], n: int, out: np.ndarray | None = None):
-        """One batch of n per generator, stacked along a leading axis; the drawn part goes into out if given."""
-        return np.stack([self.draw_batch(rng, n) for rng in rngs], out=out)
-
     def batch_buffer(self, k: int, n: int) -> np.ndarray | None:
         """A reusable `draw_batches` out for the inner phase's K batches of n, or None if that
         phase takes no drawn batch (linear-noise rows come from the stream memo)."""
         return None
-
-    def compact_batch(self, batch):
-        """A batch that gives the same loss and gradient bits, for reuse."""
-        return batch
 
     def loss_and_grad(self, params: np.ndarray, batch, out: np.ndarray | None = None
                       ) -> tuple[float | np.ndarray, np.ndarray]:
@@ -122,8 +114,8 @@ class Objective:
 
 
 class LinearNoiseObjective(Objective):
-    """A population loss plus linear noise: a batch of noise rows enters the
-    loss and gradient only through its mean row, `batch.mean(axis=-2)`."""
+    """A population loss plus linear noise: n noise rows enter the loss and
+    gradient only through their mean row, so a batch is that (1, dim) row."""
 
     noise_scale: float
     init_scale: float
@@ -133,18 +125,15 @@ class LinearNoiseObjective(Objective):
         return self.init_scale * rng.standard_normal(self.dim)
 
     def draw_batch(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        return self.noise_scale * rng.standard_normal((n, self.dim))
+        """The (1, dim) mean row of n noise rows drawn from rng."""
+        return (self.noise_scale * rng.standard_normal((n, self.dim))).mean(axis=-2, keepdims=True)
 
-    def compact_batch(self, batch: np.ndarray) -> np.ndarray:
-        """The batch's mean row; the mean of one row is that row, so no bit moves."""
-        return batch.mean(axis=-2, keepdims=True)
-
-    def draw_compact(self, seeds: np.ndarray, n: int) -> np.ndarray:
-        """The (1, dim) mean row of each (K, 4) seed row's draw, stacked to (K, 1, dim): one read-only block
+    def draw_batches(self, seeds: np.ndarray, n: int, out: np.ndarray | None = None) -> np.ndarray:
+        """The mean rows of the (K, 4) seed rows, stacked to (K, 1, dim) (out is not read): one read-only block
         the stream memo keeps by every value its draw reads, the K seed rows among them (and counts them)."""
         key = ("noise", self.noise_scale, self.dim, n, seeds.tobytes())
         return STREAM_MEMO.get(key, lambda: _read_only(np.stack([
-            self.compact_batch(self.draw_batch(seeded_generator(state), n)) for state in seeds])),
+            self.draw_batch(seeded_generator(state), n) for state in seeds])),
             8 * self.dim * len(seeds) + seeds.nbytes)
 
     def _add_noise(self, loss, grad, batch, point, out):
@@ -154,7 +143,9 @@ class LinearNoiseObjective(Objective):
                 return loss, grad
             np.copyto(out, grad)  # a no-op where grad is out
             return loss, out
-        noise_mean = batch[..., 0, :] if batch.shape[-2] == 1 else batch.mean(axis=-2)
+        if batch.shape[-2] != 1:
+            raise ValueError(f"a linear-noise batch is one mean row per vector, got shape {batch.shape}")
+        noise_mean = batch[..., 0, :]
         return loss + _dot(noise_mean, point), np.add(grad, noise_mean, out=out)
 
 
@@ -303,14 +294,14 @@ class MlpRegressionObjective(Objective):
         y = self._activations(self._teacher_layers, x)[-1]
         return x, y
 
-    def draw_batches(self, rngs: list[np.random.Generator], n: int, out: np.ndarray | None = None
+    def draw_batches(self, seeds: np.ndarray, n: int, out: np.ndarray | None = None
                      ) -> tuple[np.ndarray, np.ndarray]:
-        """Inputs from each generator, into out if given; one teacher forward labels all their rows."""
-        x = self.batch_buffer(len(rngs), n) if out is None else out
-        for rng, rows in zip(rngs, x):
-            rng.standard_normal(out=rows)
+        """Inputs from each seed row's generator, into out if given; one teacher forward labels all their rows."""
+        x = self.batch_buffer(len(seeds), n) if out is None else out
+        for state, rows in zip(seeds, x):
+            seeded_generator(state).standard_normal(out=rows)
         y = self._activations(self._teacher_layers, x.reshape(-1, x.shape[-1]))[-1]
-        return x, y.reshape(len(rngs), n, -1)
+        return x, y.reshape(len(seeds), n, -1)
 
     def batch_buffer(self, k: int, n: int) -> np.ndarray:
         return np.empty((k, n, self.layer_sizes[0]))
@@ -392,21 +383,16 @@ def batch_seeds(shards: list[Shard], rounds: range, inner_steps: int) -> np.ndar
         len(shards), len(rounds), inner_steps, 4)
 
 
-def sample_batch(obj: Objective, shards: list[Shard], seeds: np.ndarray, compact: bool = False,
-                 out: np.ndarray | None = None):
-    """One batch per shard from its `batch_seeds` row, stacked in shard order.
+def sample_batch(obj: Objective, shards: list[Shard], seeds: np.ndarray, out: np.ndarray | None = None):
+    """`obj.draw_batches`: one batch per shard from its `batch_seeds` row, stacked in shard order (into out).
 
     `seeds` is (K, 4), row k for shards[k]. Each shard keeps its own
     generator, so row k is the same bytes whatever the other shards are.
-    With compact, linear-noise rows come from the stream memo in `compact_batch` form;
-    otherwise the batch is drawn by `draw_batches`, into out if given.
     """
     sizes = {shard.batch_size for shard in shards}
     if len(sizes) != 1:
         raise ValueError(f"shards must share one batch size, got {sorted(sizes)}")
-    if compact and isinstance(obj, LinearNoiseObjective):
-        return obj.draw_compact(seeds, sizes.pop())
-    return obj.draw_batches([seeded_generator(state) for state in seeds], sizes.pop(), out=out)
+    return obj.draw_batches(seeds, sizes.pop(), out=out)
 
 
 def finite_diff_check(

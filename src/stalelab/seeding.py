@@ -14,8 +14,8 @@ skipped.
 
 `STREAM_MEMO` keeps, per process and within a byte budget, what cells of
 a sweep draw alike, each by a key of every value its build reads: a
-linear-noise inner step's K mean rows (noise scale, dimension, batch
-size and the K workers' seed-table rows); a run's due schedule (delay
+linear-noise inner step's batch, the K workers' mean rows (noise scale,
+dimension, batch size and the K workers' seed-table rows); a run's due schedule (delay
 schedule, workers, rounds); its eval batch and reference loss
 (objective, eval batch size, eval seed); and its objective (resolved
 config). Each is built on the first cell that asks for it; a warm memo

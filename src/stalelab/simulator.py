@@ -7,12 +7,13 @@ One outer round does, in order:
    (snapshot - worker_params). The K workers run as one stacked phase in
    one workspace: their params, AdamW moments and gradient are (K, dim)
    arrays, and an mlp's inputs a (K, n, d_in) one, allocated once per
-   phase. Each inner step is one batch draw, one `loss_and_grad` and one
-   AdamW call for all of them, and each writes its result into the
-   workspace in place. Rows never mix, and each row is the same bytes as a
-   worker run alone. The K deltas (with a quantized queue, their int8
-   codes and per-fragment scales, quantized in one call) are written into
-   the run's payload ring at [round % span, worker id];
+   phase. Each inner step is one batch draw (a linear-noise batch is the
+   K workers' (1, dim) mean rows, from the stream memo), one
+   `loss_and_grad` and one AdamW call for all of them, and each writes its
+   result into the workspace in place. Rows never mix, and each row is the
+   same bytes as a worker run alone. The K deltas (with a quantized queue,
+   their int8 codes and per-fragment scales, quantized in one call) are
+   written into the run's payload ring at [round % span, worker id];
 2. the entries due this round are read from the due schedule in
    (worker id, produced round) order, their payloads gathered from the
    ring with one fancy index (and dequantized in one call), and applied
@@ -79,6 +80,7 @@ from . import theory
 from .objective import (
     Objective,
     Shard,
+    _dot,
     batch_seeds,
     init_reference_loss,
     make_objective,
@@ -145,6 +147,8 @@ class DelaySchedule:
 
     def __post_init__(self):
         check_fields(self)
+        if self.kind == "uniform_int" and self.lo > self.hi:
+            raise ValueError(f"need lo <= hi, got ({self.lo}, {self.hi})")
 
     def label(self) -> str:
         if self.kind == "fixed":
@@ -367,7 +371,7 @@ def run_inner_phase(
     grad = np.empty_like(params)
     inputs = obj.batch_buffer(len(shards), shards[0].batch_size)
     for step in range(seeds.shape[1]):
-        batch = sample_batch(obj, shards, seeds[:, step], compact=True, out=inputs)
+        batch = sample_batch(obj, shards, seeds[:, step], out=inputs)
         _, step_grad = obj.loss_and_grad(params, _repeated(batch, len(snapshots)), out=grad)
         inner_adamw_step(params, step_grad, state, inner_cfg)
     runs = params.reshape(len(snapshots), len(shards), -1)
@@ -414,7 +418,7 @@ ApplyRecord = np.dtype([
 
 def _norms_sq(rows: np.ndarray) -> np.ndarray:
     """Squared l2 norm of each row as an (E, 1) column, each the bytes of `row @ row`."""
-    return (rows[:, None, :] @ rows[:, :, None]).reshape(-1, 1)
+    return _dot(rows, rows)[:, None]
 
 
 @dataclass
@@ -503,9 +507,8 @@ class Simulation:
             self.trace.f_gap = float(self.obj.loss(self.global_params, None))
 
     def _draw_eval(self, seed: int) -> tuple:
-        """The compact eval batch drawn from the eval seed, made read-only, and its reference loss."""
-        rng = np.random.default_rng(seed)
-        batch = self.obj.compact_batch(self.obj.draw_batch(rng, self.config.eval_batch_size))
+        """The eval batch drawn from the eval seed, made read-only, and its reference loss."""
+        batch = self.obj.draw_batch(np.random.default_rng(seed), self.config.eval_batch_size)
         for part in _parts(batch):
             part.flags.writeable = False
         return batch, init_reference_loss(self.obj, batch)
@@ -626,8 +629,9 @@ class Simulation:
         records = self.trace.records = self._records[:self._recorded]
         # an entry (its budget rows) counts as applied if any of its fragments applied, else as dropped
         hits = records["applied"].reshape(-1, self.config.fragments["budget"]).any(axis=1)
-        sigma_bar, rho_max, rho_le_one = theory.trace_stats(records)
         audit = theory.audit_run(self.trace) if self.row.base == "adam" and len(records) else None
+        sigma_bar, rho_max, rho_le_one = (theory.trace_stats(records) if audit is None  # else the audit holds them
+                                          else (audit["sigma_bar"], audit["rho_max"], audit["rho_le_one_frac"]))
 
         return RunResult(
             config=self.config.resolved,

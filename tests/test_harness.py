@@ -3,6 +3,7 @@ import json
 import math
 import multiprocessing
 import os
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -615,6 +616,74 @@ def json_key(desc):
     return json.dumps(desc["assignment"], sort_keys=True)
 
 
+def src_env() -> dict:
+    """The environment of a child python that imports this stalelab."""
+    src = str(Path(stalelab.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join([src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+
+
+# A sweep at --jobs 1 that SIGKILLs its own process just before or just after its n-th os.replace,
+# the rename that puts a result file or summary.csv in place. argv: n, "before" or "after", spec JSON, out dir.
+KILL_DRIVER = """
+import json, os, signal, sys
+from stalelab.harness import run_sweep
+
+point, when, spec, out = int(sys.argv[1]), sys.argv[2], json.loads(sys.argv[3]), sys.argv[4]
+real, calls = os.replace, []
+
+def replace(src, dst):
+    calls.append(dst)
+    if len(calls) == point and when == "before":
+        os.kill(os.getpid(), signal.SIGKILL)
+    real(src, dst)
+    if len(calls) == point and when == "after":
+        os.kill(os.getpid(), signal.SIGKILL)
+
+os.replace = replace
+run_sweep(spec, out, jobs=1, log=lambda *_: None)
+"""
+
+
+class TestKillAnywhere:
+    """A sweep killed at any file boundary resumes to the bytes of a sweep never killed."""
+
+    SPEC = sweep_spec(base=quad_raw(rounds=20), axes={"method": ["cgad", "nesterov", "adam"], "seed": [0, 1]})
+
+    @staticmethod
+    def files(out: Path) -> tuple[dict[str, bytes], list[Path]]:
+        """(name -> bytes of every finished file, the temp files a kill left)."""
+        temps = sorted(out.glob(".*.tmp"))
+        return {p.name: p.read_bytes() for p in out.iterdir() if p not in temps}, temps
+
+    def test_a_rerun_after_a_kill_at_any_rename_gives_the_bytes_of_an_unkilled_sweep(self, tmp_path):
+        run_sweep(self.SPEC, tmp_path / "whole", jobs=1, log=lambda *_: None)
+        want, temps = self.files(tmp_path / "whole")
+        assert len(want) == 7 and not temps  # 6 result files and summary.csv, one rename each
+        for point in range(1, len(want) + 1):
+            for when in ("before", "after"):
+                out = tmp_path / f"{when}-{point}"
+                killed = subprocess.run([sys.executable, "-c", KILL_DRIVER, str(point), when,
+                                         json.dumps(self.SPEC), str(out)], env=src_env())
+                assert killed.returncode == -signal.SIGKILL, (point, when)
+                renamed = point - (when == "before")
+                finished, temps = self.files(out)
+                assert len(finished) == renamed and all(want[name] == blob for name, blob in finished.items())
+                # a kill just before a rename leaves that file's temp file, `.<name>.<pid>.tmp`
+                assert len(temps) == (when == "before")
+                for temp in temps:
+                    name, pid, _ = temp.name[1:].rsplit(".", 2)
+                    assert name in want and name not in finished and pid.isdigit()
+                    # spoiled, so that reading it as a result or into the summary would move a byte
+                    temp.write_text(temp.read_text().replace('"diverged": false', '"diverged": true')
+                                    .replace("cgad", "spoiled"))
+                log = []
+                rows, errors = run_sweep(self.SPEC, out, jobs=1, log=log.append)
+                assert errors == [] and all(row.n == 2 and row.missing == 0 and not row.n_diverged for row in rows)
+                assert len(log) == 1 and f", {min(renamed, 6)} already done," in log[0]
+                finished, _ = self.files(out)
+                assert finished == want, (point, when)
+
+
 class TestCli:
     def write_config(self, tmp_path, raw):
         path = tmp_path / "config.json"
@@ -762,9 +831,7 @@ class TestCli:
         probe = ("import sys, stalelab, stalelab.cli; "
                  "print(sorted(m for m in sys.modules if m.split('.')[0] == 'multiprocessing' "
                  "or m in ('concurrent.futures.process', 'stalelab.verify')))")
-        src = str(Path(stalelab.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, *filter(None, [os.environ.get("PYTHONPATH")])])}
-        done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True)
+        done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=src_env(), check=True)
         assert done.stdout.strip() == "[]"
 
     def test_gate_table_csv(self, tmp_path):

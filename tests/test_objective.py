@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from stalelab.objective import (
+    REFERENCE_INITS,
     MlpRegressionObjective,
     QuadraticObjective,
     RosenbrockObjective,
@@ -13,6 +14,7 @@ from stalelab.objective import (
     sample_batch,
 )
 from stalelab.optim import AdamMoments, InnerConfig, inner_adamw_step
+from stalelab.seeding import derive_seed, seeded_generator
 
 
 @pytest.fixture
@@ -174,11 +176,11 @@ class TestSampleBatch:
         seeds = batch_seeds(shards, range(70000, 70003), 4)
         for i, round_idx in enumerate(range(70000, 70003)):
             for step in range(4):
-                rngs = [np.random.default_rng((shard.seed, round_idx, step)) for shard in shards]
-                want = obj.draw_batches(rngs, 8)
+                want = [obj.draw_batch(np.random.default_rng((shard.seed, round_idx, step)), 8) for shard in shards]
                 got = sample_batch(obj, shards, seeds[:, i, step])
-                for g, w in zip(parts(got), parts(want), strict=True):
-                    np.testing.assert_array_equal(bits(g), bits(w))
+                for k, w in enumerate(want):
+                    for g, w_part in zip(parts(row(got, k)), parts(w), strict=True):
+                        np.testing.assert_array_equal(bits(g), bits(w_part))
 
 
 KINDS = {
@@ -234,16 +236,20 @@ class TestStacked:
 
     @pytest.mark.parametrize("kind", sorted(KINDS))
     def test_compact_batches_give_the_bits_of_full_ones(self, kind):
-        # the inner phase's batches: each row compacted, linear-noise rows from the stream memo
+        # the inner phase's batches, linear-noise mean rows from the stream memo, give the bits of
+        # each shard's batch drawn alone from its own generator
         obj = make_objective(KINDS[kind])
         shards = [Shard.for_worker(3, w, batch_size=16) for w in range(4)]
         params = np.stack([obj.init_params(40 + k) for k in range(len(shards))])
         seeds = batch_seeds(shards, range(2, 3), 1)[:, 0, 0]
-        full = sample_batch(obj, shards, seeds)
+        alone = [obj.draw_batch(seeded_generator(state), 16) for state in seeds]
         for _ in range(2):  # a cold memo, then a warm one
-            compact = sample_batch(obj, shards, seeds, compact=True)
-            for got, want in zip(obj.loss_and_grad(params, compact), obj.loss_and_grad(params, full)):
-                np.testing.assert_array_equal(bits(got), bits(want))
+            stacked = sample_batch(obj, shards, seeds)
+            losses, grads = obj.loss_and_grad(params, stacked)
+            for k, batch in enumerate(alone):
+                loss, grad = obj.loss_and_grad(params[k], batch)
+                np.testing.assert_array_equal(bits(losses[k]), bits(loss))
+                np.testing.assert_array_equal(bits(grads[k]), bits(grad))
 
     @pytest.mark.parametrize("kind", ["quadratic", "rosenbrock_sum"])
     def test_population_loss_rows_match(self, kind):
@@ -342,7 +348,7 @@ class TestOutBuffer:
         buf = obj.batch_buffer(len(shards), 16)
         for step in range(3):
             want = sample_batch(obj, shards, seeds[:, 1, step])
-            got = sample_batch(obj, shards, seeds[:, 1, step], compact=True, out=buf)
+            got = sample_batch(obj, shards, seeds[:, 1, step], out=buf)
             assert got[0] is buf
             for g, w in zip(got, want, strict=True):
                 np.testing.assert_array_equal(bits(g), bits(w))
@@ -363,26 +369,53 @@ class TestLoss:
             np.testing.assert_array_equal(bits(loss), bits(obj.loss_and_grad(params, batch)[0]))
 
 
+def noise_rows(obj, rng, n):
+    """The n noise rows a linear-noise batch of n is the mean row of."""
+    return obj.noise_scale * rng.standard_normal((n, obj.dim))
+
+
+def noisy_loss_and_grad(obj, params, rows):
+    """The population loss and gradient plus the linear noise of full noise rows, row by row with `@`."""
+    loss, grad = obj.loss_and_grad(params, None)
+    point = params - obj.minimizer if obj.kind == "quadratic" else params
+    noise_mean = rows.mean(axis=-2)
+    if params.ndim == 1:
+        return loss + noise_mean @ point, grad + noise_mean
+    return loss + np.array([noise_mean @ p for p in point]), grad + noise_mean
+
+
 class TestCompactBatch:
     @pytest.mark.parametrize("kind", ["quadratic", "rosenbrock_sum"])
     def test_mean_row_gives_the_bits_of_the_full_batch(self, kind):
         obj = make_objective(KINDS[kind])
         rng = np.random.default_rng(12)
         for n in (1, 7, 256):
+            state = rng.bit_generator.state
+            rows = noise_rows(obj, rng, n)
+            rng.bit_generator.state = state
             batch = obj.draw_batch(rng, n)
-            compact = obj.compact_batch(batch)
-            assert compact.shape == (1, obj.dim)
+            assert batch.shape == (1, obj.dim)
+            np.testing.assert_array_equal(bits(batch), bits(rows.mean(axis=-2, keepdims=True)))
             stacked = rng.standard_normal((3, obj.dim))
             for params in (stacked[0], stacked):
-                for want, got in zip(obj.loss_and_grad(params, batch), obj.loss_and_grad(params, compact)):
-                    np.testing.assert_array_equal(bits(got), bits(want))
-                np.testing.assert_array_equal(bits(obj.loss(params, compact)), bits(obj.loss(params, batch)))
+                want = noisy_loss_and_grad(obj, params, rows)
+                for got, want_part in zip(obj.loss_and_grad(params, batch), want):
+                    np.testing.assert_array_equal(bits(got), bits(want_part))
+                np.testing.assert_array_equal(bits(obj.loss(params, batch)), bits(want[0]))
             np.testing.assert_array_equal(
-                bits(init_reference_loss(obj, compact)), bits(init_reference_loss(obj, batch)))
+                bits(init_reference_loss(obj, batch)),
+                bits(np.mean([noisy_loss_and_grad(obj, obj.init_params(derive_seed("init-reference", s)), rows)[0]
+                              for s in range(REFERENCE_INITS)])))
 
-    def test_mlp_batch_is_kept_whole(self, mlp):
-        batch = mlp.draw_batch(np.random.default_rng(3), 8)
-        assert mlp.compact_batch(batch) is batch
+    @pytest.mark.parametrize("kind", ["quadratic", "rosenbrock_sum"])
+    def test_a_batch_of_more_than_one_row_is_refused(self, kind):
+        # a full batch would otherwise read as its first row
+        obj = make_objective(KINDS[kind])
+        rows = noise_rows(obj, np.random.default_rng(1), 4)
+        params = obj.init_params(0)
+        for batch, at in ((rows, params), (np.stack([rows, rows]), np.stack([params, params]))):
+            with pytest.raises(ValueError, match="one mean row"):
+                obj.loss_and_grad(at, batch)
 
 
 class TestBatchLinearity:
@@ -397,13 +430,15 @@ class TestBatchLinearity:
         obj = make_objective(spec)
         rng = np.random.default_rng(6)
         params = obj.init_params(42)
-        batch = obj.draw_batch(rng, 8)
-        _, batch_grad = obj.loss_and_grad(params, batch)
         if kind == "mlp_regression":
+            batch = obj.draw_batch(rng, 8)
             per_sample = [obj.loss_and_grad(params, (batch[0][i:i + 1], batch[1][i:i + 1]))[1]
                           for i in range(8)]
-        else:
-            per_sample = [obj.loss_and_grad(params, batch[i:i + 1])[1] for i in range(8)]
+        else:  # a linear-noise batch is the mean row of its noise rows, and each row alone a batch of one
+            rows = noise_rows(obj, rng, 8)
+            batch = rows.mean(axis=-2, keepdims=True)
+            per_sample = [obj.loss_and_grad(params, rows[i:i + 1])[1] for i in range(8)]
+        _, batch_grad = obj.loss_and_grad(params, batch)
         np.testing.assert_allclose(batch_grad, np.mean(per_sample, axis=0), atol=1e-12)
 
 

@@ -114,6 +114,12 @@ class TestSampleDelay:
         with pytest.raises(ValueError, match=r"^DelaySchedule\.kind: expected one of .*, got 'pareto'$"):
             DelaySchedule(kind="pareto")
 
+    def test_inverted_uniform_range_rejected_at_construction(self):
+        with pytest.raises(ValueError, match=r"lo <= hi, got \(5, 2\)"):
+            DelaySchedule(kind="uniform_int", lo=5, hi=2)
+        assert DelaySchedule(kind="uniform_int", lo=3, hi=3).label() == "uniform:3-3"
+        assert DelaySchedule(kind="fixed", tau=1, lo=5, hi=2).label() == "fixed:1"  # a fixed delay reads neither
+
     def test_exponential_draw_past_float_range_gives_tau_max(self):
         # 1/rate is 1e308, so about one draw in six overflows to inf
         sched = DelaySchedule(kind="exponential", seed=5, rate=1e-308, tau_max=16)
@@ -245,6 +251,9 @@ class _ConstantObjective(Objective):
     def draw_batch(self, rng, n):
         return None
 
+    def draw_batches(self, seeds, n, out=None):
+        return None
+
     def loss_and_grad(self, params, batch, out=None):
         if out is None:
             return 0.0, np.zeros_like(params)
@@ -323,7 +332,7 @@ def reference_phase(obj, shards, seeds, snapshot, cfg):
     params = np.tile(snapshot, (len(shards), 1))
     m, v = np.zeros_like(params), np.zeros_like(params)
     for t in range(1, seeds.shape[1] + 1):
-        batch = sample_batch(obj, shards, seeds[:, t - 1], compact=True)
+        batch = sample_batch(obj, shards, seeds[:, t - 1])
         _, grad = obj.loss_and_grad(params, batch)
         m = cfg.beta1 * m + (1.0 - cfg.beta1) * grad
         v = cfg.beta2 * v + (1.0 - cfg.beta2) * (grad * grad)

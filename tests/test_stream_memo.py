@@ -113,7 +113,7 @@ def test_quadratics_that_differ_do_not_share_noise_rows(change):
     def rows(spec, batch_size=8):
         obj = make_objective(spec)
         shards = [Shard.for_worker(4, w, batch_size) for w in range(3)]
-        return sample_batch(obj, shards, batch_seeds(shards, range(1), 1)[:, 0, 0], compact=True)
+        return sample_batch(obj, shards, batch_seeds(shards, range(1), 1)[:, 0, 0])
 
     batch_size = change.get("batch_size", 8)
     other = {**QUAD, **{k: v for k, v in change.items() if k != "batch_size"}}
