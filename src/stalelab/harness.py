@@ -3,10 +3,11 @@
 A result file is named `<config_hash[:16]>_s<seed>.json` and contains the
 full resolved config, so it is self-describing and byte-identical across
 reruns of the same build; it is renamed into place once written in full,
-as is the sweep's `summary.csv`. Sweeps are resumable: a cell is skipped
-when its file parses, holds exactly the keys this build writes, and holds
-the cell's config hash, seed and resolved config; any other file is re-run
-and the reason logged.
+as is the sweep's `summary.csv`. A sweep starts by removing the temp files
+(`.<name>.<pid>.tmp`) that a process now gone left by a kill before its
+rename. Sweeps are resumable: a cell is skipped when its file parses, holds
+exactly the keys this build writes, and holds the cell's config hash, seed
+and resolved config; any other file is re-run and the reason logged.
 
 A sweep runs its cells in bundles (see `_bundles`): the cells whose inner
 phases read the same inputs run in one process, round-major
@@ -71,6 +72,23 @@ def _replace_file(path: Path, text: str) -> Path:
         tmp.unlink(missing_ok=True)
         raise
     return path
+
+
+def _remove_dead_temps(out: Path, log) -> None:
+    """Remove each `.<name>.<pid>.tmp` in out that a process now gone left (a kill before its rename). A
+    pid is gone only when signalling it raises ProcessLookupError, so a live writer's file stays: this
+    process's, or another user's, whose signal raises PermissionError."""
+    for tmp in sorted(out.glob(".*.*.tmp")):
+        pid = tmp.name.rsplit(".", 2)[1]
+        if not pid.isdecimal():
+            continue
+        try:
+            os.kill(int(pid), 0)
+        except ProcessLookupError:
+            tmp.unlink(missing_ok=True)
+            log(f"sweep: removed {tmp.name}, left by dead process {pid}")
+        except (OSError, OverflowError):  # alive, or too large to be a pid
+            pass
 
 
 def save_result(result: RunResult, out_dir: str | Path) -> Path:
@@ -280,6 +298,7 @@ def run_sweep(
     cells = expand_sweep(spec)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    _remove_dead_temps(out, log)
 
     todo = []
     done: dict[Path, dict] = {}

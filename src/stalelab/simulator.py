@@ -11,12 +11,13 @@ One outer round does, in order:
    K workers' (1, dim) mean rows, from the stream memo), one
    `loss_and_grad` and one AdamW call for all of them, and each writes its
    result into the workspace in place. Rows never mix, and each row is the
-   same bytes as a worker run alone. The K deltas (with a quantized queue,
-   their int8 codes and per-fragment scales, quantized in one call) are
-   written into the run's payload ring at [round % span, worker id];
+   same bytes as a worker run alone. The K deltas are written into the
+   run's float64 payload ring at [round % span, worker id], as the outer
+   step will read them: with a quantized queue, quantized to int8 codes
+   and per-fragment scales and dequantized, each in one call, as queued;
 2. the entries due this round are read from the due schedule in
    (worker id, produced round) order, their payloads gathered from the
-   ring with one fancy index (and dequantized in one call), and applied
+   ring with one fancy index, and applied
    to the global params in that order by one outer step for the round
    over its selected fragments, each fragment of each entry weighted by
    its own age. One `OuterState` holds the outer state: the fragments and
@@ -168,11 +169,11 @@ def delay_seeds(schedule: DelaySchedule, workers: int, rounds: range) -> np.ndar
     return seed_table(schedule.seed, keys.reshape(-1, 2)).reshape(workers, len(rounds), 4)
 
 
-def sample_delay(schedule: DelaySchedule, seeds: np.ndarray) -> int | list[int]:
-    """Delay of one (worker, round) from its `delay_seeds` row, or a list of them from an (n, 4)
-    stack of rows (a window of a due schedule); order-free."""
+def sample_delay(schedule: DelaySchedule, seeds: np.ndarray) -> list[int]:
+    """The delays of an (n, 4) stack of `delay_seeds` rows (a window of a due schedule), one per row;
+    order-free."""
     if schedule.kind == "fixed":
-        return schedule.tau if seeds.ndim == 1 else [schedule.tau] * len(seeds)
+        return [schedule.tau] * len(seeds)
 
     def draw(row):
         rng = seeded_generator(row)
@@ -181,7 +182,7 @@ def sample_delay(schedule: DelaySchedule, seeds: np.ndarray) -> int | list[int]:
         # exponential; min before int(), so a draw that overflows to inf (a tiny rate) gives tau_max
         return int(min(schedule.tau_max, np.rint(rng.exponential(1.0 / schedule.rate))))
 
-    return draw(seeds) if seeds.ndim == 1 else [draw(row) for row in seeds]
+    return [draw(row) for row in seeds]
 
 
 @dataclass(frozen=True)
@@ -253,7 +254,7 @@ class QueueEntry:
     worker: int
     produced_round: int
     tau: int
-    payload: np.ndarray | QuantizedPayload
+    payload: np.ndarray
 
 
 def quantize_payload(grad: np.ndarray, fragments: Fragments) -> QuantizedPayload:
@@ -283,54 +284,37 @@ def dequantize_payload(payload: QuantizedPayload, fragments: Fragments) -> np.nd
 class DelayQueue:
     """A run's queue entries in flight: when each comes due, and its payload.
 
-    `schedule` is the run's due schedule. Payloads sit in a ring of `span`
-    rounds: worker w's payload of round p is ring[p % span, w] (with a
-    quantized queue its codes, of the payload's dtype, and its per-fragment
-    scales at scales[p % span, w]). The span exceeds the schedule's reach,
-    so no payload is overwritten before its entry comes due or the run ends.
+    `schedule` is the run's due schedule. Payloads sit in a float64 ring of
+    `span` rounds, one (workers, dim) row block per round: worker w's
+    payload of round p is ring[p % span, w], the pseudo-gradient the outer
+    step reads. The span exceeds the schedule's reach, so no payload is
+    overwritten before its entry comes due or the run ends.
     """
 
-    def __init__(self, schedule: DueSchedule):
+    def __init__(self, schedule: DueSchedule, workers: int, dim: int):
         self.schedule = schedule
         self.span = schedule.reach + 1
-        self.ring: np.ndarray | None = None  # allocated by the first push, which gives its dtype and shape
-        self.scales: np.ndarray | None = None
+        self.ring = np.zeros((self.span, workers, dim))
 
-    def push(self, r: int, ids: list[int], rows: np.ndarray, scales: np.ndarray | None = None) -> None:
-        """Write round r's payloads, row k for worker ids[k] (and their scales, for a quantized queue)."""
-        if self.ring is None:
-            self.ring = np.zeros((self.span, len(ids), *rows.shape[1:]), dtype=rows.dtype)
-            if scales is not None:
-                self.scales = np.zeros((self.span, len(ids), *scales.shape[1:]))
-        slot = r % self.span, ids
-        self.ring[slot] = rows
-        if scales is not None:
-            self.scales[slot] = scales
+    def push(self, r: int, ids: list[int], rows: np.ndarray) -> None:
+        """Write round r's payloads, row k for worker ids[k]."""
+        self.ring[r % self.span, ids] = rows
 
     def due(self, r: int) -> np.ndarray:
         """The (worker id, produced round, tau) rows of the entries due at round r, in (worker id, produced
         round) order: a read-only view of the schedule."""
         return self.schedule.entries[self.schedule.bounds[r]:self.schedule.bounds[r + 1]]
 
-    def payloads(self, due: np.ndarray, fragments: Fragments) -> np.ndarray:
-        """The due entries' pseudo-gradients, gathered from the ring with one index and stacked (E, dim);
-        dequantized in one call for a quantized queue."""
-        slots = due[:, 1] % self.span, due[:, 0]
-        if self.scales is None:
-            return self.ring[slots]
-        return dequantize_payload(QuantizedPayload(self.ring[slots], self.scales[slots]), fragments)
+    def payloads(self, due: np.ndarray) -> np.ndarray:
+        """The due entries' pseudo-gradients, gathered from the ring with one index and stacked (E, dim)."""
+        return self.ring[due[:, 1] % self.span, due[:, 0]]
 
     def in_flight(self, r: int) -> list[QueueEntry]:
         """Entries produced before round r that come due at or after it, in (due round, worker id, produced
         round) order; each payload views the ring."""
         later = self.schedule.entries[self.schedule.bounds[r]:]
-        entries = []
-        for worker, produced, tau in later[later[:, 1] < r].tolist():
-            slot = produced % self.span, worker
-            payload = (self.ring[slot] if self.scales is None
-                       else QuantizedPayload(self.ring[slot], self.scales[slot]))
-            entries.append(QueueEntry(worker=worker, produced_round=produced, tau=tau, payload=payload))
-        return entries
+        return [QueueEntry(worker=w, produced_round=p, tau=tau, payload=self.ring[p % self.span, w])
+                for w, p, tau in later[later[:, 1] < r].tolist()]
 
 
 def phase_key(config: RunConfig) -> str:
@@ -534,7 +518,7 @@ class Simulation:
         """Apply round r's due entries, (worker id, produced round, tau) rows in order, with one outer step
         over `plan`, and write their trace rows."""
         cfg, state = self.config, self.outer_state
-        grads = self.queue.payloads(due, state.fragments)
+        grads = self.queue.payloads(due)
         delta_norm_sq = _norms_sq(grads)
         if self.row.premix == "eager":
             own, grads = grads, grads.copy()
@@ -579,17 +563,14 @@ class Simulation:
             self.diverged = True
             return False
         if self.queue is None:
-            self.queue = DelayQueue(self._due_schedule())
+            self.queue = DelayQueue(self._due_schedule(), len(self.workers), self.obj.dim)
         queue = self.queue
-        ids = [shard.worker_id for shard in self.workers]
-        if cfg.quantize_queue:
-            stacked = quantize_payload(deltas, self.outer_state.fragments)
-            queue.push(r, ids, stacked.codes, stacked.scales)
-        else:
-            queue.push(r, ids, deltas)
+        fragments = self.outer_state.fragments
+        if cfg.quantize_queue:  # the ring holds the deltas as delivered
+            deltas = dequantize_payload(quantize_payload(deltas, fragments), fragments)
+        queue.push(r, [shard.worker_id for shard in self.workers], deltas)
 
         # the selection is a function of the fragment ages, so it is made once per ages state
-        fragments = self.outer_state.fragments
         picked = fragments.picks.get(fragments.ages.tobytes())
         if picked is None:
             picked = fragments.pick(select_fragments(fragments, cfg.fragments["budget"]))

@@ -20,7 +20,7 @@ from .harness import serialize_result
 from .objective import MlpRegressionObjective, QuadraticObjective, finite_diff_check
 from .optim import Fragments, OuterConfig, OuterState, outer_step
 from .simulator import dequantize_payload, quantize_payload, run_experiment
-from .theory import audit_run
+from .theory import audit_run, max_tau_sigma
 
 __all__ = ["run_all_checks", "ALL_CHECKS"]
 
@@ -40,7 +40,7 @@ def check_gate_identities():
             return False, f"sigma left [0,1] at alpha={alpha}"
         if np.any(np.diff(curve) > 1e-15):
             return False, f"sigma not nonincreasing at alpha={alpha}"
-        peak = float(np.max(taus * curve))
+        _, peak = max_tau_sigma(g)
         limit = 1.0 / (math.e * alpha)
         if peak > limit + 1e-12:
             return False, f"max tau*sigma {peak} exceeds 1/(e*alpha) {limit} at alpha={alpha}"
@@ -105,8 +105,8 @@ def check_drop_totality():
     return True, "dropped updates change nothing, including the step counter, while a sibling steps"
 
 
-def _small_config(method="cgad", delay=None, rounds=20, quantize=False, extra=None):
-    raw = {
+def _small_config(delay=None, rounds=20):
+    return RunConfig.from_dict({
         "version": 1,
         "objective": {"kind": "quadratic", "dimension": 12, "spectrum_lo": 0.5,
                       "spectrum_hi": 4.0, "rotation_seed": 5, "noise_scale": 0.05},
@@ -115,14 +115,11 @@ def _small_config(method="cgad", delay=None, rounds=20, quantize=False, extra=No
         "rounds": rounds,
         "batch_size": 8,
         "eval_batch_size": 32,
-        "method": method,
+        "method": "cgad",
         "delay": delay or {"kind": "fixed", "tau": 0},
-        "quantize_queue": quantize,
+        "quantize_queue": False,
         "master_seed": 321,
-    }
-    if extra:
-        raw.update(extra)
-    return RunConfig.from_dict(raw)
+    })
 
 
 def check_determinism():

@@ -22,7 +22,7 @@ def oracle(delay: DelaySchedule, workers: int, rounds: int) -> list[tuple[int, i
     for r in range(rounds):
         seeds = delay_seeds(delay, workers, range(r, r + 1))
         for w in range(workers):
-            tau = sample_delay(delay, seeds[w, 0])
+            (tau,) = sample_delay(delay, seeds[w, :1])
             pending.setdefault(r + tau, []).append((w, r, tau))
         for w, produced, tau in sorted(pending.pop(r, [])):
             applied.append((r, w, produced, tau))
@@ -152,20 +152,27 @@ def test_delays_past_the_last_round_never_come_due_and_take_no_ring():
     assert sim.queue.span <= 8
 
 
-def test_entries_in_flight_at_the_end_hold_their_payloads():
-    sim = Simulation(tiny_config(DELAYS["uniform:0-5"], 3, 12))
+@pytest.mark.parametrize("quantize", [False, True], ids=["raw", "quantized"])
+def test_entries_in_flight_at_the_end_hold_their_payloads(quantize):
+    sim = Simulation(tiny_config(DELAYS["uniform:0-5"], 3, 12, quantize_queue=quantize))
     records = run_bytes(sim, 12)[2]
     in_flight = sim.queue.in_flight(12)
     consumed = len(np.frombuffer(records, sim_mod.ApplyRecord))
     assert in_flight and consumed + len(in_flight) == 3 * 12
     assert all(e.produced_round + e.tau >= 12 for e in in_flight)
-    # the payload of an entry in flight is the delta its worker produced: replay the run to that round
-    replay = Simulation(sim.config)
+    # the payload of an entry in flight is the delta its worker produced, as delivered (a quantized
+    # queue's round trip): replay the run, recomputing each round's inner phase before stepping it
+    replay, delivered = Simulation(sim.config), {}
+    fragments = replay.outer_state.fragments
+    while not replay.done:
+        (deltas,) = sim_mod.run_inner_phase(replay.obj, replay.workers, replay.round_batch_seeds(),
+                                            replay.global_params[None], replay.config.inner)
+        if quantize:
+            deltas = sim_mod.dequantize_payload(sim_mod.quantize_payload(deltas, fragments), fragments)
+        delivered[replay.round] = deltas
+        assert replay.run_round()
     for entry in in_flight:
-        while replay.round <= entry.produced_round:
-            replay.run_round()
-        slot = entry.produced_round % replay.queue.span, entry.worker
-        np.testing.assert_array_equal(entry.payload, replay.queue.ring[slot])
+        assert entry.payload.tobytes() == delivered[entry.produced_round][entry.worker].tobytes()
 
 
 def test_quantized_codes_match_the_sign_times_floor_formula():

@@ -141,7 +141,8 @@ class TestValidation:
         assert exc.value.errors == [f"delay.hi: must be <= {2**63 - 1}, got {2**64}"]
         delay = resolve_config(quad_raw(delay={"kind": "uniform_int", "hi": 2**63 - 1}))["delay"]
         sched = DelaySchedule(seed=3, **delay)
-        assert 0 <= sample_delay(sched, delay_seeds(sched, 1, range(1))[0, 0]) <= 2**63 - 1
+        (tau,) = sample_delay(sched, delay_seeds(sched, 1, range(1))[0])
+        assert 0 <= tau <= 2**63 - 1
 
     def test_run_config_has_one_field_per_resolved_key(self):
         cfg = RunConfig.from_dict(quad_raw())
@@ -679,9 +680,21 @@ class TestKillAnywhere:
                 log = []
                 rows, errors = run_sweep(self.SPEC, out, jobs=1, log=log.append)
                 assert errors == [] and all(row.n == 2 and row.missing == 0 and not row.n_diverged for row in rows)
-                assert len(log) == 1 and f", {min(renamed, 6)} already done," in log[0]
-                finished, _ = self.files(out)
-                assert finished == want, (point, when)
+                # the dead writer's temp file is removed, with one line, before the sweep's own line
+                assert len(log) == 1 + (when == "before") and f", {min(renamed, 6)} already done," in log[-1]
+                assert all(f"sweep: removed {temp.name}, left by dead process " in log[0] for temp in temps)
+                finished, temps = self.files(out)
+                assert finished == want and not temps, (point, when)
+
+    def test_a_temp_file_of_a_live_process_survives_a_sweep(self, tmp_path):
+        out = tmp_path / "out"
+        out.mkdir()
+        live = out / f".another.json.{os.getpid()}.tmp"  # not a file this sweep writes, so not its own temp file
+        live.write_text("a write in progress")
+        log = []
+        run_sweep(self.SPEC, out, jobs=1, log=log.append)
+        assert live.read_text() == "a write in progress"
+        assert not any("removed" in line for line in log)
 
 
 class TestCli:

@@ -57,7 +57,7 @@ def quad_config(**overrides):
 def delay_draws(sched, workers, rounds):
     """sample_delay of every (worker, round) in [0, workers) x [0, rounds), worker-major."""
     seeds = delay_seeds(sched, workers, range(rounds))
-    return [sample_delay(sched, seeds[w, r]) for w in range(workers) for r in range(rounds)]
+    return [sample_delay(sched, seeds[w, r:r + 1])[0] for w in range(workers) for r in range(rounds)]
 
 
 class TestSampleDelay:
@@ -100,7 +100,7 @@ class TestSampleDelay:
                     want = int(rng.integers(sched.lo, sched.hi + 1))
                 else:
                     want = int(min(sched.tau_max, int(np.rint(rng.exponential(1.0 / sched.rate)))))
-                assert sample_delay(sched, seeds[w, i]) == want
+                assert sample_delay(sched, seeds[w, i:i + 1]) == [want]
 
     def test_from_spec_round_trip(self):
         sched = DelaySchedule(seed=7, **{"kind": "fixed", "tau": 3})

@@ -76,7 +76,7 @@ def test_split_drop_golden_cell_equal_cold_and_warm():
 def delays(**spec) -> list[int]:
     sched = DelaySchedule(seed=99, **spec)
     seeds = delay_seeds(sched, 3, range(40))
-    return [sample_delay(sched, seeds[w, r]) for w in range(3) for r in range(40)]
+    return [sample_delay(sched, seeds[w, r:r + 1])[0] for w in range(3) for r in range(40)]
 
 
 @pytest.mark.parametrize("first,second", [
@@ -100,7 +100,7 @@ def test_a_round_of_delays_drawn_in_one_call_equals_one_call_per_worker(spec):
     sched = DelaySchedule(seed=99, **spec)
     seeds = delay_seeds(sched, 4, range(30))
     STREAM_MEMO.clear()
-    alone = [[sample_delay(sched, seeds[w, r]) for w in range(4)] for r in range(30)]
+    alone = [[sample_delay(sched, seeds[w, r:r + 1])[0] for w in range(4)] for r in range(30)]
     used = STREAM_MEMO.used
     STREAM_MEMO.clear()
     assert [sample_delay(sched, seeds[:, r]) for r in range(30)] == alone
