@@ -15,7 +15,6 @@ from .objective import (
     Objective,
     QuadraticObjective,
     RosenbrockObjective,
-    Shard,
     batch_seeds,
     finite_diff_check,
     make_objective,

@@ -168,6 +168,3 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     return args.fn(args)
 
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -88,9 +88,6 @@ def _resolve_objective(raw: dict | None, chk: Checker) -> tuple[dict | None, int
     out = {"kind": kind, **resolve_fields(_OBJECTIVES[kind], raw, "objective", chk, allowed={"kind"})}
     if kind == "mlp_regression":
         return out, None if out["layer_sizes"] is None else mlp_dim(out["layer_sizes"])
-    if (kind == "quadratic" and out["spectrum_lo"] is not None and out["spectrum_hi"] is not None
-            and out["spectrum_lo"] > out["spectrum_hi"]):
-        chk.error("objective.spectrum_lo", "must be <= spectrum_hi")
     return out, out["dimension"]
 
 
@@ -98,11 +95,8 @@ def _resolve_delay(raw: dict | None, chk: Checker) -> dict | None:
     kind = _kind(raw, "delay", DelaySchedule.KEYS, chk)
     if kind is None:
         return None
-    out = {"kind": kind, **resolve_fields(DelaySchedule, raw, "delay", chk, keys=DelaySchedule.KEYS[kind],
-                                          allowed={"kind"})}
-    if kind == "uniform_int" and out["lo"] is not None and out["hi"] is not None and out["lo"] > out["hi"]:
-        chk.error("delay.lo", "must be <= hi")
-    return out
+    return {"kind": kind, **resolve_fields(DelaySchedule, raw, "delay", chk, keys=DelaySchedule.KEYS[kind],
+                                           allowed={"kind"})}
 
 
 def _resolve_outer(raw: dict, method: str, chk: Checker) -> dict:

@@ -12,11 +12,12 @@ Three tasks cover the convex/nonconvex range at desk scale:
                    linear output; the frozen random teacher makes the task
                    realizable with noise floor 0.
 
-Batches are deterministic functions of (shard seed, round, inner step):
-`batch_seeds` hashes the keys of many rounds into one seed table, and
-`draw_batches`, the one draw entry point, builds each batch's generator
-from its row, giving the same bytes as
-`np.random.default_rng((shard.seed, round, step))`. For the quadratic
+Worker k's batches are deterministic functions of (its seed
+`derive_seed(master_seed, "shard", k)`, round, inner step): `batch_seeds`
+hashes the keys of many rounds into one seed table, row k for worker k,
+and `draw_batches`, the one draw entry point, builds each batch's
+generator from its row, giving the same bytes as
+`np.random.default_rng((worker seed, round, step))`. For the quadratic
 and rosenbrock tasks n linear noise terms are added to the population
 loss, so the stochastic gradient is the exact gradient plus their mean
 noise vector, and a batch is that (1, dim) mean row; passing batch=None
@@ -49,7 +50,6 @@ from .schema import check_fields, key
 from .seeding import STREAM_MEMO, derive_seed, seed_table, seeded_generator
 
 __all__ = [
-    "Shard",
     "Objective",
     "LinearNoiseObjective",
     "QuadraticObjective",
@@ -64,21 +64,8 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Shard:
-    """One worker's data stream: identical seeds regenerate identical batches."""
-
-    worker_id: int
-    seed: int
-    batch_size: int
-
-    @classmethod
-    def for_worker(cls, master_seed: int, worker_id: int, batch_size: int) -> "Shard":
-        return cls(worker_id=worker_id, seed=derive_seed(master_seed, "shard", worker_id), batch_size=batch_size)
-
-
 class Objective:
-    """Base class; subclasses draw batches (`draw_batches(seeds, n, out=None)` for K shards) and implement
+    """Base class; subclasses draw batches (`draw_batches(seeds, n, out=None)` for K workers) and implement
     loss/grad on flat parameter vectors, one (dim,) vector or K of them stacked as (K, dim)."""
 
     kind: str
@@ -154,7 +141,7 @@ class QuadraticObjective(LinearNoiseObjective):
     kind = "quadratic"
 
     dimension: int = key(integer=True, lo=1)
-    spectrum_lo: float = key(lo=0, lo_open=True)
+    spectrum_lo: float = key(lo=0, lo_open=True, le="spectrum_hi")
     spectrum_hi: float = key(lo=0, lo_open=True)
     rotation_seed: int = key(integer=True)
     noise_scale: float = key(0.1, lo=0)
@@ -162,8 +149,6 @@ class QuadraticObjective(LinearNoiseObjective):
 
     def __post_init__(self):
         check_fields(self)
-        if self.spectrum_lo > self.spectrum_hi:
-            raise ValueError(f"need spectrum_lo <= spectrum_hi, got ({self.spectrum_lo}, {self.spectrum_hi})")
         self.dim = self.dimension
         rng = np.random.default_rng(derive_seed(self.rotation_seed, "quadratic-rotation"))
         self.eigenvalues = np.geomspace(self.spectrum_lo, self.spectrum_hi, self.dimension)
@@ -371,28 +356,27 @@ def make_objective(spec: dict) -> Objective:
     return cls(**{key: value for key, value in spec.items() if key != "kind"})
 
 
-def batch_seeds(shards: list[Shard], rounds: range, inner_steps: int) -> np.ndarray:
-    """Seed table of every (shard, round, inner step) batch, shape (K, len(rounds), H, 4).
+def batch_seeds(master_seed: int, workers: int, rounds: range, inner_steps: int) -> np.ndarray:
+    """Seed table of every (worker, round, inner step) batch, shape (workers, len(rounds), H, 4).
 
-    Entry [k, i, step] seeds shards[k]'s batch of round rounds[i]: the state
-    `np.random.default_rng((shard.seed, rounds[i], step))` starts from.
+    Entry [k, i, step] seeds worker k's batch of round rounds[i]: the state
+    `np.random.default_rng((derive_seed(master_seed, "shard", k), rounds[i], step))`
+    starts from. Row k does not depend on the worker count.
     """
     keys = np.stack(np.meshgrid(np.asarray(rounds), np.arange(inner_steps), indexing="ij"), axis=-1)
     tails = keys.reshape(-1, 2)
-    return np.stack([seed_table(shard.seed, tails) for shard in shards]).reshape(
-        len(shards), len(rounds), inner_steps, 4)
+    return np.stack([seed_table(derive_seed(master_seed, "shard", k), tails) for k in range(workers)]).reshape(
+        workers, len(rounds), inner_steps, 4)
 
 
-def sample_batch(obj: Objective, shards: list[Shard], seeds: np.ndarray, out: np.ndarray | None = None):
-    """`obj.draw_batches`: one batch per shard from its `batch_seeds` row, stacked in shard order (into out).
+def sample_batch(obj: Objective, seeds: np.ndarray, n: int, out: np.ndarray | None = None):
+    """`obj.draw_batches`: one batch of n per (K, 4) `batch_seeds` row, stacked in row order (into out).
 
-    `seeds` is (K, 4), row k for shards[k]. Each shard keeps its own
-    generator, so row k is the same bytes whatever the other shards are.
+    Each row keeps its own generator, so row k is the same bytes whatever
+    the other rows are. The benchmark's traced run records this function as
+    its batch-draw span, `objective.sample_batch`.
     """
-    sizes = {shard.batch_size for shard in shards}
-    if len(sizes) != 1:
-        raise ValueError(f"shards must share one batch size, got {sorted(sizes)}")
-    return obj.draw_batches(seeds, sizes.pop(), out=out)
+    return obj.draw_batches(seeds, n, out=out)
 
 
 def finite_diff_check(

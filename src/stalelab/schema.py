@@ -4,8 +4,10 @@
 is required; `required=True` also requires a key the constructor defaults)
 and its metadata is the key's range in Checker keywords (`lo`/`hi`,
 `lo_open`/`hi_open`, `integer`; `choices`; or a `valid` predicate and the
-`expected` text). `resolve_fields` resolves a raw config section against
-those fields and `check_fields` checks a built object against the same ones.
+`expected` text). `le` names another field of the same type that the value
+must not exceed: an ordering of two keys, declared once, on the lower one.
+`resolve_fields` resolves a raw config section against those fields and
+`check_fields` checks a built object against the same ones.
 """
 
 from __future__ import annotations
@@ -72,11 +74,12 @@ class Checker:
         return d.get(key, default)
 
 
-def key(default=MISSING, *, required=False, **spec) -> Field:
-    """A config-key field: its default and its range (Checker keywords, see the module docstring)."""
+def key(default=MISSING, *, required=False, le=None, **spec) -> Field:
+    """A config-key field: its default, its range (Checker keywords) and the field it must not exceed
+    (`le`); see the module docstring."""
     check = "choice" if "choices" in spec else "valid" if "valid" in spec else "num"
     spec["default"] = None if default is MISSING else default
-    metadata = {"required": required or default is MISSING, "check": check, "spec": spec}
+    metadata = {"required": required or default is MISSING, "check": check, "spec": spec, "le": le}
     return field(default=default, metadata=metadata)
 
 
@@ -85,12 +88,23 @@ def resolve_fields(cls, raw: dict, path: str, chk: Checker, *, keys=None, allowe
 
     `keys` limits the fields and `allowed` names raw keys the caller
     resolves. A missing or invalid value resolves to the field's default
-    (None if it has none).
+    (None if it has none). An `le` ordering is checked where both of its
+    fields resolve to a value that passed its own check, so a rejected value
+    is reported once and its default never is.
     """
     declared = [f for f in fields(cls) if f.metadata and (keys is None or f.name in keys)]
     chk.require_keys(raw, path, {f.name for f in declared if f.metadata["required"]},
                      {f.name for f in declared} | set(allowed))
-    return {f.name: getattr(chk, f.metadata["check"])(raw, f.name, path, **f.metadata["spec"]) for f in declared}
+    out, passed = {}, {}
+    for f in declared:
+        errors = len(chk.errors)
+        out[f.name] = getattr(chk, f.metadata["check"])(raw, f.name, path, **f.metadata["spec"])
+        passed[f.name] = out[f.name] if len(chk.errors) == errors else None
+    for f in declared:
+        lower, upper = passed[f.name], passed.get(f.metadata["le"])
+        if lower is not None and upper is not None and lower > upper:
+            chk.error(f"{path}.{f.name}" if path else f.name, f"must be <= {f.metadata['le']} ({upper}), got {lower}")
+    return out
 
 
 def check_fields(obj) -> None:

@@ -2,19 +2,21 @@
 
 One outer round does, in order:
 
-1. every worker copies the current global params, runs H inner AdamW
-   steps on its own shard, and enqueues the parameter delta
-   (snapshot - worker_params). The K workers run as one stacked phase in
+1. every worker k copies the current global params, runs H inner AdamW
+   steps on the batches of its seed row (row k of `batch_seeds`), and
+   enqueues the parameter delta (snapshot - worker_params). The K workers
+   run as one stacked phase in
    one workspace: their params, AdamW moments and gradient are (K, dim)
    arrays, and an mlp's inputs a (K, n, d_in) one, allocated once per
    phase. Each inner step is one batch draw (a linear-noise batch is the
    K workers' (1, dim) mean rows, from the stream memo), one
    `loss_and_grad` and one AdamW call for all of them, and each writes its
    result into the workspace in place. Rows never mix, and each row is the
-   same bytes as a worker run alone. The K deltas are written into the
-   run's float64 payload ring at [round % span, worker id], as the outer
-   step will read them: with a quantized queue, quantized to int8 codes
-   and per-fragment scales and dequantized, each in one call, as queued;
+   same bytes as a worker run alone. The K deltas, row w for worker w,
+   are written into the run's float64 payload ring with one row write,
+   ring[round % span] = deltas, as the outer step will read them: with a
+   quantized queue, quantized to int8 codes and per-fragment scales and
+   dequantized, each in one call, as queued;
 2. the entries due this round are read from the due schedule in
    (worker id, produced round) order, their payloads gathered from the
    ring with one fancy index, and applied
@@ -59,7 +61,7 @@ Everything is seeded through `derive_seed`, so a run is a deterministic
 function of its config: same config, same bytes out. The generator of
 each batch and each delay draw is built from a seed table that the run
 hashes once for many rounds (`batch_seeds`, `delay_seeds`); it gives the
-same bytes as `np.random.default_rng((shard.seed, round, step))` and
+same bytes as `np.random.default_rng((worker seed, round, step))` and
 `np.random.default_rng((delay seed, worker, round))`. Entries still in
 flight when the run ends are dropped, never applied. With a fixed delay
 tau the first tau rounds therefore apply nothing and the loss curve is
@@ -80,7 +82,6 @@ import numpy as np
 from . import theory
 from .objective import (
     Objective,
-    Shard,
     _dot,
     batch_seeds,
     init_reference_loss,
@@ -141,15 +142,13 @@ class DelaySchedule:
     kind: str = key(choices=KEYS)
     seed: int = 0
     tau: int = key(0, required=True, integer=True, lo=0)
-    lo: int = key(0, integer=True, lo=0)
+    lo: int = key(0, integer=True, lo=0, le="hi")
     hi: int = key(16, integer=True, lo=0, hi=2**63 - 1)  # the most numpy's int64 integers(lo, hi + 1) can draw
     rate: float = key(0.25, lo=0, lo_open=True)
     tau_max: int = key(16, integer=True, lo=0)
 
     def __post_init__(self):
         check_fields(self)
-        if self.kind == "uniform_int" and self.lo > self.hi:
-            raise ValueError(f"need lo <= hi, got ({self.lo}, {self.hi})")
 
     def label(self) -> str:
         if self.kind == "fixed":
@@ -296,9 +295,9 @@ class DelayQueue:
         self.span = schedule.reach + 1
         self.ring = np.zeros((self.span, workers, dim))
 
-    def push(self, r: int, ids: list[int], rows: np.ndarray) -> None:
-        """Write round r's payloads, row k for worker ids[k]."""
-        self.ring[r % self.span, ids] = rows
+    def push(self, r: int, rows: np.ndarray) -> None:
+        """Write round r's (workers, dim) payloads, row w for worker w, with one row write."""
+        self.ring[r % self.span] = rows
 
     def due(self, r: int) -> np.ndarray:
         """The (worker id, produced round, tau) rows of the entries due at round r, in (worker id, produced
@@ -319,7 +318,7 @@ class DelayQueue:
 
 def phase_key(config: RunConfig) -> str:
     """The config values a run's inner phase reads besides its global params and round: the resolved
-    objective, inner config and inner steps, and the shards' master seed, worker count and batch size.
+    objective, inner config and inner steps, and the batch streams' master seed, worker count and batch size.
     Runs with one key at one round can step one stacked phase (`run_lockstep`)."""
     names = ("objective", "inner", "inner_steps", "master_seed", "workers", "batch_size")
     return json.dumps([config.resolved[name] for name in names], sort_keys=True)
@@ -327,38 +326,40 @@ def phase_key(config: RunConfig) -> str:
 
 def run_inner_phase(
     obj: Objective,
-    shards: list[Shard],
     seeds: np.ndarray,
     snapshots: np.ndarray,
     inner_cfg: InnerConfig,
+    batch_size: int,
 ) -> list[np.ndarray]:
-    """H inner AdamW steps per shard's worker for each of B runs, from fresh copies of their global params.
+    """H inner AdamW steps per worker for each of B runs, from fresh copies of their global params.
 
     `seeds` is the (K, H, 4) slice of `batch_seeds` for one round, row k
-    for shards[k]; H is the number of inner steps. `snapshots` is (B, dim):
-    the global params of B runs that read these batches (B = 1 for a run
-    alone). Returns each run's (K, dim) pseudo-gradients snapshot -
-    params_after, row k for shards[k], each an array of its own. The phase
-    runs in one workspace of its own: (B*K, dim) params, AdamW moments and
-    gradient, and the objective's batch buffer, each step writing them in
-    place and reading its batch repeated B times. Rows never mix, so each
+    worker k's seed row; H is the number of inner steps, and each batch
+    holds batch_size samples. `snapshots` is (B, dim): the global params of
+    B runs that read these batches (B = 1 for a run alone). Returns each
+    run's (K, dim) pseudo-gradients snapshot - params_after, row k for
+    worker k, each an array of its own. The phase runs in one workspace of
+    its own: (B*K, dim) params, AdamW moments and gradient, and the
+    objective's batch buffer, each step writing them in place and reading
+    its batch repeated B times. Rows never mix, so each
     run's deltas are the bytes of its phase alone. The inner optimizer
     state is reset at every phase. Non-finite values simply propagate into
     the returned deltas; the caller flags divergence.
     """
-    if not shards or seeds.ndim != 3 or seeds.shape[0] != len(shards) or seeds.shape[1] < 1:
-        raise ValueError(f"need (K={len(shards)}, H >= 1, 4) batch seeds, got {seeds.shape}")
+    if seeds.ndim != 3 or not seeds.shape[0] or not seeds.shape[1]:
+        raise ValueError(f"need (K >= 1, H >= 1, 4) batch seeds, got {seeds.shape}")
     if snapshots.ndim != 2 or not len(snapshots):
         raise ValueError(f"need (B >= 1, dim) snapshots, got {snapshots.shape}")
-    params = np.repeat(snapshots, len(shards), axis=0)
+    workers = len(seeds)
+    params = np.repeat(snapshots, workers, axis=0)
     state = AdamMoments.zeros(params.shape)
     grad = np.empty_like(params)
-    inputs = obj.batch_buffer(len(shards), shards[0].batch_size)
+    inputs = obj.batch_buffer(workers, batch_size)
     for step in range(seeds.shape[1]):
-        batch = sample_batch(obj, shards, seeds[:, step], out=inputs)
+        batch = sample_batch(obj, seeds[:, step], batch_size, out=inputs)
         _, step_grad = obj.loss_and_grad(params, _repeated(batch, len(snapshots)), out=grad)
         inner_adamw_step(params, step_grad, state, inner_cfg)
-    runs = params.reshape(len(snapshots), len(shards), -1)
+    runs = params.reshape(len(snapshots), workers, -1)
     return [np.subtract(snapshot, rows) for snapshot, rows in zip(snapshots, runs)]
 
 
@@ -467,7 +468,6 @@ class Simulation:
         master = config.master_seed
         self.global_params = self.obj.init_params(derive_seed(master, "init"))
         self.outer_state = OuterState.zeros(Fragments.even_split(dim, config.fragments["count"]).sizes)
-        self.workers = [Shard.for_worker(master, w, config.batch_size) for w in range(config.workers)]
         self.delay = DelaySchedule(seed=derive_seed(master, "delay"), **config.delay)
         # every value the eval pair reads, so the cells that share them share one read-only pair
         eval_seed = derive_seed(master, "eval")
@@ -505,12 +505,12 @@ class Simulation:
         if r not in self._batch_rounds:
             per_table = max(1, min(cfg.rounds - r, SEED_TABLE_ROWS // (cfg.workers * cfg.inner_steps)))
             self._batch_rounds = range(r, r + per_table)
-            self._batch_seeds = batch_seeds(self.workers, self._batch_rounds, cfg.inner_steps)
+            self._batch_seeds = batch_seeds(cfg.master_seed, cfg.workers, self._batch_rounds, cfg.inner_steps)
         return self._batch_seeds[:, r - self._batch_rounds.start]
 
     def _due_schedule(self) -> DueSchedule:
         """The run's due schedule, from the stream memo; every value it reads is in its key."""
-        workers, rounds = len(self.workers), self.config.rounds
+        workers, rounds = self.config.workers, self.config.rounds
         return STREAM_MEMO.get(("due", self.delay, workers, rounds), lambda: due_schedule(self.delay, workers, rounds),
                                lambda built: built.nbytes)
 
@@ -557,18 +557,18 @@ class Simulation:
             return False
 
         if deltas is None:
-            (deltas,) = run_inner_phase(self.obj, self.workers, self.round_batch_seeds(), self.global_params[None],
-                                        cfg.inner)
+            (deltas,) = run_inner_phase(self.obj, self.round_batch_seeds(), self.global_params[None], cfg.inner,
+                                        cfg.batch_size)
         if not np.isfinite(deltas).all():
             self.diverged = True
             return False
         if self.queue is None:
-            self.queue = DelayQueue(self._due_schedule(), len(self.workers), self.obj.dim)
+            self.queue = DelayQueue(self._due_schedule(), cfg.workers, self.obj.dim)
         queue = self.queue
         fragments = self.outer_state.fragments
         if cfg.quantize_queue:  # the ring holds the deltas as delivered
             deltas = dequantize_payload(quantize_payload(deltas, fragments), fragments)
-        queue.push(r, [shard.worker_id for shard in self.workers], deltas)
+        queue.push(r, deltas)
 
         # the selection is a function of the fragment ages, so it is made once per ages state
         picked = fragments.picks.get(fragments.ages.tobytes())
@@ -660,8 +660,8 @@ def run_lockstep(sims: list[Simulation]) -> Iterator[tuple[int, RunResult | Exce
             lead, start = sims[group[0]], time.perf_counter()
             try:
                 snapshots = np.array([sims[i].global_params for i in group])
-                deltas.update(zip(group, run_inner_phase(lead.obj, lead.workers, lead.round_batch_seeds(),
-                                                         snapshots, lead.config.inner)))
+                deltas.update(zip(group, run_inner_phase(lead.obj, lead.round_batch_seeds(), snapshots,
+                                                         lead.config.inner, lead.config.batch_size)))
             except Exception:  # noqa: BLE001 - the group's runs step alone below, so a failure stays with its run
                 pass
             for i in group:

@@ -31,6 +31,7 @@ if TYPE_CHECKING:
     from .simulator import Trace
 
 STEP_BOUND_REL_TOL = 1e-12
+TAU_GRID_STEP = 1e-3  # spacing of the tau grid max_tau_sigma searches
 
 __all__ = ["TheoryInputs", "max_tau_sigma", "bound_terms", "trace_stats", "audit_run", "STEP_BOUND_REL_TOL"]
 
@@ -54,15 +55,13 @@ class TheoryInputs:
             raise ValueError(f"horizon must be an integer >= 1, got {self.horizon}")
 
 
-def max_tau_sigma(gate: StalenessGate, grid_step: float = 1e-3) -> tuple[float, float]:
-    """Grid-search (argmax, max) of tau*sigma(tau).
+def max_tau_sigma(gate: StalenessGate) -> tuple[float, float]:
+    """Grid-search (argmax, max) of tau*sigma(tau), every TAU_GRID_STEP.
 
     The grid covers [0, max(2*tau_cut, 4/alpha)], which contains the
     unconstrained argmax 1/alpha whenever alpha > 0. Pure exponential
     decay with alpha = 0 has unbounded tau*sigma and is rejected.
     """
-    if not (0.0 < grid_step <= 1e-3):
-        raise ValueError(f"grid_step must be in (0, 1e-3], got {grid_step}")
     hi = 0.0
     if not gate.infinite_cutoff:
         hi = 2.0 * gate.tau_cut
@@ -70,7 +69,7 @@ def max_tau_sigma(gate: StalenessGate, grid_step: float = 1e-3) -> tuple[float, 
         hi = max(hi, 4.0 / gate.alpha)
     elif gate.infinite_cutoff:
         raise ValueError("tau*sigma is unbounded for alpha=0 with no cutoff")
-    taus = np.arange(0.0, hi + grid_step, grid_step)
+    taus = np.arange(0.0, hi + TAU_GRID_STEP, TAU_GRID_STEP)
     values = taus * gate_curve(gate, taus)
     best = int(np.argmax(values))
     return float(taus[best]), float(values[best])

@@ -72,13 +72,6 @@ def test_a_tiny_rate_clamps_every_delay_to_tau_max():
     assert seen == oracle(sim.delay, 3, 12)
 
 
-@pytest.mark.parametrize("delay", ["uniform:0-5", "exp:0.3/8", "fixed:3"])
-def test_reversed_workers_keep_the_due_order(delay):
-    sim = Simulation(tiny_config(DELAYS[delay], 4, 20))
-    sim.workers.reverse()
-    assert applied_sequence(sim, 20) == oracle(sim.delay, 4, 20)
-
-
 @pytest.mark.parametrize("delay", ["uniform:0-5", "uniform:2-7", "exp:0.3/8", "fixed:3", "fixed:past-the-run"])
 def test_seed_table_windows_of_three_rounds_keep_the_due_order(delay, monkeypatch):
     monkeypatch.setattr(sim_mod, "SEED_TABLE_ROWS", 3 * 3 * 1)  # three rounds per table at K=3, H=1
@@ -165,8 +158,8 @@ def test_entries_in_flight_at_the_end_hold_their_payloads(quantize):
     replay, delivered = Simulation(sim.config), {}
     fragments = replay.outer_state.fragments
     while not replay.done:
-        (deltas,) = sim_mod.run_inner_phase(replay.obj, replay.workers, replay.round_batch_seeds(),
-                                            replay.global_params[None], replay.config.inner)
+        (deltas,) = sim_mod.run_inner_phase(replay.obj, replay.round_batch_seeds(), replay.global_params[None],
+                                            replay.config.inner, replay.config.batch_size)
         if quantize:
             deltas = sim_mod.dequantize_payload(sim_mod.quantize_payload(deltas, fragments), fragments)
         delivered[replay.round] = deltas

@@ -847,6 +847,14 @@ class TestCli:
         done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=src_env(), check=True)
         assert done.stdout.strip() == "[]"
 
+    def test_python_m_stalelab_prints_what_main_prints(self, capsys):
+        argv = ["gate-table", "--alpha", "0.2", "--tau-cut", "32"]
+        assert cli_main(argv) == 0
+        done = subprocess.run([sys.executable, "-m", "stalelab", *argv], capture_output=True, text=True,
+                              env=src_env())
+        assert done.returncode == 0 and done.stderr == ""
+        assert done.stdout == capsys.readouterr().out
+
     def test_gate_table_csv(self, tmp_path):
         out_csv = tmp_path / "table.csv"
         cli_main(["gate-table", "--alpha", "0.2", "--tau-cut", "32", "--tau-max", "4",

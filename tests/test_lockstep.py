@@ -150,9 +150,9 @@ def test_a_stack_reads_each_cell_own_inner_config_and_rounds(varied):
 def test_linear_noise_runs_stack_too(monkeypatch):
     stacks, real = [], sim_mod.run_inner_phase
 
-    def phase(obj, shards, seeds, snapshots, inner_cfg):
+    def phase(obj, seeds, snapshots, inner_cfg, batch_size):
         stacks.append(len(snapshots))
-        return real(obj, shards, seeds, snapshots, inner_cfg)
+        return real(obj, seeds, snapshots, inner_cfg, batch_size)
 
     monkeypatch.setattr(sim_mod, "run_inner_phase", phase)
     quadratic = {"kind": "quadratic", "dimension": 8, "spectrum_lo": 0.5, "spectrum_hi": 2.0, "rotation_seed": 1}
@@ -242,12 +242,12 @@ def test_a_raising_stacked_phase_steps_its_runs_alone(monkeypatch):
         finally:
             stepping.pop()
 
-    def phase(obj, shards, seeds, snapshots, inner_cfg):
+    def phase(obj, seeds, snapshots, inner_cfg, batch_size):
         r = stepping[-1].round if stepping else sims[0].round  # a stack runs outside run_round
         phases.append((r, len(snapshots)))
         if r == 2 and (not stepping or stepping[-1] is doomed):
             raise RuntimeError("synthetic failure of round 2's inner phase")
-        return real_phase(obj, shards, seeds, snapshots, inner_cfg)
+        return real_phase(obj, seeds, snapshots, inner_cfg, batch_size)
 
     monkeypatch.setattr(Simulation, "run_round", tracked_round)
     monkeypatch.setattr(sim_mod, "run_inner_phase", phase)
@@ -304,9 +304,9 @@ def test_bundles_group_the_cells_of_one_batch_stream():
 def test_a_bundle_is_one_stack_group(tmp_path, monkeypatch):
     stacks, real = [], sim_mod.run_inner_phase
 
-    def phase(obj, shards, seeds, snapshots, inner_cfg):
+    def phase(obj, seeds, snapshots, inner_cfg, batch_size):
         stacks.append(len(snapshots))
-        return real(obj, shards, seeds, snapshots, inner_cfg)
+        return real(obj, seeds, snapshots, inner_cfg, batch_size)
 
     monkeypatch.setattr(sim_mod, "run_inner_phase", phase)
     spec = {"version": 1, "base": mlp_raw(rounds=3),

@@ -6,7 +6,6 @@ from stalelab.objective import (
     MlpRegressionObjective,
     QuadraticObjective,
     RosenbrockObjective,
-    Shard,
     batch_seeds,
     finite_diff_check,
     init_reference_loss,
@@ -28,9 +27,10 @@ def mlp():
     return MlpRegressionObjective(layer_sizes=[4, 8, 1], teacher_seed=3)
 
 
-def draw(obj, shards, round_idx, step):
-    """sample_batch for one (round, inner step), from its batch_seeds row."""
-    return sample_batch(obj, shards, batch_seeds(shards, range(round_idx, round_idx + 1), step + 1)[:, 0, step])
+def draw(obj, master, workers, n, round_idx, step):
+    """sample_batch of workers 0..workers-1 for one (round, inner step), from its batch_seeds rows."""
+    seeds = batch_seeds(master, workers, range(round_idx, round_idx + 1), step + 1)[:, 0, step]
+    return sample_batch(obj, seeds, n)
 
 
 class TestQuadratic:
@@ -121,13 +121,12 @@ class TestMlp:
     def test_trains_below_point_one_synchronously(self):
         # plain Adam on fresh batches reaches the realizable floor region
         obj = MlpRegressionObjective(layer_sizes=[4, 8, 1], teacher_seed=3)
-        shard = Shard.for_worker(0, 0, batch_size=64)
         params = obj.init_params(99)[None]  # one worker, stacked
         state = AdamMoments.zeros(params.shape)
         cfg = InnerConfig(lr=1e-2)
-        seeds = batch_seeds([shard], range(1), 600)
+        seeds = batch_seeds(0, 1, range(1), 600)
         for step in range(600):
-            batch = sample_batch(obj, [shard], seeds[:, 0, step])
+            batch = sample_batch(obj, seeds[:, 0, step], 64)
             _, grad = obj.loss_and_grad(params, batch)
             params, state = inner_adamw_step(params, grad, state, cfg)
         eval_rng = np.random.default_rng(123)
@@ -137,47 +136,40 @@ class TestMlp:
 
 class TestSampleBatch:
     def test_deterministic(self, mlp):
-        shard = Shard.for_worker(7, 1, batch_size=8)
-        x1, y1 = draw(mlp, [shard], 3, 2)
-        x2, y2 = draw(mlp, [shard], 3, 2)
+        x1, y1 = draw(mlp, 7, 2, 8, 3, 2)
+        x2, y2 = draw(mlp, 7, 2, 8, 3, 2)
         np.testing.assert_array_equal(x1, x2)
         np.testing.assert_array_equal(y1, y2)
 
     def test_workers_draw_distinct_batches(self, quad):
-        a = Shard.for_worker(7, 0, batch_size=4)
-        b = Shard.for_worker(7, 1, batch_size=4)
-        seeds_a, seeds_b = batch_seeds([a], range(5000), 2), batch_seeds([b], range(5000), 2)
+        seeds = batch_seeds(7, 2, range(5000), 2)
         collisions = sum(
-            np.array_equal(sample_batch(quad, [a], seeds_a[:, r, s]), sample_batch(quad, [b], seeds_b[:, r, s]))
+            np.array_equal(sample_batch(quad, seeds[:1, r, s], 4), sample_batch(quad, seeds[1:, r, s], 4))
             for r in range(5000) for s in range(2)
         )
         assert collisions == 0
 
     def test_master_seed_changes_stream(self, quad):
-        a = Shard.for_worker(7, 0, batch_size=4)
-        b = Shard.for_worker(8, 0, batch_size=4)
-        assert not np.array_equal(draw(quad, [a], 0, 0), draw(quad, [b], 0, 0))
+        assert not np.array_equal(draw(quad, 7, 1, 4, 0, 0), draw(quad, 8, 1, 4, 0, 0))
 
     def test_round_and_step_change_stream(self, quad):
-        shard = Shard.for_worker(7, 0, batch_size=4)
-        base = draw(quad, [shard], 0, 0)
-        assert not np.array_equal(base, draw(quad, [shard], 1, 0))
-        assert not np.array_equal(base, draw(quad, [shard], 0, 1))
+        base = draw(quad, 7, 1, 4, 0, 0)
+        assert not np.array_equal(base, draw(quad, 7, 1, 4, 1, 0))
+        assert not np.array_equal(base, draw(quad, 7, 1, 4, 0, 1))
 
-    def test_shards_must_share_a_batch_size(self, quad):
-        shards = [Shard.for_worker(7, 0, batch_size=4), Shard.for_worker(7, 1, batch_size=8)]
-        with pytest.raises(ValueError, match="batch size"):
-            draw(quad, shards, 0, 0)
+    def test_a_workers_stream_does_not_depend_on_the_worker_count(self):
+        rounds = range(30, 33)
+        np.testing.assert_array_equal(batch_seeds(5, 4, rounds, 3)[:2], batch_seeds(5, 2, rounds, 3))
 
     @pytest.mark.parametrize("kind", ["quadratic", "mlp_regression"])
     def test_same_bytes_as_default_rng_per_key(self, kind):
         obj = make_objective(KINDS[kind])
-        shards = [Shard.for_worker(11, w, batch_size=8) for w in range(3)]
-        seeds = batch_seeds(shards, range(70000, 70003), 4)
+        seeds = batch_seeds(11, 3, range(70000, 70003), 4)
         for i, round_idx in enumerate(range(70000, 70003)):
             for step in range(4):
-                want = [obj.draw_batch(np.random.default_rng((shard.seed, round_idx, step)), 8) for shard in shards]
-                got = sample_batch(obj, shards, seeds[:, i, step])
+                want = [obj.draw_batch(np.random.default_rng((derive_seed(11, "shard", k), round_idx, step)), 8)
+                        for k in range(3)]
+                got = sample_batch(obj, seeds[:, i, step], 8)
                 for k, w in enumerate(want):
                     for g, w_part in zip(parts(row(got, k)), parts(w), strict=True):
                         np.testing.assert_array_equal(bits(g), bits(w_part))
@@ -213,22 +205,21 @@ class TestStacked:
     @pytest.mark.parametrize("kind", sorted(KINDS))
     def test_sample_batch_rows_match_single_shard_draws(self, kind):
         obj = make_objective(KINDS[kind])
-        shards = [Shard.for_worker(3, w, batch_size=16) for w in range(4)]
-        stacked = draw(obj, shards, 5, 2)
-        for k, shard in enumerate(shards):
-            single = draw(obj, [shard], 5, 2)
+        seeds = batch_seeds(3, 4, range(5, 6), 3)[:, 0, 2]
+        stacked = sample_batch(obj, seeds, 16)
+        for k in range(4):
+            single = sample_batch(obj, seeds[k:k + 1], 16)
             for got, want in zip(parts(row(stacked, k)), parts(row(single, 0)), strict=True):
                 np.testing.assert_array_equal(bits(got), bits(want))
 
     @pytest.mark.parametrize("kind", sorted(KINDS))
     def test_loss_and_grad_rows_match_one_dimensional_calls(self, kind):
         obj = make_objective(KINDS[kind])
-        shards = [Shard.for_worker(3, w, batch_size=16) for w in range(4)]
-        params = np.stack([obj.init_params(40 + k) for k in range(len(shards))])
-        batch = draw(obj, shards, 1, 0)
+        params = np.stack([obj.init_params(40 + k) for k in range(4)])
+        batch = draw(obj, 3, 4, 16, 1, 0)
         losses, grads = obj.loss_and_grad(params, batch)
         assert losses.shape == (4,) and grads.shape == params.shape
-        for k in range(len(shards)):
+        for k in range(4):
             loss, grad = obj.loss_and_grad(params[k], row(batch, k))
             assert isinstance(loss, float)
             np.testing.assert_array_equal(bits(losses[k]), bits(loss))
@@ -237,14 +228,13 @@ class TestStacked:
     @pytest.mark.parametrize("kind", sorted(KINDS))
     def test_compact_batches_give_the_bits_of_full_ones(self, kind):
         # the inner phase's batches, linear-noise mean rows from the stream memo, give the bits of
-        # each shard's batch drawn alone from its own generator
+        # each worker's batch drawn alone from its own generator
         obj = make_objective(KINDS[kind])
-        shards = [Shard.for_worker(3, w, batch_size=16) for w in range(4)]
-        params = np.stack([obj.init_params(40 + k) for k in range(len(shards))])
-        seeds = batch_seeds(shards, range(2, 3), 1)[:, 0, 0]
+        params = np.stack([obj.init_params(40 + k) for k in range(4)])
+        seeds = batch_seeds(3, 4, range(2, 3), 1)[:, 0, 0]
         alone = [obj.draw_batch(seeded_generator(state), 16) for state in seeds]
         for _ in range(2):  # a cold memo, then a warm one
-            stacked = sample_batch(obj, shards, seeds)
+            stacked = sample_batch(obj, seeds, 16)
             losses, grads = obj.loss_and_grad(params, stacked)
             for k, batch in enumerate(alone):
                 loss, grad = obj.loss_and_grad(params[k], batch)
@@ -309,9 +299,8 @@ class TestOutBuffer:
     @pytest.mark.parametrize("kind", sorted(KINDS))
     def test_gradient_written_into_out_equals_a_fresh_one(self, kind, stacked):
         obj = make_objective(KINDS[kind])
-        shards = [Shard.for_worker(3, w, batch_size=16) for w in range(4)]
-        params = np.stack([obj.init_params(40 + k) for k in range(len(shards))])
-        batch = draw(obj, shards, 1, 0)
+        params = np.stack([obj.init_params(40 + k) for k in range(4)])
+        batch = draw(obj, 3, 4, 16, 1, 0)
         if not stacked:
             params, batch = params[0], row(batch, 0)
         batches = [batch, None] if kind in ("quadratic", "rosenbrock_sum") else [batch]
@@ -328,9 +317,8 @@ class TestOutBuffer:
     @pytest.mark.parametrize("kind", ["mlp_regression", "mlp_deep"])
     def test_mlp_keeps_the_bits_of_the_out_of_place_formula(self, kind, stacked):
         obj = make_objective(KINDS[kind])
-        shards = [Shard.for_worker(3, w, batch_size=16) for w in range(4)]
-        params = np.stack([obj.init_params(40 + k) for k in range(len(shards))])
-        batch = draw(obj, shards, 1, 0)
+        params = np.stack([obj.init_params(40 + k) for k in range(4)])
+        batch = draw(obj, 3, 4, 16, 1, 0)
         if not stacked:
             params, batch = params[0], row(batch, 0)
         want_loss, want_grad = reference_mlp_loss_and_grad(obj, params, batch)
@@ -343,12 +331,11 @@ class TestOutBuffer:
     @pytest.mark.parametrize("kind", ["mlp_regression", "mlp_deep"])
     def test_batch_inputs_drawn_into_out_equal_fresh_ones(self, kind):
         obj = make_objective(KINDS[kind])
-        shards = [Shard.for_worker(3, w, batch_size=16) for w in range(4)]
-        seeds = batch_seeds(shards, range(2), 3)
-        buf = obj.batch_buffer(len(shards), 16)
+        seeds = batch_seeds(3, 4, range(2), 3)
+        buf = obj.batch_buffer(4, 16)
         for step in range(3):
-            want = sample_batch(obj, shards, seeds[:, 1, step])
-            got = sample_batch(obj, shards, seeds[:, 1, step], out=buf)
+            want = sample_batch(obj, seeds[:, 1, step], 16)
+            got = sample_batch(obj, seeds[:, 1, step], 16, out=buf)
             assert got[0] is buf
             for g, w in zip(got, want, strict=True):
                 np.testing.assert_array_equal(bits(g), bits(w))

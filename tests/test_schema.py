@@ -52,8 +52,15 @@ def bad_values(field):
         yield 1.5
 
 
+ORDERINGS = {  # (section, lower key): the section with the lower key above the key it must not exceed (`le`)
+    ("delay", "lo"): {**DELAYS["uniform_int"], "lo": 5, "hi": 2},
+    ("objective", "spectrum_lo"): {**OBJECTIVES["quadratic"], "spectrum_lo": 5.0, "spectrum_hi": 2.0},
+}
+
+
 def field_cases():
-    """(section, key, bad value, raw config with it, constructor call with it) per declared range."""
+    """(section, key, bad value, raw config with it, constructor call with it) per declared range and
+    ordering."""
     for f in config_fields(RunConfig):
         for bad in bad_values(f):
             yield ("", f.name, bad, raw_config(**{f.name: bad}),
@@ -78,6 +85,10 @@ def field_cases():
                 spec = {**OBJECTIVES[kind], f.name: bad}
                 yield ("objective", f.name, bad, raw_config(kind) | {"objective": spec},
                        lambda cls=cls, spec=spec: cls(**{k: v for k, v in spec.items() if k != "kind"}))
+    for (section, lower), spec in ORDERINGS.items():
+        build = ((lambda spec=spec: DelaySchedule(**spec)) if section == "delay" else
+                 lambda cls=_OBJECTIVES[spec["kind"]], spec=spec: cls(**{k: v for k, v in spec.items() if k != "kind"}))
+        yield section, lower, spec[lower], raw_config() | {section: spec}, build
 
 
 CASES = list(field_cases())
@@ -101,6 +112,20 @@ def test_resolver_and_constructor_reject_alike(section, key, bad, raw, build):
     with pytest.raises(ValueError) as built:
         build()
     assert str(built.value).endswith(f".{key}: {msg}")
+
+
+def test_every_declared_ordering_has_a_case():
+    declared = {(section, f.name) for section, classes in (("delay", [DelaySchedule]),
+                                                           ("objective", _OBJECTIVES.values()))
+                for cls in classes for f in config_fields(cls) if f.metadata.get("le")}
+    assert declared == set(ORDERINGS)
+
+
+def test_an_ordering_is_not_checked_against_a_rejected_value():
+    # hi=-1 is rejected and resolves to its default 16, which must not be reported as lo's bound
+    with pytest.raises(ConfigError) as exc:
+        resolve_config(raw_config() | {"delay": {"kind": "uniform_int", "lo": 20, "hi": -1}})
+    assert exc.value.errors == ["delay.hi: must be >= 0, got -1"]
 
 
 @pytest.mark.parametrize("method", METHODS)

@@ -12,7 +12,6 @@ from stalelab.harness import serialize_result
 from stalelab.objective import (
     Objective,
     QuadraticObjective,
-    Shard,
     batch_seeds,
     make_objective,
     sample_batch,
@@ -115,10 +114,11 @@ class TestSampleDelay:
             DelaySchedule(kind="pareto")
 
     def test_inverted_uniform_range_rejected_at_construction(self):
-        with pytest.raises(ValueError, match=r"lo <= hi, got \(5, 2\)"):
+        with pytest.raises(ValueError, match=r"^DelaySchedule\.lo: must be <= hi \(2\), got 5$"):
             DelaySchedule(kind="uniform_int", lo=5, hi=2)
         assert DelaySchedule(kind="uniform_int", lo=3, hi=3).label() == "uniform:3-3"
-        assert DelaySchedule(kind="fixed", tau=1, lo=5, hi=2).label() == "fixed:1"  # a fixed delay reads neither
+        with pytest.raises(ValueError, match=r"lo: must be <= hi"):  # the ordering is a field's, whatever the kind
+            DelaySchedule(kind="fixed", tau=1, lo=5, hi=2)
 
     def test_exponential_draw_past_float_range_gives_tau_max(self):
         # 1/rate is 1e308, so about one draw in six overflows to inf
@@ -261,53 +261,55 @@ class _ConstantObjective(Objective):
         return 0.0, out
 
 
-def inner_phase(obj, shards, snapshot, inner_steps, round_idx):
-    """run_inner_phase on the batch seeds of one round."""
-    seeds = batch_seeds(shards, range(round_idx, round_idx + 1), inner_steps)[:, 0]
-    (delta,) = run_inner_phase(obj, shards, seeds, snapshot[None], InnerConfig())
+def round_seeds(master, workers, inner_steps, round_idx):
+    """The (K, H, 4) batch seed rows of one round."""
+    return batch_seeds(master, workers, range(round_idx, round_idx + 1), inner_steps)[:, 0]
+
+
+def inner_phase(obj, seeds, snapshot, batch_size=4):
+    """run_inner_phase of one run on a round's batch seed rows."""
+    (delta,) = run_inner_phase(obj, seeds, snapshot[None], InnerConfig(), batch_size)
     return delta
 
 
 class TestInnerPhase:
     def test_constant_objective_gives_zero_delta(self):
         obj = _ConstantObjective(6)
-        delta = inner_phase(obj, [Shard.for_worker(0, 0, 4)], np.ones(6), 4, 0)
+        delta = inner_phase(obj, round_seeds(0, 1, 4, 0), np.ones(6))
         np.testing.assert_array_equal(delta, np.zeros((1, 6)))
 
     def test_seeds_must_match_the_shards(self):
+        # (K >= 1, H >= 1, 4) seed rows and a (B >= 1, dim) stack of global params
         obj = _ConstantObjective(6)
-        shards = [Shard.for_worker(0, w, 4) for w in range(2)]
-        seeds = batch_seeds(shards, range(1), 3)[:, 0]
-        with pytest.raises(ValueError, match="batch seeds"):
-            run_inner_phase(obj, shards[:1], seeds, np.ones((1, 6)), InnerConfig())
-        with pytest.raises(ValueError, match="batch seeds"):
-            run_inner_phase(obj, shards, seeds[:, :0], np.ones((1, 6)), InnerConfig())
-        for snapshots in (np.ones(6), np.ones((0, 6))):  # a (B >= 1, dim) stack of global params
+        seeds = round_seeds(0, 2, 3, 0)
+        for bad in (seeds[:, 0], seeds[:0], seeds[:, :0]):
+            with pytest.raises(ValueError, match="batch seeds"):
+                run_inner_phase(obj, bad, np.ones((1, 6)), InnerConfig(), 4)
+        for snapshots in (np.ones(6), np.ones((0, 6))):
             with pytest.raises(ValueError, match="snapshots"):
-                run_inner_phase(obj, shards, seeds, snapshots, InnerConfig())
+                run_inner_phase(obj, seeds, snapshots, InnerConfig(), 4)
 
     def test_single_step_matches_direct_inner_update(self):
         obj = QuadraticObjective(dimension=8, spectrum_lo=0.5, spectrum_hi=3.0, rotation_seed=1)
-        shard = Shard.for_worker(5, 0, 4)
+        seeds = round_seeds(5, 1, 1, 3)
         snapshot = obj.init_params(7)
-        delta = inner_phase(obj, [shard], snapshot, 1, 3)
-        (batch,) = sample_batch(obj, [shard], batch_seeds([shard], range(3, 4), 1)[:, 0, 0])
+        delta = inner_phase(obj, seeds, snapshot)
+        (batch,) = sample_batch(obj, seeds[:, 0], 4)
         _, grad = obj.loss_and_grad(snapshot, batch)
         stepped, _ = inner_adamw_step(snapshot.copy(), grad, AdamMoments.zeros(8), InnerConfig())
         np.testing.assert_array_equal(delta, (snapshot - stepped)[None])
 
     def test_delta_shape_matches_params(self):
         obj = QuadraticObjective(dimension=8, spectrum_lo=0.5, spectrum_hi=3.0, rotation_seed=1)
-        shards = [Shard.for_worker(5, w, 4) for w in range(3)]
-        delta = inner_phase(obj, shards, obj.init_params(7), 3, 0)
+        delta = inner_phase(obj, round_seeds(5, 3, 3, 0), obj.init_params(7))
         assert delta.shape == (3, 8)
 
     def test_worker_restarts_from_global_each_phase(self):
         obj = QuadraticObjective(dimension=8, spectrum_lo=0.5, spectrum_hi=3.0, rotation_seed=1)
-        shards = [Shard.for_worker(5, w, 4) for w in range(2)]
+        seeds = round_seeds(5, 2, 2, 0)
         snapshot = obj.init_params(7)
-        first = inner_phase(obj, shards, snapshot, 2, 0)
-        second = inner_phase(obj, shards, snapshot, 2, 0)
+        first = inner_phase(obj, seeds, snapshot)
+        second = inner_phase(obj, seeds, snapshot)
         np.testing.assert_array_equal(first.view(np.uint64), second.view(np.uint64))
 
     @pytest.mark.parametrize("spec", [
@@ -319,20 +321,20 @@ class TestInnerPhase:
     ], ids=lambda spec: spec["kind"])
     def test_stacked_phase_matches_one_worker_phases(self, spec):
         obj = make_objective(spec)
-        shards = [Shard.for_worker(9, w, 16) for w in range(4)]
+        seeds = round_seeds(9, 4, 5, 2)
         snapshot = obj.init_params(3)
-        stacked = inner_phase(obj, shards, snapshot, 5, 2)
-        for k, shard in enumerate(shards):
-            alone = inner_phase(obj, [shard], snapshot, 5, 2)
+        stacked = inner_phase(obj, seeds, snapshot, 16)
+        for k in range(4):
+            alone = inner_phase(obj, seeds[k:k + 1], snapshot, 16)
             np.testing.assert_array_equal(stacked[k].view(np.uint64), alone[0].view(np.uint64))
 
 
-def reference_phase(obj, shards, seeds, snapshot, cfg):
+def reference_phase(obj, seeds, snapshot, cfg, batch_size):
     """The inner phase written out of place: fresh batch, gradient and AdamW arrays at every step."""
-    params = np.tile(snapshot, (len(shards), 1))
+    params = np.tile(snapshot, (len(seeds), 1))
     m, v = np.zeros_like(params), np.zeros_like(params)
     for t in range(1, seeds.shape[1] + 1):
-        batch = sample_batch(obj, shards, seeds[:, t - 1])
+        batch = sample_batch(obj, seeds[:, t - 1], batch_size)
         _, grad = obj.loss_and_grad(params, batch)
         m = cfg.beta1 * m + (1.0 - cfg.beta1) * grad
         v = cfg.beta2 * v + (1.0 - cfg.beta2) * (grad * grad)
@@ -358,31 +360,22 @@ class TestInnerWorkspace:
     @pytest.mark.parametrize("kind", sorted(SPECS))
     def test_phase_matches_an_out_of_place_reference_loop(self, kind):
         obj = make_objective(self.SPECS[kind])
-        shards = [Shard.for_worker(9, w, 16) for w in range(3)]
-        seeds = batch_seeds(shards, range(4, 6), 5)
+        seeds = batch_seeds(9, 3, range(4, 6), 5)
         snapshot = obj.init_params(3)
         kept = snapshot.copy()
-        (first,) = run_inner_phase(obj, shards, seeds[:, 0], snapshot[None], self.CFG)
+        (first,) = run_inner_phase(obj, seeds[:, 0], snapshot[None], self.CFG, 16)
         np.testing.assert_array_equal(snapshot.view(np.uint64), kept.view(np.uint64))  # not mutated
-        want = reference_phase(obj, shards, seeds[:, 0], kept, self.CFG)
+        want = reference_phase(obj, seeds[:, 0], kept, self.CFG, 16)
         assert first.shape == (3, obj.dim)
         np.testing.assert_array_equal(first.view(np.uint64), want.view(np.uint64))
         assert np.any(first != 0.0)
 
         held = first.copy()
-        (second,) = run_inner_phase(obj, shards, seeds[:, 1], snapshot[None], self.CFG)
+        (second,) = run_inner_phase(obj, seeds[:, 1], snapshot[None], self.CFG, 16)
         assert not np.shares_memory(first, second)
         np.testing.assert_array_equal(first.view(np.uint64), held.view(np.uint64))  # a queued delta stays put
-        want = reference_phase(obj, shards, seeds[:, 1], kept, self.CFG)
+        want = reference_phase(obj, seeds[:, 1], kept, self.CFG, 16)
         np.testing.assert_array_equal(second.view(np.uint64), want.view(np.uint64))
-
-    @pytest.mark.parametrize("kind", sorted(SPECS))
-    def test_mixed_batch_sizes_raise(self, kind):
-        obj = make_objective(self.SPECS[kind])
-        shards = [Shard.for_worker(9, 0, 16), Shard.for_worker(9, 1, 8)]
-        seeds = batch_seeds(shards, range(1), 2)[:, 0]
-        with pytest.raises(ValueError, match="one batch size"):
-            run_inner_phase(obj, shards, seeds, obj.init_params(3)[None], self.CFG)
 
 
 class TestQueueSemantics:
@@ -406,16 +399,6 @@ class TestQueueSemantics:
     def test_conservation_of_updates(self, tau, rounds):
         res = run_experiment(quad_config(rounds=rounds, delay={"kind": "fixed", "tau": tau}))
         assert res.consumed_entries == 2 * max(0, rounds - tau)
-
-    def test_worker_iteration_order_is_irrelevant(self):
-        sim_a = Simulation(quad_config(delay={"kind": "uniform_int", "lo": 0, "hi": 5}))
-        sim_b = Simulation(quad_config(delay={"kind": "uniform_int", "lo": 0, "hi": 5}))
-        sim_b.workers.reverse()
-        for _ in range(12):
-            sim_a.run_round()
-            sim_b.run_round()
-        np.testing.assert_array_equal(sim_a.global_params, sim_b.global_params)
-        assert sim_a.losses == sim_b.losses
 
     def test_dequeue_is_sorted_by_worker_then_production(self):
         res = run_experiment(quad_config(workers=4, rounds=8,

@@ -14,7 +14,7 @@ import pytest
 from stalelab import simulator as sim_mod
 from stalelab.config import RunConfig, expand_sweep
 from stalelab.harness import serialize_result
-from stalelab.objective import Shard, batch_seeds, make_objective, sample_batch
+from stalelab.objective import batch_seeds, make_objective, sample_batch
 from stalelab.seeding import STREAM_MEMO, StreamMemo
 from stalelab.simulator import DelaySchedule, Simulation, delay_seeds, run_experiment, run_lockstep, sample_delay
 from test_acceptance import MLP_TASK, RANKING_BASE
@@ -111,9 +111,7 @@ def test_a_round_of_delays_drawn_in_one_call_equals_one_call_per_worker(spec):
 @pytest.mark.parametrize("change", [{"noise_scale": 0.5}, {"batch_size": 16}, {"dimension": 13}])
 def test_quadratics_that_differ_do_not_share_noise_rows(change):
     def rows(spec, batch_size=8):
-        obj = make_objective(spec)
-        shards = [Shard.for_worker(4, w, batch_size) for w in range(3)]
-        return sample_batch(obj, shards, batch_seeds(shards, range(1), 1)[:, 0, 0])
+        return sample_batch(make_objective(spec), batch_seeds(4, 3, range(1), 1)[:, 0, 0], batch_size)
 
     batch_size = change.get("batch_size", 8)
     other = {**QUAD, **{k: v for k, v in change.items() if k != "batch_size"}}

@@ -46,10 +46,6 @@ class TestMaxTauSigma:
         _, peak = max_tau_sigma(StalenessGate(alpha, tau_cut))
         assert peak <= 1.0 / (math.e * alpha) + 1e-12
 
-    def test_grid_step_validated(self):
-        with pytest.raises(ValueError):
-            max_tau_sigma(StalenessGate(0.2, 32.0), grid_step=1e-2)
-
     def test_flat_gate_rejected(self):
         with pytest.raises(ValueError):
             max_tau_sigma(StalenessGate(0.0, INF))
